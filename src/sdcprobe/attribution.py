@@ -21,13 +21,13 @@ Scores are published nonnegative, finite, one flat float32 buffer per layer.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, UsageError
+from .fileio import atomic_write
 from .nnet import ComputationGraph, model_checksum
 from .nnet.training import predict
 
@@ -252,10 +252,7 @@ def save_attribution(amap: AttributionMap, path):
         arr = amap.scores[lid]
         out.append(struct.pack("<II", lid, arr.size))
         out.append(arr.astype("<f4").tobytes())
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(out))
-    os.replace(tmp, path)
+    atomic_write(path, b"".join(out))
 
 
 def load_attribution(path) -> AttributionMap:

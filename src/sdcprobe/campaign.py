@@ -25,8 +25,9 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, DataIntegrityError, UsageError
 from .fault_model import (ExperimentCode, FaultSite, SamplerConfig, build_sampler,
                           enumerate_sites, parse_code)
-from .injector import evaluate_with_fault
-from .nnet import evaluate_detailed, model_checksum
+from .fileio import atomic_write
+from .injector import PrefixCache, evaluate_with_fault
+from .nnet import model_checksum
 
 ARTIFACT_VERSION = 1
 DEFAULT_THRESHOLDS = tuple(round(i * 0.05, 2) for i in range(19))  # 0.00 .. 0.90
@@ -196,15 +197,23 @@ class _RecordSink:
         self.done = []
         self._fh = None
 
-    def resume_prefix(self, expected_order):
+    def resume_prefix(self, expected_order, code, baseline):
         """Records already present in the part file, validated as a prefix
-        of the campaign's canonical (seed, ordinal) order."""
+        of the campaign's canonical (seed, ordinal) order, made with this
+        experiment code and against this baseline accuracy."""
         if not os.path.exists(self.part):
             return []
         records, thresholds = load_records(self.part)
         if thresholds != self.thresholds:
             raise DataFormatError(f"{self.part}: thresholds differ from the config; "
                                   "delete the part file to restart")
+        for r in records:
+            if r.experiment_code != code or r.baseline_accuracy != baseline:
+                raise DataFormatError(
+                    f"{self.part}: row (seed {r.seed}, ordinal {r.sample_ordinal}) has code "
+                    f"{r.experiment_code} and baseline {r.baseline_accuracy!r}, but this "
+                    f"campaign runs {code} against baseline {baseline!r}; delete the part "
+                    "file to restart")
         keys = [r.sort_key() for r in records]
         if keys != list(expected_order[:len(keys)]):
             raise DataFormatError(f"{self.part}: rows are not a clean prefix of this "
@@ -255,12 +264,8 @@ def save_records(records, thresholds, path, meta=None):
     """Atomic CSV write, rows sorted by (seed, ordinal); optional sidecar."""
     rows = sorted(records, key=InjectionRecord.sort_key)
     header = ",".join(_FIXED_COLUMNS + [threshold_column(t) for t in thresholds])
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for r in rows:
-            fh.write(_format_row(r) + "\n")
-    os.replace(tmp, path)
+    lines = [header] + [_format_row(r) for r in rows]
+    atomic_write(path, "".join(line + "\n" for line in lines))
     if meta is not None:
         write_meta_sidecar(path, meta)
 
@@ -271,12 +276,7 @@ def meta_path_for(path) -> str:
 
 
 def write_meta_sidecar(path, meta):
-    target = meta_path_for(path)
-    tmp = f"{target}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, target)
+    atomic_write(meta_path_for(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_records(path):
@@ -349,11 +349,16 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     """Run the campaign and return all records plus pooled stats.
 
     Workers share a queue of draw ordinals and own private model replicas;
-    records do not depend on the worker count.  With out_csv set, rows are
-    flushed in order to `<out_csv>.part` as they complete, and an existing
-    part file from an interrupted run is picked up where it stopped.
+    records do not depend on the worker count.  One clean pass fills a
+    PrefixCache that gives the baseline and lets every evaluation rerun
+    only the layers from its fault onward; the replicas share it
+    read-only.  With out_csv set, rows are flushed in order to
+    `<out_csv>.part` as they complete, and an existing part file from an
+    interrupted run is picked up where it stopped, provided its rows were
+    made with this experiment code and against this baseline.
     """
-    baseline, _ = evaluate_detailed(model, dataset)
+    prefix = PrefixCache(model, dataset)
+    baseline, _ = prefix.baseline
 
     if config.exhaustive:
         sites = enumerate_sites(model, config.code.target_kind)
@@ -370,6 +375,7 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                     attributions, model, probe_images=probe_images)
             plan.append((seed, sampler, config.sample_budget))
 
+    code_str = str(config.code)
     expected_order = [(seed, k) for seed, _, budget in plan for k in range(budget)]
     sink = None
     records = []
@@ -377,7 +383,7 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
         sink = _RecordSink(out_csv, config.thresholds,
                            _campaign_meta(config, model, dataset, baseline))
         if resume:
-            records = list(sink.resume_prefix(expected_order))
+            records = list(sink.resume_prefix(expected_order, code_str, baseline))
     done_keys = {r.sort_key() for r in records}
 
     tls = threading.local()
@@ -389,12 +395,10 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
             tls.model = m
         return m
 
-    code_str = str(config.code)
-
     def run_one(seed, sampler, k):
         t0 = time.perf_counter_ns()
         site = sampler.sample_at(k)
-        faulty, poisoned = evaluate_with_fault(replica(), dataset, site)
+        faulty, poisoned = evaluate_with_fault(replica(), dataset, site, prefix=prefix)
         elapsed = time.perf_counter_ns() - t0
         return make_record(code_str, seed, k, site, baseline, faulty, poisoned,
                            elapsed, config.thresholds)
@@ -490,19 +494,15 @@ def write_report_csvs(summary: ReportSummary, out_prefix) -> tuple:
     """Write `<prefix>_precision.csv` and `<prefix>_series.csv`; returns paths."""
     prec_path = f"{out_prefix}_precision.csv"
     series_path = f"{out_prefix}_series.csv"
-    tmp = f"{prec_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write("experiment_code,threshold,mean_precision,stddev_precision,n_seeds\n")
-        for code, t, mean, std, n in summary.rows:
-            mean_s = "null" if mean is None else repr(mean)
-            std_s = "null" if std is None else repr(std)
-            fh.write(f"{code},{t},{mean_s},{std_s},{n}\n")
-    os.replace(tmp, prec_path)
-    tmp = f"{series_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write("experiment_code,sample_count,running_precision\n")
-        for code, series in sorted(summary.series.items()):
-            for i, value in enumerate(series, start=1):
-                fh.write(f"{code},{i},{value!r}\n")
-    os.replace(tmp, series_path)
+    lines = ["experiment_code,threshold,mean_precision,stddev_precision,n_seeds\n"]
+    for code, t, mean, std, n in summary.rows:
+        mean_s = "null" if mean is None else repr(mean)
+        std_s = "null" if std is None else repr(std)
+        lines.append(f"{code},{t},{mean_s},{std_s},{n}\n")
+    atomic_write(prec_path, "".join(lines))
+    lines = ["experiment_code,sample_count,running_precision\n"]
+    for code, series in sorted(summary.series.items()):
+        for i, value in enumerate(series, start=1):
+            lines.append(f"{code},{i},{value!r}\n")
+    atomic_write(series_path, "".join(lines))
     return prec_path, series_path

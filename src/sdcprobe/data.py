@@ -7,10 +7,8 @@ covers the MNIST-family files.
 
 from __future__ import annotations
 
-import json
-import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,10 +132,3 @@ def train_test_split(dataset: Dataset, test_fraction=0.1):
         raise UsageError(f"split fraction {test_fraction} degenerate for {n} samples")
     return (dataset.subset(np.arange(cut), "train"),
             dataset.subset(np.arange(cut, n), "test"))
-
-
-def write_manifest(path, name, paths: dict, checksum: str):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"name": name, "paths": paths, "checksum": checksum}, fh, indent=2)
-    os.replace(tmp, path)

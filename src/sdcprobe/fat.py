@@ -16,7 +16,6 @@ are proxied by evaluations x test-set size.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +25,9 @@ from .attribution import AttributionConfig, attribute_all
 from .campaign import DEFAULT_THRESHOLDS
 from .errors import ConfigError
 from .fault_model import SamplerConfig, build_sampler, parse_code
-from .injector import evaluate_with_fault, evaluate_with_fault_set, inject_set, remove
+from .fileio import atomic_write
+from .injector import (PrefixCache, evaluate_with_fault, evaluate_with_fault_set,
+                       inject_set, remove)
 from .nnet import evaluate_detailed, train
 from .nnet.training import EVAL_BATCH
 
@@ -129,7 +130,9 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     timed window, so wallclock_ns reflects the sampler's true cost.  Runs
     past budget_cap evaluations return censored instead of raising.  A
     prebuilt sampler can be passed for diagnostics with constructed site
-    sequences; the code's own sampler is built otherwise.
+    sequences; the code's own sampler is built otherwise.  The clean pass
+    that gives the baseline also fills the PrefixCache every evaluation
+    resumes from.
     """
     if isinstance(code, str):
         code = parse_code(code)
@@ -139,13 +142,14 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     if sampler is None:
         sampler = _sampler_for(model, dataset, code, seed, steps=attribution_steps,
                                sample_count=attribution_sample_count)
-    baseline, _ = evaluate_detailed(model, dataset)
+    prefix = PrefixCache(model, dataset)
+    baseline, _ = prefix.baseline
     consecutive = 0
     evaluations = 0
     censored = True
     for ordinal in range(budget_cap):
         site = sampler.sample_at(ordinal)
-        faulty, _ = evaluate_with_fault(model, dataset, site)
+        faulty, _ = evaluate_with_fault(model, dataset, site, prefix=prefix)
         evaluations += 1
         drop = max(0.0, baseline - faulty)  # clamp: improvements are not critical
         consecutive = consecutive + 1 if drop >= threshold else 0
@@ -185,11 +189,7 @@ class FatReport:
 
 
 def save_fat_report(report: FatReport, path):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _weight_fault_reapplier(model, sites):

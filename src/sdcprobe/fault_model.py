@@ -15,14 +15,15 @@ how many workers consume the stream.
 from __future__ import annotations
 
 import csv
+import io
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bitfloat
 from .errors import ConfigError, DataFormatError, UsageError
+from .fileio import atomic_write
 from .nnet import model_checksum
 
 log = logging.getLogger(__name__)
@@ -164,9 +165,6 @@ class FaultSampler:
         li = int(np.searchsorted(self.offsets, g, side="right")) - 1
         return self.layer_ids[li], int(g - self.offsets[li])
 
-    def element_probability(self, g: int) -> float:
-        return float(self.neuron_probs[g])
-
     def sample_at(self, ordinal: int) -> FaultSite:
         """The fault site for one draw ordinal; a pure function of
         (config.seed, ordinal)."""
@@ -287,13 +285,12 @@ FAULT_CSV_HEADER = ["layer_id", "target_kind", "element_index", "bit_index"]
 
 
 def save_fault_csv(sites, path):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FAULT_CSV_HEADER)
-        for s in sites:
-            writer.writerow([s.layer_id, s.target_kind, s.element_index, s.bit_index])
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(FAULT_CSV_HEADER)
+    for s in sites:
+        writer.writerow([s.layer_id, s.target_kind, s.element_index, s.bit_index])
+    atomic_write(path, buf.getvalue())
 
 
 def load_fault_csv(path) -> list[FaultSite]:

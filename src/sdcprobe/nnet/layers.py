@@ -9,13 +9,18 @@ over float32 parameters.  Three forward paths exist:
 
 All three share the same layer arithmetic, and all three honor activation
 faults: a bit flipped in one element of a layer's output, applied per sample
-at the same within-sample position.
+at the same within-sample position.  apply() and the injector's prefix
+cache patch outputs through one helper, patch_outputs().
+
+apply() is resumable: with start=L its input is the input of layer L (the
+output of layer L-1), and only layers L.. run.  Since a layer's arithmetic
+depends only on its input batch, resuming from a stored clean activation
+gives the same bits as the full pass over the same batch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import dataclass
 
@@ -23,7 +28,8 @@ import numpy as np
 
 from ..bitfloat import flip_bit_many
 from ..errors import ConfigError, DataFormatError, UsageError
-from .autodiff import ComputationGraph, Tensor, _col2im, _f64, _im2col
+from ..fileio import atomic_write
+from .autodiff import ComputationGraph, Tensor, _f64, _im2col
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,17 @@ class ActivationFault:
     layer_id: int
     element_index: int
     bit_index: int
+
+
+def patch_outputs(x, faults):
+    """Copy of one layer's output batch with every fault's bit flipped in
+    each sample; x itself is never written (it may be a flatten view or a
+    shared cached activation)."""
+    x = x.copy()
+    flat = x.reshape(x.shape[0], -1)
+    for f in faults:
+        flat[:, f.element_index] = flip_bit_many(flat[:, f.element_index], f.bit_index)
+    return x
 
 
 class Conv2d:
@@ -176,10 +193,14 @@ class Model:
     def weight_layer_ids(self):
         return [i for i, l in enumerate(self.layers) if getattr(l, "weight", None) is not None]
 
-    def _check_batch(self, x):
+    def _check_batch(self, x, start=0):
         x = np.asarray(x, dtype=np.float32)
-        if x.shape[1:] != self.input_shape:
-            raise ConfigError(f"batch shape {x.shape[1:]} does not match model input {self.input_shape}")
+        expected = self.input_shape
+        for layer in self.layers[:start]:
+            expected = layer.out_shape(expected)
+        if x.shape[1:] != expected:
+            where = "model input" if start == 0 else f"input of layer {start}"
+            raise ConfigError(f"batch shape {x.shape[1:]} does not match {where} {expected}")
         return x
 
     @staticmethod
@@ -189,27 +210,31 @@ class Model:
             grouped.setdefault(f.layer_id, []).append(f)
         return grouped
 
-    def apply(self, x, output_faults=(), return_activations=False):
+    def apply(self, x, output_faults=(), return_activations=False, start=0):
         """Plain forward pass; returns logits [N, classes].
+
+        With start=L, x is the input of layer L and only layers L.. run;
+        faults on earlier layers are then the caller's business, and the
+        activations returned (with return_activations) are those of layers
+        L.. only.
 
         Runs with numpy float warnings suppressed: injected faults are meant
         to push inf/NaN through the network, and evaluation must not warn or
         mask them.
         """
+        if not 0 <= start <= len(self.layers):
+            raise UsageError(f"start layer {start} out of range")
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            return self._apply(x, output_faults, return_activations)
+            return self._apply(x, output_faults, return_activations, start)
 
-    def _apply(self, x, output_faults, return_activations):
-        x = self._check_batch(x)
+    def _apply(self, x, output_faults, return_activations, start):
+        x = self._check_batch(x, start)
         faults = self._group_faults(tuple(output_faults) + tuple(self.registered_output_faults))
         acts = []
-        for lid, layer in enumerate(self.layers):
-            x = layer.apply(x)
+        for lid in range(start, len(self.layers)):
+            x = self.layers[lid].apply(x)
             if lid in faults:
-                x = x.copy()  # flatten returns a view; detach before patching
-                flat = x.reshape(x.shape[0], -1)
-                for f in faults[lid]:
-                    flat[:, f.element_index] = flip_bit_many(flat[:, f.element_index], f.bit_index)
+                x = patch_outputs(x, faults[lid])
             acts.append(x)
         return (x, acts) if return_activations else x
 
@@ -351,13 +376,6 @@ class _Reader:
         return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
 
 
-def _atomic_write(path, data: bytes):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def save_checkpoint(model: Model, path):
     out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     out.append(struct.pack("<I", len(model.input_shape)))
@@ -377,7 +395,7 @@ def save_checkpoint(model: Model, path):
                 out.append(layer.bias.data.astype("<f4").tobytes())
             else:
                 out.append(struct.pack("<I", 0))
-    _atomic_write(path, b"".join(out))
+    atomic_write(path, b"".join(out))
 
 
 def load_checkpoint(path) -> Model:

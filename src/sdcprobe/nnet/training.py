@@ -61,23 +61,33 @@ def make_optimizer(name, params, lr):
     raise UsageError(f"unknown optimizer {name!r}; expected 'sgd' or 'adam'")
 
 
-def predict(model, images, output_faults=(), batch_size=EVAL_BATCH):
-    """Predicted class per sample plus a per-sample poisoned mask.
+def classify(logits):
+    """(predicted class, poisoned flag) per row of a logits batch.
 
     Rows whose logits contain NaN resolve to class 0 (the lowest index) and
     are flagged; argmax on finite logits breaks ties at the lowest index.
     """
+    bad = np.isnan(logits).any(axis=1)
+    p = np.argmax(logits, axis=1)
+    p[bad] = 0
+    return p, bad
+
+
+def predict(model, images, output_faults=(), batch_size=EVAL_BATCH):
+    """Predicted class per sample plus a per-sample poisoned mask (see
+    classify), computed in chunks of batch_size rows."""
     n = images.shape[0]
     preds = np.empty(n, dtype=np.int64)
     poisoned = np.zeros(n, dtype=bool)
     for lo in range(0, n, batch_size):
         logits = model.apply(images[lo:lo + batch_size], output_faults=output_faults)
-        bad = np.isnan(logits).any(axis=1)
-        p = np.argmax(logits, axis=1)
-        p[bad] = 0
-        preds[lo:lo + batch_size] = p
-        poisoned[lo:lo + batch_size] = bad
+        preds[lo:lo + batch_size], poisoned[lo:lo + batch_size] = classify(logits)
     return preds, poisoned
+
+
+def score(preds, poisoned, labels):
+    """(accuracy, any_poisoned) of per-sample predictions."""
+    return float(np.mean(preds == labels)), bool(poisoned.any())
 
 
 def evaluate_detailed(model, dataset, output_faults=(), batch_size=EVAL_BATCH):
@@ -85,8 +95,7 @@ def evaluate_detailed(model, dataset, output_faults=(), batch_size=EVAL_BATCH):
     if len(dataset.labels) == 0:
         raise UsageError("cannot evaluate on an empty dataset")
     preds, poisoned = predict(model, dataset.images, output_faults, batch_size)
-    acc = float(np.mean(preds == dataset.labels))
-    return acc, bool(poisoned.any())
+    return score(preds, poisoned, dataset.labels)
 
 
 def evaluate(model, dataset, batch_size=EVAL_BATCH):

@@ -329,6 +329,34 @@ class TestPersistence:
                          out_csv=str(tmp_path / "broken.csv"))
         assert full.records  # fresh run unaffected
 
+    def _part_from_other_run(self, tmp_path, code, model):
+        """Part file holding the first three rows of a finished campaign."""
+        cfg = CampaignConfig(code=code, thresholds=THRESH5, sample_budget=4, seeds=(1,))
+        run_campaign(model, class1_dataset(), cfg, out_csv=str(tmp_path / "other.csv"))
+        lines = (tmp_path / "other.csv").read_text().splitlines()
+        (tmp_path / "resumed.csv.part").write_text("\n".join(lines[:4]) + "\n")
+
+    def test_part_of_another_code_rejected(self, tmp_path):
+        """Rows of a weight campaign never splice into an output campaign,
+        even when seeds and ordinals line up."""
+        self._part_from_other_run(tmp_path, "RBRNw", identity_model())
+        cfg = CampaignConfig(code="RBRNo", thresholds=THRESH5, sample_budget=4, seeds=(1,))
+        with pytest.raises(DataFormatError, match="code RBRNw"):
+            run_campaign(identity_model(), class1_dataset(), cfg,
+                         out_csv=str(tmp_path / "resumed.csv"))
+
+    def test_part_against_another_baseline_rejected(self, tmp_path):
+        """Rows made on a model with another baseline accuracy (here 0.0
+        against 1.0) are foreign even under the same code."""
+        swapped = identity_model()
+        swapped.layers[1].weight.data[:] = np.array([[0, 1], [1, 0]], dtype=np.float32)
+        self._part_from_other_run(tmp_path, "RBRNw", swapped)
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=4, seeds=(1,))
+        with pytest.raises(DataFormatError, match="baseline"):
+            run_campaign(identity_model(), class1_dataset(), cfg,
+                         out_csv=str(tmp_path / "resumed.csv"))
+        assert (tmp_path / "resumed.csv.part").exists()  # left for the user to inspect
+
 
 class TestReport:
     def five_seed_records(self, drops_by_seed, code="RBRNw"):

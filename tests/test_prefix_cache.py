@@ -1,0 +1,257 @@
+"""Prefix-cached fault evaluation against the full recompute.
+
+evaluate_with_fault(..., prefix=cache) reruns only the layers from the
+fault onward; without prefix it reruns the whole model.  Both must return
+the same (accuracy, poisoned) for every site, bit for bit.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sdcprobe.campaign import CampaignConfig, run_campaign
+from sdcprobe.data import Dataset, synth_blobs, train_test_split
+from sdcprobe.errors import ConfigError, UsageError
+from sdcprobe.fault_model import FaultSite
+from sdcprobe import injector
+from sdcprobe.injector import PrefixCache, evaluate_with_fault, inject, remove
+from sdcprobe.nnet import build_cnn, build_mlp, evaluate_detailed, model_checksum, train
+
+ROWS = 300  # more than one 256-row evaluation chunk
+
+
+def _blobs(image_shape, dims, seed):
+    data = synth_blobs(3, 150, dims=dims, spread=0.35, seed=seed,
+                       image_shape=image_shape, center_scale=0.5)
+    return train_test_split(data, test_fraction=ROWS / len(data))
+
+
+@pytest.fixture(scope="module")
+def cnn_case():
+    """The acceptance CNN, briefly trained, with a 300-row test set."""
+    train_set, test_set = _blobs((1, 6, 6), 36, seed=5)
+    model = build_cnn((1, 6, 6), [3, 4], 3, 16, 3, seed=1)
+    train(model, train_set, epochs=3, batch_size=16, lr=0.01, optimizer="adam", seed=3)
+    return model, test_set, PrefixCache(model, test_set)
+
+
+@pytest.fixture(scope="module")
+def mlp_case():
+    train_set, test_set = _blobs((1, 1, 12), 12, seed=7)
+    model = build_mlp((1, 1, 12), [16, 8], 3, seed=2)
+    train(model, train_set, epochs=3, batch_size=16, lr=0.01, optimizer="adam", seed=4)
+    return model, test_set, PrefixCache(model, test_set)
+
+
+def _layer_sizes(model, kind):
+    """{layer id: number of elements} a site of this kind may target."""
+    if kind == "neuron_weight":
+        return {lid: model.layers[lid].weight.data.size for lid in model.weight_layer_ids()}
+    return {lid: int(np.prod(shape)) for lid, shape in enumerate(model.output_shapes())}
+
+
+@st.composite
+def sites(draw, model):
+    kind = draw(st.sampled_from(["neuron_weight", "neuron_output"]))
+    sizes = _layer_sizes(model, kind)
+    lid = draw(st.sampled_from(sorted(sizes)))
+    element = draw(st.integers(0, sizes[lid] - 1))
+    bit = draw(st.integers(0, 31))
+    return FaultSite(lid, kind, element, bit)
+
+
+def _assert_same(model, dataset, cache, site):
+    before = model_checksum(model)
+    full = evaluate_with_fault(model, dataset, site)
+    cached = evaluate_with_fault(model, dataset, site, prefix=cache)
+    assert cached == full, site
+    assert model_checksum(model) == before
+    return full
+
+
+class TestMatchesFullRecompute:
+    def test_baseline_is_the_clean_evaluation(self, cnn_case, mlp_case):
+        for model, dataset, cache in (cnn_case, mlp_case):
+            assert cache.baseline == evaluate_detailed(model, dataset)
+            assert len(cache.chunks) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_cnn_sites(self, cnn_case, data):
+        model, dataset, cache = cnn_case
+        _assert_same(model, dataset, cache, data.draw(sites(model)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_mlp_sites(self, mlp_case, data):
+        model, dataset, cache = mlp_case
+        _assert_same(model, dataset, cache, data.draw(sites(model)))
+
+    @pytest.mark.parametrize("case", ["cnn_case", "mlp_case"])
+    @pytest.mark.parametrize("kind", ["neuron_weight", "neuron_output"])
+    def test_first_and_last_layers(self, request, case, kind):
+        model, dataset, cache = request.getfixturevalue(case)
+        sizes = _layer_sizes(model, kind)
+        for lid in (min(sizes), max(sizes)):
+            for element in (0, sizes[lid] - 1):
+                for bit in (0, 23, 30, 31):
+                    _assert_same(model, dataset, cache, FaultSite(lid, kind, element, bit))
+
+    def test_poisoned_weight_site(self, mlp_case):
+        """A weight of 1.5 with bit 30 flipped is NaN, which poisons every
+        sample; the cached path must report it the same way."""
+        model, dataset, _ = mlp_case
+        replica = model.copy()
+        replica.layers[1].weight.data[0, 0] = 1.5
+        cache = PrefixCache(replica, dataset)
+        _, poisoned = _assert_same(replica, dataset, cache,
+                                   FaultSite(1, "neuron_weight", 0, 30))
+        assert poisoned
+
+    def test_poisoned_output_sites(self, cnn_case):
+        """Exponent-bit flips of every conv output element: some push
+        inf/NaN through the network, and all match the full recompute."""
+        model, dataset, cache = cnn_case
+        outcomes = [_assert_same(model, dataset, cache, FaultSite(lid, "neuron_output", e, 30))
+                    for lid in (0, 2) for e in range(_layer_sizes(model, "neuron_output")[lid])]
+        assert any(poisoned for _, poisoned in outcomes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_model_with_a_registered_output_fault(self, cnn_case, data):
+        """A fault already on the model is part of the cached activations
+        and of every resumed pass, including a site on the same layer."""
+        model, dataset, _ = cnn_case
+        replica = model.copy()
+        handle = inject(replica, FaultSite(2, "neuron_output", 5, 29))
+        cache = PrefixCache(replica, dataset)
+        assert cache.baseline == evaluate_detailed(replica, dataset)
+        _assert_same(replica, dataset, cache, data.draw(sites(replica)))
+        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_output", 5, 29))
+        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_output", 6, 30))
+        remove(replica, handle)
+
+    def test_cache_is_read_only(self, cnn_case):
+        _, _, cache = cnn_case
+        for chunk in cache.chunks:
+            for a in chunk:
+                with pytest.raises(ValueError):
+                    a.reshape(-1)[0] = 1.0
+
+
+class TestByteBudget:
+    def test_size_is_every_stored_layer_output(self, cnn_case, mlp_case):
+        for _, _, cache in (cnn_case, mlp_case):
+            assert cache.nbytes == sum(a.nbytes for chunk in cache.chunks for a in chunk[1:])
+
+    def test_default_idx_cnn_on_a_full_test_set_is_over_budget(self):
+        """The CLI's default CNN on a 10000-image 28x28 test set would need
+        about 590 MB of activations, so the cache keeps none."""
+        model = build_cnn((1, 28, 28), [4, 8], 3, 32, 10, seed=0)
+        per_sample = sum(int(np.prod(s)) for s in model.output_shapes())
+        assert 4 * 10000 * per_sample > injector.PREFIX_CACHE_BYTES
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_over_budget_falls_back_to_the_full_recompute(self, cnn_case, data):
+        model, dataset, full_cache = cnn_case
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(injector, "PREFIX_CACHE_BYTES", full_cache.nbytes - 1)
+            cache = PrefixCache(model, dataset)
+        assert cache.chunks is None
+        assert cache.baseline == evaluate_detailed(model, dataset)
+        _assert_same(model, dataset, cache, data.draw(sites(model)))
+
+    def test_exactly_at_budget_is_cached(self, mlp_case, monkeypatch):
+        model, dataset, full_cache = mlp_case
+        monkeypatch.setattr(injector, "PREFIX_CACHE_BYTES", full_cache.nbytes)
+        assert PrefixCache(model, dataset).chunks is not None
+
+
+class TestSharedAcrossWorkers:
+    def test_eight_threads_with_fast_switching_match_the_full_recompute(self, cnn_case):
+        """Eight campaign workers on two cores share one cache while the
+        interpreter switches threads every microsecond; every record still
+        equals the site's full recompute, so no worker saw another's
+        patched activations or weight flip."""
+        model, dataset, _ = cnn_case
+        config = CampaignConfig(code="RBRNo", thresholds=(0.0, 0.05), sample_budget=40,
+                                seeds=(3, 4), workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_campaign(model, dataset, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(result.records) == 80
+        for r in result.records:
+            assert (r.faulty_accuracy, r.poisoned) == \
+                evaluate_with_fault(model, dataset, r.site), r.site
+
+
+class TestMismatchedCache:
+    def test_other_dataset_refused(self, mlp_case):
+        model, dataset, cache = mlp_case
+        other = Dataset(dataset.images.copy(), dataset.labels.copy(), split="test")
+        with pytest.raises(UsageError, match="different dataset"):
+            evaluate_with_fault(model, other, FaultSite(1, "neuron_weight", 0, 3),
+                                prefix=cache)
+
+    def test_other_batch_size_refused(self, mlp_case):
+        model, dataset, cache = mlp_case
+        with pytest.raises(UsageError, match="batch_size 64"):
+            evaluate_with_fault(model, dataset, FaultSite(1, "neuron_weight", 0, 3),
+                                batch_size=64, prefix=cache)
+
+    def test_model_with_other_registered_faults_refused(self, mlp_case):
+        model, dataset, cache = mlp_case
+        replica = model.copy()
+        inject(replica, FaultSite(0, "neuron_output", 0, 30))
+        with pytest.raises(UsageError, match="registered output faults"):
+            evaluate_with_fault(replica, dataset, FaultSite(1, "neuron_weight", 0, 3),
+                                prefix=cache)
+
+    def test_model_with_other_layers_refused(self, mlp_case):
+        _, dataset, cache = mlp_case
+        other = build_mlp((1, 1, 12), [16], 3, seed=2)
+        with pytest.raises(UsageError, match="other layers"):
+            evaluate_with_fault(other, dataset, FaultSite(1, "neuron_weight", 0, 3),
+                                prefix=cache)
+
+    def test_replica_accepted(self, mlp_case):
+        model, dataset, cache = mlp_case
+        _assert_same(model.copy(), dataset, cache, FaultSite(1, "neuron_weight", 0, 3))
+
+    def test_refusal_leaves_the_model_clean(self, mlp_case):
+        model, dataset, cache = mlp_case
+        before = model_checksum(model)
+        with pytest.raises(UsageError):
+            evaluate_with_fault(model, dataset, FaultSite(1, "neuron_weight", 0, 3),
+                                batch_size=128, prefix=cache)
+        assert model_checksum(model) == before
+        assert model.registered_output_faults == []
+
+    def test_empty_dataset_refused(self, mlp_case):
+        model, dataset, _ = mlp_case
+        empty = Dataset(dataset.images[:0], dataset.labels[:0], split="test")
+        with pytest.raises(UsageError, match="empty"):
+            PrefixCache(model, empty)
+
+
+class TestResumableApply:
+    def test_resumed_pass_equals_the_full_pass(self, cnn_case):
+        model, dataset, _ = cnn_case
+        x = dataset.images[:40]
+        logits, acts = model.apply(x, return_activations=True)
+        for start in range(1, len(model.layers) + 1):
+            resumed = model.apply(acts[start - 1], start=start)
+            assert np.array_equal(resumed.view(np.uint32), logits.view(np.uint32))
+
+    def test_start_checks_the_input_shape(self, cnn_case):
+        model, dataset, _ = cnn_case
+        with pytest.raises(ConfigError, match="input of layer 2"):
+            model.apply(dataset.images[:4], start=2)
+        with pytest.raises(UsageError, match="out of range"):
+            model.apply(dataset.images[:4], start=len(model.layers) + 1)
