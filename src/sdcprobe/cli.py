@@ -308,7 +308,9 @@ def make_parser():
             p.add_argument("--seed", action="append", type=int, default=None,
                            help="seed (repeatable where seed lists apply)")
         if workers:
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--workers", type=int, default=None,
+                           help="accepted for older configs (>= 1); campaigns run in "
+                                "the calling thread and records do not depend on it")
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     common(p)

@@ -2,9 +2,10 @@
 
 fat_train warms a model up clean, draws the first few faults from the
 configured sampler, then keeps training with those faults active so the
-network learns to route around them.  Weight faults persist: the flipped
-bit is re-applied after every optimizer step.  Output faults stay
-registered on the model for every forward pass.
+network learns to route around them.  Weight faults persist: after every
+optimizer step the faulted bit is set back to its faulted value, and
+removal at the end restores the bit the weight had at injection.  Output
+faults stay registered on the model for every forward pass.
 
 The latency metric asks how many fault evaluations a sampler needs before
 hitting k critical faults in a row; importance-guided samplers find them
@@ -19,15 +20,13 @@ import json
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .attribution import AttributionConfig, attribute_all
 from .campaign import DEFAULT_THRESHOLDS
 from .errors import ConfigError
 from .fault_model import SamplerConfig, build_sampler, parse_code
 from .fileio import atomic_write
 from .injector import (PrefixCache, evaluate_with_fault, evaluate_with_fault_set,
-                       inject_set, remove)
+                       inject_set, pin_weight_bit, remove)
 from .nnet import evaluate_detailed, train
 from .nnet.training import EVAL_BATCH
 
@@ -192,19 +191,20 @@ def save_fat_report(report: FatReport, path):
     atomic_write(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _weight_fault_reapplier(model, sites):
-    """Closure that re-XORs every weight-fault bit; run after each step so
-    the faults persist through optimizer updates."""
-    weight_sites = [(s.layer_id, s.element_index, np.uint32(1) << np.uint32(s.bit_index))
-                    for s in sites if s.target_kind == "neuron_weight"]
-    if not weight_sites:
+def _weight_fault_reapplier(model, handles):
+    """Closure that pins every injected weight-fault bit to its faulted
+    value; run after each step so the faults persist through optimizer
+    updates, whatever the update did to that bit."""
+    pins = [(h.site, 1 - h.original_bit) for h in handles
+            if h.site.target_kind == "neuron_weight"]
+    if not pins:
         return None
 
     def reapply():
-        # optimizer steps replace the weight buffers, so resolve them fresh
-        for lid, idx, mask in weight_sites:
-            flat = model.layers[lid].weight.data.reshape(-1)
-            flat.view(np.uint32)[idx] ^= mask
+        # pin_weight_bit resolves the weight buffer fresh on every call,
+        # since optimizer steps replace it
+        for site, faulted in pins:
+            pin_weight_bit(model, site, faulted)
     return reapply
 
 
@@ -213,10 +213,8 @@ def _clean_snapshot(model, handles):
     snapshot = model.copy()
     snapshot.registered_output_faults = []
     for h in handles:
-        site = h.site
-        if site.target_kind == "neuron_weight":
-            flat = snapshot.layers[site.layer_id].weight.data.reshape(-1)
-            flat.view(np.uint32)[site.element_index] ^= np.uint32(1) << np.uint32(site.bit_index)
+        if h.site.target_kind == "neuron_weight":
+            pin_weight_bit(snapshot, h.site, h.original_bit)
     return snapshot
 
 
@@ -258,7 +256,7 @@ def fat_train(model, train_set, test_set, config: FatConfig):
         adversary_sites = adversary.sample(config.faults_per_round)
         handles = inject_set(model, trained_sites)
 
-    reapply = _weight_fault_reapplier(model, [h.site for h in handles])
+    reapply = _weight_fault_reapplier(model, handles)
     fat_log = []
     latency: dict = {}
     try:

@@ -1,10 +1,12 @@
 """Bit-flip injection and fault-present evaluation.
 
-Weight faults XOR one bit of a stored parameter in place; the flip is its
-own inverse, so removal restores the model bit for bit even when the flip
-lands on a NaN pattern.  Output faults register on the model and corrupt
-the targeted activation element of every sample on every forward pass
-until removed.
+Weight faults set one bit of a stored parameter to the complement of its
+original value, in place, and removal sets it back, so the model is
+restored bit for bit even when the flip lands on a NaN pattern.  Both
+steps go through pin_weight_bit, which fault-aware training also uses to
+hold a fault through optimizer updates.  Output faults register on the
+model and corrupt the targeted activation element of every sample on every
+forward pass until removed.
 
 A fault at layer L cannot change anything upstream of L.  A PrefixCache
 holds the clean activations of every layer, chunked exactly as evaluation
@@ -20,6 +22,7 @@ the baseline and evaluations fall back to the full recompute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +40,16 @@ class InjectionHandle:
     original_value: float
     active: bool = True
     _fault: ActivationFault | None = field(default=None, repr=False)
+    original_bit: int | None = None  # weight faults: the bit before injection
+
+
+def _check_layer(model, site):
+    if not 0 <= site.layer_id < len(model.layers):
+        raise UsageError(f"layer id {site.layer_id} out of range")
 
 
 def _weight_view(model, site):
-    if not 0 <= site.layer_id < len(model.layers):
-        raise UsageError(f"layer id {site.layer_id} out of range")
+    _check_layer(model, site)
     layer = model.layers[site.layer_id]
     weight = getattr(layer, "weight", None)
     if weight is None:
@@ -53,15 +61,27 @@ def _weight_view(model, site):
     return flat
 
 
+def pin_weight_bit(model, site: FaultSite, value: int):
+    """Set the site's bit of its weight's raw float32 pattern to value (0 or
+    1); the other 31 bits are untouched, so this is exact on NaN patterns."""
+    word = _weight_view(model, site).view(np.uint32)
+    mask = np.uint32(1) << np.uint32(site.bit_index)
+    if value:
+        word[site.element_index] |= mask
+    else:
+        word[site.element_index] &= ~mask
+
+
 def inject(model, site: FaultSite) -> InjectionHandle:
     """Activate one fault site on the model; returns the handle that undoes it."""
     if site.target_kind == "neuron_weight":
         flat = _weight_view(model, site)
         original = float(flat[site.element_index])
-        # XOR on the raw pattern: exact, involutive, NaN-safe
-        flat.view(np.uint32)[site.element_index] ^= np.uint32(1) << np.uint32(site.bit_index)
-        return InjectionHandle(site, original)
-    n_elems = int(np.prod(model.output_shapes()[site.layer_id]))
+        bit = int(flat.view(np.uint32)[site.element_index]) >> site.bit_index & 1
+        pin_weight_bit(model, site, 1 - bit)
+        return InjectionHandle(site, original, original_bit=bit)
+    _check_layer(model, site)
+    n_elems = math.prod(model.in_shapes[site.layer_id + 1])
     if not 0 <= site.element_index < n_elems:
         raise UsageError(f"element {site.element_index} out of range for layer "
                          f"{site.layer_id} outputs ({n_elems} elements)")
@@ -77,9 +97,7 @@ def remove(model, handle: InjectionHandle):
     if handle._fault is not None:
         model.registered_output_faults.remove(handle._fault)
     else:
-        site = handle.site
-        flat = _weight_view(model, site)
-        flat.view(np.uint32)[site.element_index] ^= np.uint32(1) << np.uint32(site.bit_index)
+        pin_weight_bit(model, handle.site, handle.original_bit)
     handle.active = False
 
 
@@ -97,8 +115,9 @@ class PrefixCache:
 
     Built by one clean forward pass per EVAL_BATCH chunk; every chunk keeps
     its input followed by each layer's output, so chunks[c][L] is the input
-    of layer L.  The arrays are made read-only, which lets campaign worker
-    threads share one cache.  When the outputs would take more than
+    of layer L.  The arrays are made read-only, so evaluations only read
+    them, and threads that each evaluate on their own Model.copy() replica
+    may share one cache without locks.  When the outputs would take more than
     PREFIX_CACHE_BYTES, chunks is None and evaluate() falls back to the
     full recompute.
 
@@ -197,7 +216,7 @@ def evaluate_with_fault(model, dataset, site: FaultSite, batch_size: int = EVAL_
 
 def inject_set(model, sites) -> list:
     """Activate a set of faults together; duplicates are dropped first,
-    since injecting the same XOR flip twice would cancel it."""
+    since injecting the same site twice would flip its bit back."""
     handles = []
     try:
         for site in dict.fromkeys(sites):

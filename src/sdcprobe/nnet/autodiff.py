@@ -9,6 +9,8 @@ once on output.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import UsageError
@@ -57,16 +59,31 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _im2col(x, kh, kw, stride):
-    """[N,C,H,W] -> [N, C*kh*kw, OH*OW] patch matrix (copies)."""
-    n, c, h, w = x.shape
+@functools.lru_cache(maxsize=64)
+def _patch_index(c, h, w, kh, kw, stride):
+    """Read-only [C*kh*kw, OH*OW] flat offsets into one [C,H,W] sample:
+    row (ci, i, j), column (oy, ox) reads x[ci, oy*stride + i, ox*stride + j]."""
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False)
-    return view.reshape(n, c * kh * kw, oh * ow).copy(), oh, ow
+    ci, i, j = np.ix_(np.arange(c), np.arange(kh), np.arange(kw))
+    rows = (ci * h + i) * w + j                                      # [C, kh, kw]
+    cols = (np.arange(oh)[:, None] * w + np.arange(ow)) * stride     # [OH, OW]
+    idx = rows.reshape(-1, 1) + cols.reshape(1, -1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _im2col(x, kh, kw, stride):
+    """[N,C,H,W] -> float64 [N, C*kh*kw, OH*OW] patch matrix, one gather.
+
+    The float32 -> float64 cast is exact and elementwise, so casting the
+    input before the gather gives the same values as casting the patches;
+    the gathered matrix is the matmul operand as it stands.
+    """
+    n, c, h, w = x.shape
+    idx = _patch_index(c, h, w, kh, kw, stride)
+    return (_f64(x.reshape(n, c * h * w)).take(idx, axis=1),
+            (h - kh) // stride + 1, (w - kw) // stride + 1)
 
 
 def _col2im(gcols, xshape, kh, kw, stride):
@@ -123,8 +140,7 @@ class ComputationGraph:
             raise UsageError(f"conv2d shape mismatch: x {x.data.shape} vs w {w.data.shape}")
         n = x.data.shape[0]
         o, _, kh, kw = w.data.shape
-        cols, oh, ow = _im2col(x.data, kh, kw, stride)
-        cols64 = _f64(cols)
+        cols64, oh, ow = _im2col(x.data, kh, kw, stride)
         wf64 = _f64(w.data.reshape(o, -1))
         y64 = np.matmul(wf64, cols64)                     # [N, O, OH*OW]
         if b is not None:

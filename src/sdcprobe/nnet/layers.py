@@ -75,7 +75,7 @@ class Conv2d:
     def apply(self, x):
         o, _, kh, kw = self.weight.data.shape
         cols, oh, ow = _im2col(x, kh, kw, self.stride)
-        y = np.matmul(_f64(self.weight.data.reshape(o, -1)), _f64(cols))
+        y = np.matmul(_f64(self.weight.data.reshape(o, -1)), cols)
         if self.bias is not None:
             y = y + _f64(self.bias.data)[None, :, None]
         return y.reshape(x.shape[0], o, oh, ow).astype(np.float32)
@@ -87,7 +87,7 @@ class Conv2d:
         y = self.apply(x)
         o, _, kh, kw = self.weight.data.shape
         cols, oh, ow = _im2col(t, kh, kw, self.stride)
-        ty = np.matmul(_f64(self.weight.data.reshape(o, -1)), _f64(cols))
+        ty = np.matmul(_f64(self.weight.data.reshape(o, -1)), cols)
         return y, ty.reshape(t.shape[0], o, oh, ow).astype(np.float32)
 
 
@@ -169,16 +169,16 @@ class Model:
         self.input_shape = tuple(int(d) for d in input_shape)
         # injected activation faults, applied on every forward until removed
         self.registered_output_faults: list[ActivationFault] = []
-        self.output_shapes()  # validate composition eagerly
+        # walking the shapes validates the composition eagerly; in_shapes[L]
+        # is the per-sample input shape of layer L, in_shapes[-1] the logits'
+        shapes = [self.input_shape]
+        for layer in self.layers:
+            shapes.append(layer.out_shape(shapes[-1]))
+        self.in_shapes = tuple(shapes)
 
     def output_shapes(self):
         """Per-sample output shape of every layer, in order."""
-        shape = self.input_shape
-        shapes = []
-        for layer in self.layers:
-            shape = layer.out_shape(shape)
-            shapes.append(shape)
-        return shapes
+        return list(self.in_shapes[1:])
 
     def parameters(self):
         params = []
@@ -195,9 +195,7 @@ class Model:
 
     def _check_batch(self, x, start=0):
         x = np.asarray(x, dtype=np.float32)
-        expected = self.input_shape
-        for layer in self.layers[:start]:
-            expected = layer.out_shape(expected)
+        expected = self.in_shapes[start]
         if x.shape[1:] != expected:
             where = "model input" if start == 0 else f"input of layer {start}"
             raise ConfigError(f"batch shape {x.shape[1:]} does not match {where} {expected}")

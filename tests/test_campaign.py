@@ -1,6 +1,7 @@
 """Campaign tests: classification, determinism, persistence, recall."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class _FixedSiteSampler:
 
     def sample_at(self, k):
         return self.site
+
+
+class _ThreadNotingSampler:
+    """Deterministic weight sites; notes the thread and the live thread
+    count of every draw, and raises at ordinal fail_at."""
+
+    def __init__(self, fail_at=None):
+        self.fail_at = fail_at
+        self.calls = []
+
+    def sample_at(self, k):
+        self.calls.append((threading.get_ident(), threading.active_count()))
+        if k == self.fail_at:
+            raise RuntimeError(f"sampler failed at ordinal {k}")
+        return FaultSite(1, "neuron_weight", k % 4, (7 * k) % 32)
 
 
 class TestRecordClassification:
@@ -150,6 +166,48 @@ class TestRunCampaign:
                                                  workers=workers))
             runs.append([strip_clock(r) for r in result.records])
         assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_draw_runs_in_the_calling_thread(self, workers):
+        threads = threading.active_count()
+        sampler = _ThreadNotingSampler()
+        result = run_campaign(identity_model(), class1_dataset(),
+                              CampaignConfig(code="RBRNw", thresholds=THRESH5,
+                                             sample_budget=6, seeds=(1,),
+                                             workers=workers),
+                              samplers={1: sampler})
+        assert len(result.records) == 6
+        assert sampler.calls == [(threading.get_ident(), threads)] * 6
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_draw_leaves_exact_prefix_then_resumes(self, tmp_path, workers):
+        """A sampler raising at seed 2, ordinal 5 leaves a part file of
+        exactly the draws before it, in canonical order; resuming gives
+        the uninterrupted run's records."""
+        threads = threading.active_count()
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=8,
+                             seeds=(1, 2), workers=workers)
+        full = run_campaign(identity_model(), class1_dataset(), cfg,
+                            samplers={1: _ThreadNotingSampler(), 2: _ThreadNotingSampler()})
+        out = tmp_path / "run.csv"
+        with pytest.raises(RuntimeError, match="ordinal 5"):
+            run_campaign(identity_model(), class1_dataset(), cfg, out_csv=str(out),
+                         samplers={1: _ThreadNotingSampler(),
+                                   2: _ThreadNotingSampler(fail_at=5)})
+        assert threading.active_count() == threads
+        assert not out.exists()
+        part, _ = load_records(str(out) + ".part")
+        assert [r.sort_key() for r in part] == \
+            [(1, k) for k in range(8)] + [(2, k) for k in range(5)]
+        assert [strip_clock(r) for r in part] == [strip_clock(r) for r in full.records[:13]]
+        resumed = run_campaign(identity_model(), class1_dataset(), cfg, out_csv=str(out),
+                               samplers={1: _ThreadNotingSampler(),
+                                         2: _ThreadNotingSampler()})
+        assert [strip_clock(r) for r in resumed.records] == \
+            [strip_clock(r) for r in full.records]
+        assert resumed.records[:13] == part
+        assert load_records(str(out))[0] == resumed.records
 
     def test_constructed_always_critical_sampler_gives_precision_one(self):
         """Flipping bit 30 of w[0,0] drives the class-0 logit to +inf, so

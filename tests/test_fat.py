@@ -7,12 +7,13 @@ import pytest
 
 from sdcprobe.data import synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError
-from sdcprobe.fat import (FatConfig, fat_train, measure_latency_to_critical,
-                          save_fat_report)
+from sdcprobe.fat import (FatConfig, _weight_fault_reapplier, fat_train,
+                          measure_latency_to_critical, save_fat_report)
 from sdcprobe.fault_model import FaultSite
-from sdcprobe.injector import inject
+from sdcprobe.injector import inject, remove
 from sdcprobe.nnet import (Flatten, Linear, Model, Sgd, build_mlp, evaluate_detailed,
                            model_checksum, train)
+from sdcprobe.nnet.training import train_step
 from sdcprobe.data import Dataset
 
 
@@ -109,26 +110,43 @@ class TestLatencyMeasurement:
                                         "RBRNw", 0.05, k=0)
 
 
+def _bit(model, site):
+    word = model.layers[site.layer_id].weight.data.reshape(-1).view(np.uint32)
+    return int(word[site.element_index]) >> site.bit_index & 1
+
+
 class TestWeightFaultPersistence:
     def test_fault_reapplied_after_each_step(self):
-        """Training overwrites the faulted weight; the persistence hook
-        flips the bit right back, so the fault survives every update."""
-        train_set, test_set = blob_splits()
+        """Training moves the faulted weight; the persistence hook pins the
+        faulted bit after every update, so every forward sees the fault,
+        and leaves the other 31 bits to the optimizer.  Removal restores
+        the bit the weight had at injection."""
+        train_set, _ = blob_splits()
         model = build_mlp((1, 1, 6), [8], 3, seed=5)
         site = FaultSite(1, "neuron_weight", 2, 21)
-        inject(model, site)
-        from sdcprobe.fat import _weight_fault_reapplier
-        reapply = _weight_fault_reapplier(model, [site])
+        mask = np.uint32(1 << 21)
+
+        def word():
+            return model.layers[1].weight.data.reshape(-1).view(np.uint32)[2]
+
+        clean = word()
+        handle = inject(model, site)
+        faulted = (clean ^ mask) & mask
+        reapply = _weight_fault_reapplier(model, [handle])
         opt = Sgd(model.parameters(), lr=0.01)
         for _ in range(3):
-            before = model.layers[1].weight.data.reshape(-1).view(np.uint32)[2]
-            from sdcprobe.nnet.training import train_step
+            before = word()
+            assert before & mask == faulted  # active on this step's forward
             train_step(model, train_set.images[:8], train_set.labels[:8], opt)
-            stepped = model.layers[1].weight.data.reshape(-1).view(np.uint32)[2]
+            stepped = word()
             reapply()
-            after = model.layers[1].weight.data.reshape(-1).view(np.uint32)[2]
-            assert after == stepped ^ np.uint32(1 << 21)
-            assert before != after or stepped == before  # value actually moved
+            after = word()
+            assert after & mask == faulted
+            assert after & ~mask == stepped & ~mask
+            assert stepped != before  # value actually moved
+        remove(model, handle)
+        assert word() & mask == clean & mask
+        assert word() & ~mask == after & ~mask
 
 
 class TestFatTrain:
@@ -216,6 +234,40 @@ class TestFatTrain:
         assert loaded["post_fat_accuracy"] == report.post_fat_accuracy
         assert len(loaded["trained_fault_sites"]) == 2
         assert loaded["trained_fault_sites"][0]["target_kind"] == "neuron_output"
+
+    def test_weight_faults_stay_pinned_through_fat(self, monkeypatch):
+        """Weight codes: after every optimizer step each trained fault holds
+        its faulted bit, latency snapshots see the bit the weight had at
+        injection, and so does the model fat_train returns."""
+        import sdcprobe.fat as fat_mod
+        real_train, real_latency = fat_mod.train, fat_mod.measure_latency_to_critical
+        stepped, snapshots = [], []
+
+        def spy_train(model, *args, post_step=None, **kwargs):
+            def post():
+                post_step()
+                stepped.append(model.copy())
+            return real_train(model, *args, post_step=post if post_step else None,
+                              **kwargs)
+
+        def spy_latency(model, *args, **kwargs):
+            snapshots.append(model.copy())
+            return real_latency(model, *args, **kwargs)
+
+        monkeypatch.setattr(fat_mod, "train", spy_train)
+        monkeypatch.setattr(fat_mod, "measure_latency_to_critical", spy_latency)
+        train_set, test_set = blob_splits()
+        cfg = self.light_config(code="RBRNw", adversary_code="EBRNw",
+                                simulations_per_epoch=1, latency_threshold=0.0)
+        model, report = fat_train(build_mlp((1, 1, 6), [8], 3, seed=6),
+                                  train_set, test_set, cfg)
+        assert stepped and snapshots
+        assert {s.target_kind for s in report.trained_fault_sites} == {"neuron_weight"}
+        for site in set(report.trained_fault_sites):
+            faulted = _bit(stepped[0], site)
+            assert all(_bit(m, site) == faulted for m in stepped)
+            assert all(_bit(m, site) == 1 - faulted for m in snapshots)
+            assert _bit(model, site) == 1 - faulted
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,8 @@ the same (accuracy, poisoned) for every site, bit for bit.
 """
 
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -172,23 +174,32 @@ class TestByteBudget:
 
 class TestSharedAcrossWorkers:
     def test_eight_threads_with_fast_switching_match_the_full_recompute(self, cnn_case):
-        """Eight campaign workers on two cores share one cache while the
-        interpreter switches threads every microsecond; every record still
-        equals the site's full recompute, so no worker saw another's
-        patched activations or weight flip."""
-        model, dataset, _ = cnn_case
-        config = CampaignConfig(code="RBRNo", thresholds=(0.0, 0.05), sample_budget=40,
-                                seeds=(3, 4), workers=8)
+        """Eight threads, each evaluating on its own replica, share one cache
+        while the interpreter switches threads every microsecond; every
+        result still equals the site's full recompute, so no thread saw
+        another's patched activations or weight flip."""
+        model, dataset, cache = cnn_case
+        site_list = [r.site for code in ("RBRNo", "RBRNw")
+                     for r in run_campaign(model, dataset, CampaignConfig(
+                         code=code, thresholds=(0.0,), sample_budget=40,
+                         seeds=(3, 4))).records]
+        tls = threading.local()
+
+        def evaluate(site):
+            if not hasattr(tls, "model"):
+                tls.model = model.copy()
+            return evaluate_with_fault(tls.model, dataset, site, prefix=cache)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = run_campaign(model, dataset, config)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(evaluate, site_list))
         finally:
             sys.setswitchinterval(interval)
-        assert len(result.records) == 80
-        for r in result.records:
-            assert (r.faulty_accuracy, r.poisoned) == \
-                evaluate_with_fault(model, dataset, r.site), r.site
+        assert len(results) == 160
+        for site, got in zip(site_list, results):
+            assert got == evaluate_with_fault(model, dataset, site), site
 
 
 class TestMismatchedCache:
