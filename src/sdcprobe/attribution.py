@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, UsageError
-from .fileio import atomic_write
+from .errors import ConfigError, UsageError
+from .fileio import Reader, atomic_write
 from .nnet import ComputationGraph, model_checksum
+from .nnet.autodiff import picked_logit_sum
 from .nnet.training import predict
 
 TARGET_KINDS = ("neuron_output", "neuron_weight")
@@ -131,18 +132,12 @@ def conductance_components(model, images, baseline: Baseline, steps,
             alpha = (m + 0.5) / steps
             xa = (x_prime + alpha * dx).astype(np.float32)
             g = ComputationGraph()
-            logits, acts = model.forward_graph(g, xa)
-            loss = g.sum(g.pick_class_logits(logits, cb))
-            g.backward(loss)
+            logits, _ = model.forward_graph(g, xa)
+            grads = g.backward(picked_logit_sum(logits, cb)[1], outputs=True)
             _, tans = model.jvp(xa, dx)
-            for lid in range(len(model.layers)):
-                grad = acts[lid].grad
-                if grad is None:
-                    continue
+            for lid, grad in enumerate(grads):
                 term = grad.astype(np.float64) * tans[lid].astype(np.float64)
                 out[lid][lo:lo + nb] += term.reshape(nb, -1) / steps
-    for p in model.parameters():
-        p.zero_grad()  # backward also touched parameter grads; leave none behind
     return out
 
 
@@ -170,14 +165,10 @@ def weight_attribution_signed(model, layer_id, images, classes=None,
     for lo in range(0, images.shape[0], batch_size):
         xb = images[lo:lo + batch_size]
         cb = classes[lo:lo + batch_size]
-        weight.zero_grad()
         g = ComputationGraph()
         logits, _ = model.forward_graph(g, xb)
-        loss = g.sum(g.pick_class_logits(logits, cb))
-        g.backward(loss)
+        g.backward(picked_logit_sum(logits, cb)[1])
         acc += weight.grad.astype(np.float64).reshape(-1)
-    for p in model.parameters():
-        p.zero_grad()
     return acc
 
 
@@ -256,43 +247,31 @@ def save_attribution(amap: AttributionMap, path):
 
 
 def load_attribution(path) -> AttributionMap:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    offset = 0
-
-    def take(n, what):
-        nonlocal offset
-        if offset + n > len(buf):
-            raise DataFormatError(
-                f"{path}: truncated reading {what} at offset {offset}")
-        chunk = buf[offset:offset + n]
-        offset += n
-        return chunk
-
-    magic = take(4, "magic")
+    """Parse an attribution file.  Any defect of the file, including scores
+    that are negative or not finite, raises DataFormatError."""
+    r = Reader(path)
+    magic = r.take(4, "magic")
     if magic != ATTRIBUTION_MAGIC:
-        raise DataFormatError(
-            f"{path}: expected magic {ATTRIBUTION_MAGIC!r} at offset 0, got {magic!r}")
-    version = struct.unpack("<I", take(4, "version"))[0]
+        raise r.fail(f"expected magic {ATTRIBUTION_MAGIC!r} at offset 0, got {magic!r}")
+    version = r.u32("version")
     if version != ATTRIBUTION_VERSION:
-        raise DataFormatError(f"{path}: unsupported attribution version {version}")
-    kind_tag = struct.unpack("<I", take(4, "target_kind"))[0]
+        raise r.fail(f"unsupported attribution version {version}")
+    kind_tag = r.u32("target_kind")
     if kind_tag >= len(TARGET_KINDS):
-        raise DataFormatError(f"{path}: unknown target_kind tag {kind_tag}")
-    cklen = struct.unpack("<I", take(4, "checksum length"))[0]
-    checksum = take(cklen, "checksum").decode("ascii")
-    seed = struct.unpack("<q", take(8, "seed"))[0]
-    steps, n_samples = struct.unpack("<II", take(8, "steps/samples"))
-    bllen = struct.unpack("<I", take(4, "baseline length"))[0]
-    baseline_kind = take(bllen, "baseline kind").decode("ascii")
-    layer_count = struct.unpack("<I", take(4, "layer count"))[0]
+        raise r.fail(f"unknown target_kind tag {kind_tag}")
+    checksum = r.ascii(r.u32("checksum length"), "checksum")
+    seed = r.unpack("<q", "seed")[0]
+    steps, n_samples = r.unpack("<II", "steps/samples")
+    baseline_kind = r.ascii(r.u32("baseline length"), "baseline kind")
+    layer_count = r.u32("layer count")
     scores = {}
     for _ in range(layer_count):
-        lid, count = struct.unpack("<II", take(8, "layer header"))
-        raw = take(4 * count, f"layer {lid} scores")
-        scores[lid] = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    if offset != len(buf):
-        raise DataFormatError(f"{path}: trailing bytes at offset {offset}")
-    return AttributionMap(target_kind=TARGET_KINDS[kind_tag], scores=scores,
-                          model_checksum=checksum, seed=seed, steps=steps,
-                          sample_count=n_samples, baseline_kind=baseline_kind)
+        lid, count = r.unpack("<II", "layer header")
+        scores[lid] = r.f32_array(count, (count,), f"layer {lid} scores")
+    r.finish()
+    try:
+        return AttributionMap(target_kind=TARGET_KINDS[kind_tag], scores=scores,
+                              model_checksum=checksum, seed=seed, steps=steps,
+                              sample_count=n_samples, baseline_kind=baseline_kind)
+    except UsageError as exc:
+        raise r.fail(str(exc)) from exc

@@ -7,7 +7,8 @@ deterministic for a given config because every draw ordinal owns its RNG
 stream.  Only wallclock_ns varies between runs.
 
 Records persist as append-friendly CSV plus a .meta.json sidecar carrying
-the full config and model checksum, enough to rerun the exact campaign.
+the full config, the model checksum and a hash of the dataset, enough to
+rerun the exact campaign and to refuse resuming it with anything else.
 """
 
 from __future__ import annotations
@@ -182,23 +183,29 @@ class _RecordSink:
     """Serialized, in-order record writer with a resumable .part file.
 
     Rows are flushed to `<path>.part` strictly in (seed, ordinal) order, so
-    a crash leaves a clean prefix; `finalize` renames the whole file into
-    place atomically and writes the meta sidecar.
+    a crash leaves a clean prefix.  Before the first row, the campaign's
+    meta (config, model checksum, dataset hash, baseline) goes to the
+    part's header sidecar `<path>.part.meta.json`; a part file is resumed
+    only by a campaign with the same meta.  `finalize` renames the whole
+    file into place atomically and writes the meta sidecar.
     """
 
     def __init__(self, path, thresholds, meta):
         self.path = str(path)
         self.part = self.path + ".part"
+        self.header = self.part + ".meta.json"
         self.thresholds = tuple(thresholds)
         self.meta = meta
         self.done = []
         self._fh = None
 
-    def resume_prefix(self, expected_order, code, baseline):
-        """Records already present in the part file, validated as a prefix
+    def start(self, expected_order, code, baseline):
+        """Records of the part file this campaign resumes, or [] after
+        writing the header of a fresh one.  Resumed rows must be a prefix
         of the campaign's canonical (seed, ordinal) order, made with this
-        experiment code and against this baseline accuracy."""
+        experiment code against this baseline accuracy."""
         if not os.path.exists(self.part):
+            atomic_write(self.header, _meta_json(self.meta))
             return []
         records, thresholds = load_records(self.part)
         if thresholds != self.thresholds:
@@ -215,8 +222,26 @@ class _RecordSink:
         if keys != list(expected_order[:len(keys)]):
             raise DataFormatError(f"{self.part}: rows are not a clean prefix of this "
                                   "campaign; delete the part file to restart")
+        self._check_header()
         self.done = records
         return records
+
+    def _check_header(self):
+        try:
+            with open(self.header, encoding="utf-8") as fh:
+                header = json.load(fh)
+        except FileNotFoundError:
+            raise DataFormatError(f"{self.part}: its header {self.header} is missing, so "
+                                  "its origin is unknown; delete the part file to "
+                                  "restart") from None
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise DataFormatError(f"{self.header}: unreadable header: {exc}") from None
+        ours = _resume_key(json.loads(_meta_json(self.meta)))
+        theirs = _resume_key(header) if isinstance(header, dict) else {}
+        differ = sorted(k for k in set(ours) | set(theirs) if ours.get(k) != theirs.get(k))
+        if differ:
+            raise DataFormatError(f"{self.part}: made by another campaign ({', '.join(differ)} "
+                                  "differ); delete the part file to restart")
 
     def _open(self):
         if self._fh is None:
@@ -238,8 +263,9 @@ class _RecordSink:
             self._fh.close()
             self._fh = None
         save_records(self.done, self.thresholds, self.path, meta=self.meta)
-        if os.path.exists(self.part):
-            os.remove(self.part)
+        for path in (self.part, self.header):
+            if os.path.exists(path):
+                os.remove(path)
 
     def abort(self):
         if self._fh is not None:
@@ -272,18 +298,35 @@ def meta_path_for(path) -> str:
     return base + ".meta.json"
 
 
+def _meta_json(meta):
+    return json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+
+def _resume_key(meta):
+    """The part of a campaign's meta that its records depend on: all of it
+    but the worker count."""
+    key = dict(meta)
+    if isinstance(key.get("config"), dict):
+        key["config"] = {k: v for k, v in key["config"].items() if k != "workers"}
+    return key
+
+
 def write_meta_sidecar(path, meta):
-    atomic_write(meta_path_for(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    atomic_write(meta_path_for(path), _meta_json(meta))
 
 
 def load_records(path):
     """Parse a records CSV; returns (records, thresholds).
 
     SDC flags are revalidated against the stored accuracies; a mismatch
-    means the file was edited and is rejected.
+    means the file was edited and is rejected with DataIntegrityError.  Any
+    other defect of the file raises DataFormatError.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise DataFormatError(f"{path}: empty records file")
     names = lines[0].split(",")
@@ -291,9 +334,11 @@ def load_records(path):
         raise DataFormatError(f"{path}: unexpected header {lines[0]!r}")
     thresholds = []
     for name in names[len(_FIXED_COLUMNS):]:
-        if not name.startswith("sdc_") or not name[4:].isdigit():
+        digits = name[4:]  # threshold_column writes 3 digits
+        if not (name.startswith("sdc_") and digits.isascii() and digits.isdigit()
+                and len(digits) <= 3):
             raise DataFormatError(f"{path}: bad threshold column {name!r}")
-        thresholds.append(int(name[4:]) / 100)
+        thresholds.append(int(digits) / 100)
     thresholds = tuple(thresholds)
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -308,10 +353,10 @@ def load_records(path):
             rec = make_record(cells[0], int(cells[1]), int(cells[2]), site,
                               float(cells[7]), float(cells[8]), bool(int(cells[10])),
                               int(cells[11]), thresholds)
+            stored_drop = float(cells[9])
+            stored_flags = tuple(bool(int(c)) for c in cells[12:])
         except (ValueError, UsageError) as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        stored_drop = float(cells[9])
-        stored_flags = tuple(bool(int(c)) for c in cells[12:])
         if stored_drop != rec.accuracy_drop or stored_flags != rec.sdc_flags:
             raise DataIntegrityError(f"{path}:{lineno}: stored drop/flags do not "
                                      "match the stored accuracies")
@@ -335,14 +380,14 @@ def _campaign_meta(config, model, dataset, baseline):
             "config": config.to_json_dict(),
             "model_checksum": model_checksum(model),
             "baseline_accuracy": baseline,
-            "dataset": {"split": dataset.split, "samples": len(dataset)},
+            "dataset": {"split": dataset.split, "samples": len(dataset),
+                        "sha256": dataset.sha256()},
             "sampler": "two-stage (neuron stage, then bit stage); "
                        "per-ordinal rng streams seeded by (seed, ordinal)"}
 
 
 def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
-                 out_csv=None, samplers=None, probe_images=None,
-                 resume=True) -> CampaignResult:
+                 out_csv=None, samplers=None, probe_images=None) -> CampaignResult:
     """Run the campaign and return all records plus pooled stats.
 
     The pending (seed, ordinal) draws run in canonical order in the calling
@@ -357,8 +402,9 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     out_csv set, rows are flushed in order to `<out_csv>.part` as they
     complete, so an error at one draw leaves exactly the draws before it;
     an existing part file from an interrupted run is picked up where it
-    stopped, provided its rows were made with this experiment code and
-    against this baseline.
+    stopped, provided its header sidecar shows the same config (workers
+    aside), model checksum, dataset hash and baseline, and its rows carry
+    this experiment code and baseline.
     """
     prefix = PrefixCache(model, dataset)
     baseline, _ = prefix.baseline
@@ -385,8 +431,7 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     if out_csv is not None:
         sink = _RecordSink(out_csv, config.thresholds,
                            _campaign_meta(config, model, dataset, baseline))
-        if resume:
-            records = list(sink.resume_prefix(expected_order, code_str, baseline))
+        records = list(sink.start(expected_order, code_str, baseline))
     done_keys = {r.sort_key() for r in records}
 
     work = model.copy()  # faults go into this replica, never the caller's model

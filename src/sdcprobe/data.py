@@ -7,12 +7,15 @@ covers the MNIST-family files.
 
 from __future__ import annotations
 
+import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, UsageError
+from .fileio import Reader
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -36,35 +39,28 @@ class Dataset:
     def __len__(self):
         return len(self.labels)
 
+    def sha256(self):
+        """Hex SHA-256 of the shapes and exact bytes of images and labels."""
+        h = hashlib.sha256()
+        for a, dtype in ((self.images, "<f4"), (self.labels, "<i8")):
+            h.update(repr(a.shape).encode())
+            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        return h.hexdigest()
+
     def subset(self, indices, split=None):
         return Dataset(self.images[indices], self.labels[indices],
                        split if split is not None else self.split)
 
 
-def _read_exact(fh, n, path, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise DataFormatError(
-            f"{path}: truncated reading {what} at offset {fh.tell() - len(buf)}: "
-            f"wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
 def _load_idx_array(path, expected_magic, expected_ndim):
-    with open(path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, path, "magic"))[0]
-        if magic != expected_magic:
-            raise DataFormatError(
-                f"{path}: expected magic 0x{expected_magic:08X} at offset 0, "
-                f"got 0x{magic:08X}")
-        dims = [struct.unpack(">I", _read_exact(fh, 4, path, f"dimension {i}"))[0]
-                for i in range(expected_ndim)]
-        count = int(np.prod(dims))
-        raw = _read_exact(fh, count, path, "payload")
-        trailing = fh.read(1)
-        if trailing:
-            raise DataFormatError(f"{path}: trailing bytes at offset {fh.tell() - 1}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
+    r = Reader(path)
+    magic = r.unpack(">I", "magic")[0]
+    if magic != expected_magic:
+        raise r.fail(f"expected magic 0x{expected_magic:08X} at offset 0, got 0x{magic:08X}")
+    dims = r.unpack(f">{expected_ndim}I", "dimensions")
+    payload = r.array(np.uint8, math.prod(dims), "payload")
+    r.finish()
+    return payload.reshape(dims)
 
 
 def load_idx(images_path, labels_path, split="test") -> Dataset:

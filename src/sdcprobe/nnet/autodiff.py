@@ -1,10 +1,11 @@
-"""Tape-based reverse-mode automatic differentiation over float32 arrays.
+"""Reverse-mode differentiation of a sequential layer stack over float32.
 
-A ComputationGraph records operation nodes in construction order; backward()
-walks them in exact reverse order, so the tape itself is the topological
-order.  Tensors store float32 data (the fault model is defined over 32-bit
-patterns); matrix products run through float64 internally and are rounded
-once on output.
+Every model here is a plain chain of layers, so there is no general tape:
+Model.forward_graph() records each layer's backward cache in a
+ComputationGraph, and its backward() calls the layers' backward in
+reverse.  Matrix products run through float64 and are rounded once to
+float32.  Every gradient passed between layers or stored on a parameter
+is rounded to float32 and has +0.0 added, which makes -0.0 into +0.0.
 """
 
 from __future__ import annotations
@@ -20,43 +21,21 @@ def _f64(a):
     return np.asarray(a, dtype=np.float64)
 
 
-def _mm(a, b):
-    """Matrix product with float64 accumulation, rounded to float32 once."""
-    return (_f64(a) @ _f64(b)).astype(np.float32)
+def _grad(a):
+    """A gradient as stored: rounded to float32, with -0.0 made +0.0."""
+    return np.asarray(a, dtype=np.float32) + np.float32(0)
 
 
 class Tensor:
-    """One node of the tape: a float32 array plus an optional gradient."""
+    """A parameter: float32 data plus the gradient of the last backward.
+    The data is a private copy, since optimizers and weight faults write
+    into it in place."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "name", "_backward")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad=False, op="leaf", parents=(), name=None):
-        self.data = np.asarray(data, dtype=np.float32)
+    def __init__(self, data):
+        self.data = np.array(data, dtype=np.float32)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self.op = op
-        self.parents = tuple(parents)
-        self.name = name
-        self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def accum_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += np.asarray(g, dtype=np.float32)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 @functools.lru_cache(maxsize=64)
@@ -99,179 +78,82 @@ def _col2im(gcols, xshape, kh, kw, stride):
     return gx
 
 
+def _check_logits(logits, idx, what):
+    if logits.ndim != 2 or idx.shape != (logits.shape[0],):
+        raise UsageError(f"expected [N, classes] logits and [N] {what}, got "
+                         f"{logits.shape} and {idx.shape}")
+
+
+def softmax_cross_entropy(logits, labels):
+    """Mean cross-entropy over the batch and its gradient with respect to
+    the logits: (float32 loss, float32 [N, classes]).  Non-finite logits
+    propagate into both."""
+    y = np.asarray(labels, dtype=np.int64)
+    _check_logits(logits, y, "labels")
+    n = y.shape[0]
+    rows = np.arange(n)
+    with np.errstate(all="ignore"):
+        z = _f64(logits)
+        z = z - np.maximum.reduce(z, axis=1, keepdims=True)
+        lse = np.log(np.add.reduce(np.exp(z), axis=1))
+        # the mean as numpy computes it: one pairwise sum, then / n
+        loss = np.float32(np.add.reduce(lse - z[rows, y]) / n)
+        gl = np.exp(z - lse[:, None])                     # softmax, float64
+        gl[rows, y] -= 1.0
+        return loss, _grad(gl * (1.0 / n))
+
+
+def picked_logit_sum(logits, classes):
+    """Sum over the batch of logits[i, classes[i]] and its gradient, the
+    one-hot mask: (float32 value, float32 [N, classes])."""
+    idx = np.asarray(classes, dtype=np.int64)
+    _check_logits(logits, idx, "class indices")
+    rows = np.arange(idx.shape[0])
+    glogits = np.zeros(logits.shape, dtype=np.float32)
+    glogits[rows, idx] = 1.0
+    return np.float32(_f64(logits[rows, idx]).sum()), glogits
+
+
 class ComputationGraph:
-    """Ordered tape of operation nodes; backward runs in reverse order."""
+    """Record of one forward pass: the layers, their backward caches, the
+    logits' shape and the output faults patched in."""
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.layers, self.caches, self.out_shape, self.faults = [], [], None, {}
 
-    def _add(self, t: Tensor) -> Tensor:
-        self.nodes.append(t)
-        return t
+    def record(self, layers, caches, out_shape, faults):
+        """faults maps a layer index to the output faults patched into it."""
+        self.layers, self.caches = list(layers), caches
+        self.out_shape, self.faults = out_shape, faults
 
-    def leaf(self, data, requires_grad=False, name=None) -> Tensor:
-        return self._add(Tensor(data, requires_grad=requires_grad, name=name))
-
-    def linear(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-        """y = x @ w.T (+ b); x: [N, I], w: [O, I], b: [O]."""
-        if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
-            raise UsageError(f"linear shape mismatch: x {x.data.shape} vs w {w.data.shape}")
-        y64 = _f64(x.data) @ _f64(w.data).T
-        if b is not None:
-            y64 = y64 + _f64(b.data)
-        parents = (x, w) if b is None else (x, w, b)
-        out = Tensor(y64.astype(np.float32), requires_grad=True, op="linear", parents=parents)
-
-        def backward(g):
-            g64 = _f64(g)
-            if x.requires_grad:
-                x.accum_grad(g64 @ _f64(w.data))
-            if w.requires_grad:
-                w.accum_grad(g64.T @ _f64(x.data))
-            if b is not None and b.requires_grad:
-                b.accum_grad(g64.sum(axis=0))
-
-        out._backward = backward
-        return self._add(out)
-
-    def conv2d(self, x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
-        """Valid (no-padding) 2-d convolution; x: [N,C,H,W], w: [O,C,kh,kw]."""
-        if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
-            raise UsageError(f"conv2d shape mismatch: x {x.data.shape} vs w {w.data.shape}")
-        n = x.data.shape[0]
-        o, _, kh, kw = w.data.shape
-        cols64, oh, ow = _im2col(x.data, kh, kw, stride)
-        wf64 = _f64(w.data.reshape(o, -1))
-        y64 = np.matmul(wf64, cols64)                     # [N, O, OH*OW]
-        if b is not None:
-            y64 = y64 + _f64(b.data)[None, :, None]
-        y = y64.reshape(n, o, oh, ow).astype(np.float32)
-        parents = (x, w) if b is None else (x, w, b)
-        out = Tensor(y, requires_grad=True, op="conv2d", parents=parents)
-
-        def backward(g):
-            gflat = _f64(g).reshape(n, o, oh * ow)
-            if w.requires_grad:
-                gw = np.matmul(gflat, cols64.transpose(0, 2, 1)).sum(axis=0)
-                w.accum_grad(gw.reshape(w.data.shape))
-            if x.requires_grad:
-                gcols = np.matmul(wf64.T, gflat)          # [N, C*kh*kw, OH*OW]
-                x.accum_grad(_col2im(gcols, x.data.shape, kh, kw, stride))
-            if b is not None and b.requires_grad:
-                b.accum_grad(gflat.sum(axis=(0, 2)))
-
-        out._backward = backward
-        return self._add(out)
-
-    def relu(self, x: Tensor) -> Tensor:
-        out = Tensor(np.maximum(x.data, 0), requires_grad=True, op="relu", parents=(x,))
-
-        def backward(g):
-            if x.requires_grad:
-                x.accum_grad(g * (x.data > 0))
-
-        out._backward = backward
-        return self._add(out)
-
-    def flatten(self, x: Tensor) -> Tensor:
-        n = x.data.shape[0]
-        out = Tensor(x.data.reshape(n, -1), requires_grad=True, op="flatten", parents=(x,))
-
-        def backward(g):
-            if x.requires_grad:
-                x.accum_grad(np.asarray(g).reshape(x.data.shape))
-
-        out._backward = backward
-        return self._add(out)
-
-    def pick_class_logits(self, logits: Tensor, classes) -> Tensor:
-        """out[i] = logits[i, classes[i]]; classes: int array [N]."""
-        idx = np.asarray(classes, dtype=np.int64)
-        if logits.data.ndim != 2 or idx.shape != (logits.data.shape[0],):
-            raise UsageError("pick_class_logits expects [N, classes] logits and [N] indices")
-        rows = np.arange(idx.shape[0])
-        out = Tensor(logits.data[rows, idx], requires_grad=True,
-                     op="pick_class_logits", parents=(logits,))
-
-        def backward(g):
-            if logits.requires_grad:
-                gl = np.zeros_like(logits.data)
-                gl[rows, idx] = g
-                logits.accum_grad(gl)
-
-        out._backward = backward
-        return self._add(out)
-
-    def sum(self, x: Tensor) -> Tensor:
-        out = Tensor(np.float32(_f64(x.data).sum()), requires_grad=True,
-                     op="sum", parents=(x,))
-
-        def backward(g):
-            if x.requires_grad:
-                x.accum_grad(np.full(x.data.shape, np.asarray(g), dtype=np.float32))
-
-        out._backward = backward
-        return self._add(out)
-
-    def softmax_cross_entropy(self, logits: Tensor, labels) -> Tensor:
-        """Mean cross-entropy over the batch; labels: int array [N]."""
-        y = np.asarray(labels, dtype=np.int64)
-        if logits.data.ndim != 2 or y.shape != (logits.data.shape[0],):
-            raise UsageError("softmax_cross_entropy expects [N, classes] logits and [N] labels")
-        n = y.shape[0]
-        with np.errstate(all="ignore"):  # non-finite logits propagate to the loss
-            z = _f64(logits.data)
-            z = z - z.max(axis=1, keepdims=True)
-            lse = np.log(np.exp(z).sum(axis=1))
-            loss = np.float32((lse - z[np.arange(n), y]).mean())
-            probs = np.exp(z - lse[:, None])              # softmax, float64
-        out = Tensor(loss, requires_grad=True, op="softmax_cross_entropy", parents=(logits,))
-
-        def backward(g):
-            if logits.requires_grad:
-                gl = probs.copy()
-                gl[np.arange(n), y] -= 1.0
-                logits.accum_grad(gl * (_f64(g) / n))
-
-        out._backward = backward
-        return self._add(out)
-
-    def column_patch(self, x: Tensor, element_index: int, values) -> Tensor:
-        """Replace x[:, element_index] (per-sample flat indexing) with the
-        given values.  The patched column blocks gradient flow: the injected
-        values are treated as constants."""
-        n = x.data.shape[0]
-        flat_len = x.data.size // n
-        if not 0 <= element_index < flat_len:
-            raise UsageError(f"element_index {element_index} out of range [0, {flat_len})")
-        patched = x.data.copy()
-        patched.reshape(n, -1)[:, element_index] = np.asarray(values, dtype=np.float32)
-        out = Tensor(patched, requires_grad=True, op="column_patch", parents=(x,))
-
-        def backward(g):
-            if x.requires_grad:
-                gx = np.array(g, dtype=np.float32, copy=True)
-                gx.reshape(n, -1)[:, element_index] = 0.0
-                x.accum_grad(gx)
-
-        out._backward = backward
-        return self._add(out)
-
-    def backward(self, loss: Tensor):
-        """Populate grads of everything the scalar ``loss`` depends on.
-
-        Float warnings are suppressed: backward through fault-poisoned
-        activations legitimately produces non-finite intermediates, which the
-        callers detect and handle.
-        """
-        if loss.data.size != 1:
-            raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        loss.accum_grad(np.ones_like(loss.data))
+    def backward(self, glogits, outputs=False):
+        """Propagate glogits, the loss gradient with respect to the logits,
+        back through the recorded layers; writes .grad on every parameter
+        and returns each layer's output gradient (of the output the next
+        layer saw).  Columns that output faults overwrote are constants and
+        pass no gradient into their layer.  Nothing below the first layer
+        with parameters is computed (None there) unless outputs=True, as
+        conductance needs; the model input's gradient never is.  Float
+        warnings are suppressed: fault-poisoned values legitimately go
+        non-finite, and the callers handle that."""
+        if np.shape(glogits) != self.out_shape:
+            raise UsageError(f"backward needs the gradient of a scalar loss with respect to "
+                             f"the logits {self.out_shape}, got shape {np.shape(glogits)}")
+        layers = self.layers
+        first = next((i for i, layer in enumerate(layers) if layer.params()), len(layers))
+        stop = 0 if outputs else first    # lowest layer whose output gradient is wanted
+        grads = [None] * len(layers)
+        g = glogits
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for node in reversed(self.nodes):
-                if node._backward is not None and node.grad is not None:
-                    node._backward(node.grad)
-
-    def zero_grad(self):
-        for node in self.nodes:
-            node.zero_grad()
+            for lid in range(len(layers) - 1, stop - 1, -1):
+                grads[lid] = g
+                if lid < first and lid == stop:
+                    break
+                if lid in self.faults:
+                    g = g.copy()
+                    g.reshape(g.shape[0], -1)[:, [f.element_index for f in self.faults[lid]]] = 0.0
+                layer = layers[lid]
+                g, pgrads = layer.backward(g, self.caches[lid], lid > stop)
+                for p, pg in zip(layer.params(), pgrads):
+                    p.grad = pg
+        return grads

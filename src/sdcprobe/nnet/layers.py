@@ -1,16 +1,16 @@
-"""Layer stack, forward passes, checkpoint format.
+"""Layer stack, forward and backward passes, checkpoint format.
 
 A Model is an ordered list of layers (conv2d / linear / relu / flatten)
-over float32 parameters.  Three forward paths exist:
-
-  apply()          plain numpy, used by evaluation and campaigns
-  forward_graph()  tape-recorded, used by training and attribution
-  jvp()            forward-mode directional derivative, used by conductance
-
-All three share the same layer arithmetic, and all three honor activation
-faults: a bit flipped in one element of a layer's output, applied per sample
-at the same within-sample position.  apply() and the injector's prefix
-cache patch outputs through one helper, patch_outputs().
+over float32 parameters.  Each layer has one forward(x) -> (y, cache);
+its apply(x) is that forward without the cache, and its
+backward(g, cache, need_gx) returns the input gradient (if asked) and the
+parameter gradients.  Model.apply() runs the layers' apply for evaluation
+and campaigns; forward_graph() runs their forward and keeps the caches in
+a ComputationGraph, whose backward() serves training and attribution.
+Both honor activation faults (a bit flipped in one element of a layer's
+output, in every sample) through one helper, patch_outputs(), which the
+injector's prefix cache also uses.  jvp() gives the forward-mode
+derivative of every layer's output, used by conductance.
 
 apply() is resumable: with start=L its input is the input of layer L (the
 output of layer L-1), and only layers L.. run.  Since a layer's arithmetic
@@ -20,16 +20,18 @@ gives the same bits as the full pass over the same batch.
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..bitfloat import flip_bit_many
-from ..errors import ConfigError, DataFormatError, UsageError
-from ..fileio import atomic_write
-from .autodiff import ComputationGraph, Tensor, _f64, _im2col
+from ..errors import ConfigError, UsageError
+from ..fileio import Reader, atomic_write
+from .autodiff import ComputationGraph, Tensor, _col2im, _f64, _grad, _im2col
 
 
 @dataclass(frozen=True)
@@ -47,21 +49,35 @@ def patch_outputs(x, faults):
     x = x.copy()
     flat = x.reshape(x.shape[0], -1)
     for f in faults:
+        if not 0 <= f.element_index < flat.shape[1]:
+            raise UsageError(f"output fault element {f.element_index} out of range "
+                             f"[0, {flat.shape[1]}) at layer {f.layer_id}")
         flat[:, f.element_index] = flip_bit_many(flat[:, f.element_index], f.bit_index)
     return x
 
 
-class Conv2d:
+class _Weighted:
+    """Shared parameter handling of the layers that carry a weight."""
+
+    def _init_params(self, weight, bias, ndim, layout):
+        self.weight = Tensor(weight)
+        self.bias = None if bias is None else Tensor(bias)
+        if self.weight.data.ndim != ndim:
+            raise UsageError(f"{self.kind} weight must be {layout}, got {self.weight.data.shape}")
+
+    def params(self):
+        return (self.weight,) if self.bias is None else (self.weight, self.bias)
+
+
+class Conv2d(_Weighted):
     kind = "conv2d"
     computes = True
 
     def __init__(self, weight, bias=None, stride=1):
-        self.weight = weight if isinstance(weight, Tensor) else Tensor(weight, requires_grad=True)
-        self.bias = None if bias is None else (
-            bias if isinstance(bias, Tensor) else Tensor(bias, requires_grad=True))
+        self._init_params(weight, bias, 4, "[O,C,kh,kw]")
         self.stride = int(stride)
-        if self.weight.data.ndim != 4:
-            raise UsageError(f"conv2d weight must be [O,C,kh,kw], got {self.weight.data.shape}")
+        if self.stride < 1:
+            raise UsageError(f"conv2d stride must be >= 1, got {self.stride}")
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -72,16 +88,31 @@ class Conv2d:
             raise ConfigError(f"conv2d weight {self.weight.data.shape} incompatible with input {in_shape}")
         return (o, (h - kh) // self.stride + 1, (w - kw) // self.stride + 1)
 
-    def apply(self, x):
+    def forward(self, x):
         o, _, kh, kw = self.weight.data.shape
         cols, oh, ow = _im2col(x, kh, kw, self.stride)
         y = np.matmul(_f64(self.weight.data.reshape(o, -1)), cols)
         if self.bias is not None:
             y = y + _f64(self.bias.data)[None, :, None]
-        return y.reshape(x.shape[0], o, oh, ow).astype(np.float32)
+        return y.reshape(x.shape[0], o, oh, ow).astype(np.float32), (cols, x.shape)
 
-    def tape(self, g: ComputationGraph, x: Tensor) -> Tensor:
-        return g.conv2d(x, self.weight, self.bias, stride=self.stride)
+    def apply(self, x):
+        return self.forward(x)[0]
+
+    def backward(self, g, cache, need_gx):
+        cols, xshape = cache
+        w = self.weight.data
+        o, _, kh, kw = w.shape
+        gflat = _f64(g).reshape(g.shape[0], o, -1)
+        gx = None
+        if need_gx:
+            gcols = np.matmul(_f64(w.reshape(o, -1)).T, gflat)     # [N, C*kh*kw, OH*OW]
+            gx = _grad(_col2im(gcols, xshape, kh, kw, self.stride))
+        gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
+        pgrads = (_grad(gw.reshape(w.shape)),)
+        if self.bias is not None:
+            pgrads += (_grad(gflat.sum(axis=(0, 2))),)
+        return gx, pgrads
 
     def jvp(self, x, t):
         y = self.apply(x)
@@ -91,16 +122,12 @@ class Conv2d:
         return y, ty.reshape(t.shape[0], o, oh, ow).astype(np.float32)
 
 
-class Linear:
+class Linear(_Weighted):
     kind = "linear"
     computes = True
 
     def __init__(self, weight, bias=None):
-        self.weight = weight if isinstance(weight, Tensor) else Tensor(weight, requires_grad=True)
-        self.bias = None if bias is None else (
-            bias if isinstance(bias, Tensor) else Tensor(bias, requires_grad=True))
-        if self.weight.data.ndim != 2:
-            raise UsageError(f"linear weight must be [O,I], got {self.weight.data.shape}")
+        self._init_params(weight, bias, 2, "[O,I]")
 
     def out_shape(self, in_shape):
         o, i = self.weight.data.shape
@@ -108,14 +135,24 @@ class Linear:
             raise ConfigError(f"linear weight {self.weight.data.shape} incompatible with input {in_shape}")
         return (o,)
 
-    def apply(self, x):
-        y = _f64(x) @ _f64(self.weight.data).T
+    def forward(self, x):
+        x64, w64 = _f64(x), _f64(self.weight.data)
+        y = x64 @ w64.T
         if self.bias is not None:
-            y = y + _f64(self.bias.data)
-        return y.astype(np.float32)
+            y += _f64(self.bias.data)
+        return y.astype(np.float32), (x64, w64)
 
-    def tape(self, g: ComputationGraph, x: Tensor) -> Tensor:
-        return g.linear(x, self.weight, self.bias)
+    def apply(self, x):
+        return self.forward(x)[0]
+
+    def backward(self, g, cache, need_gx):
+        x64, w64 = cache
+        g64 = _f64(g)
+        gx = _grad(g64 @ w64) if need_gx else None
+        pgrads = (_grad(g64.T @ x64),)
+        if self.bias is not None:
+            pgrads += (_grad(np.add.reduce(g64, axis=0)),)
+        return gx, pgrads
 
     def jvp(self, x, t):
         return self.apply(x), (_f64(t) @ _f64(self.weight.data).T).astype(np.float32)
@@ -125,14 +162,20 @@ class Relu:
     kind = "relu"
     computes = True
 
+    def params(self):
+        return ()
+
     def out_shape(self, in_shape):
         return tuple(in_shape)
 
-    def apply(self, x):
-        return np.maximum(x, 0)
+    def forward(self, x):
+        return np.maximum(x, 0), x
 
-    def tape(self, g: ComputationGraph, x: Tensor) -> Tensor:
-        return g.relu(x)
+    def apply(self, x):
+        return self.forward(x)[0]
+
+    def backward(self, g, x, need_gx):
+        return (_grad(g * (x > 0)) if need_gx else None), ()
 
     def jvp(self, x, t):
         return np.maximum(x, 0), t * (x > 0)
@@ -144,14 +187,20 @@ class Flatten:
     # input), so it owns no neuron outputs to attribute or fault
     computes = False
 
+    def params(self):
+        return ()
+
     def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
+        return (math.prod(in_shape),)
+
+    def forward(self, x):
+        return x.reshape(x.shape[0], -1), x.shape
 
     def apply(self, x):
-        return x.reshape(x.shape[0], -1)
+        return self.forward(x)[0]
 
-    def tape(self, g: ComputationGraph, x: Tensor) -> Tensor:
-        return g.flatten(x)
+    def backward(self, g, xshape, need_gx):
+        return (_grad(g.reshape(xshape)) if need_gx else None), ()
 
     def jvp(self, x, t):
         return x.reshape(x.shape[0], -1), t.reshape(t.shape[0], -1)
@@ -181,14 +230,7 @@ class Model:
         return list(self.in_shapes[1:])
 
     def parameters(self):
-        params = []
-        for layer in self.layers:
-            w = getattr(layer, "weight", None)
-            if w is not None:
-                params.append(w)
-                if layer.bias is not None:
-                    params.append(layer.bias)
-        return params
+        return [p for layer in self.layers for p in layer.params()]
 
     def weight_layer_ids(self):
         return [i for i, l in enumerate(self.layers) if getattr(l, "weight", None) is not None]
@@ -201,10 +243,10 @@ class Model:
             raise ConfigError(f"batch shape {x.shape[1:]} does not match {where} {expected}")
         return x
 
-    @staticmethod
-    def _group_faults(output_faults):
+    def _faults_by_layer(self, output_faults):
+        """The given output faults plus the registered ones, by layer id."""
         grouped: dict[int, list[ActivationFault]] = {}
-        for f in output_faults:
+        for f in tuple(output_faults) + tuple(self.registered_output_faults):
             grouped.setdefault(f.layer_id, []).append(f)
         return grouped
 
@@ -222,35 +264,36 @@ class Model:
         """
         if not 0 <= start <= len(self.layers):
             raise UsageError(f"start layer {start} out of range")
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            return self._apply(x, output_faults, return_activations, start)
-
-    def _apply(self, x, output_faults, return_activations, start):
-        x = self._check_batch(x, start)
-        faults = self._group_faults(tuple(output_faults) + tuple(self.registered_output_faults))
-        acts = []
-        for lid in range(start, len(self.layers)):
-            x = self.layers[lid].apply(x)
-            if lid in faults:
-                x = patch_outputs(x, faults[lid])
-            acts.append(x)
+        x, acts = self._forward(x, self._faults_by_layer(output_faults), start, None)
         return (x, acts) if return_activations else x
 
     def forward_graph(self, g: ComputationGraph, x, output_faults=()):
-        """Tape-recorded forward; returns (logits Tensor, per-layer activations)."""
+        """The same forward pass, with each layer's backward cache recorded
+        in g; returns (logits, per-layer activations).  g.backward(glogits)
+        then gives the gradients."""
+        faults = self._faults_by_layer(output_faults)
+        caches = []
+        logits, acts = self._forward(x, faults, 0, caches)
+        g.record(self.layers, caches, logits.shape, faults)
+        return logits, acts
+
+    def _forward(self, x, faults, start, caches):
+        """Layers start.. over x; with a caches list, each layer runs its
+        forward and its cache is appended, otherwise its apply runs."""
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            x = self._check_batch(x)
-            faults = self._group_faults(tuple(output_faults) + tuple(self.registered_output_faults))
-            t = g.leaf(x, requires_grad=True, name="input")
+            x = self._check_batch(x, start)
             acts = []
-            for lid, layer in enumerate(self.layers):
-                t = layer.tape(g, t)
-                for f in faults.get(lid, ()):
-                    flat = t.data.reshape(t.data.shape[0], -1)
-                    flipped = flip_bit_many(flat[:, f.element_index], f.bit_index)
-                    t = g.column_patch(t, f.element_index, flipped)
-                acts.append(t)
-            return t, acts
+            for lid in range(start, len(self.layers)):
+                layer = self.layers[lid]
+                if caches is None:
+                    x = layer.apply(x)
+                else:
+                    x, cache = layer.forward(x)
+                    caches.append(cache)
+                if lid in faults:
+                    x = patch_outputs(x, faults[lid])
+                acts.append(x)
+            return x, acts
 
     def jvp(self, x, dx, upto_layer=None):
         """Forward-mode pass: (activation, tangent) of every layer along dx."""
@@ -270,24 +313,8 @@ class Model:
         return acts, tans
 
     def copy(self):
-        layers = []
-        for layer in self.layers:
-            if layer.kind == "conv2d":
-                layers.append(Conv2d(layer.weight.data.copy(),
-                                     None if layer.bias is None else layer.bias.data.copy(),
-                                     stride=layer.stride))
-            elif layer.kind == "linear":
-                layers.append(Linear(layer.weight.data.copy(),
-                                     None if layer.bias is None else layer.bias.data.copy()))
-            elif layer.kind == "relu":
-                layers.append(Relu())
-            elif layer.kind == "flatten":
-                layers.append(Flatten())
-            else:
-                raise UsageError(f"unknown layer kind {layer.kind!r}")
-        clone = Model(layers, self.input_shape)
-        clone.registered_output_faults = list(self.registered_output_faults)
-        return clone
+        """Independent copy: no parameter array or fault list is shared."""
+        return copy.deepcopy(self)
 
 
 def model_checksum(model: Model) -> str:
@@ -352,28 +379,6 @@ CHECKPOINT_MAGIC = b"ISDL"
 CHECKPOINT_VERSION = 1
 
 
-class _Reader:
-    def __init__(self, buf):
-        self.buf = buf
-        self.offset = 0
-
-    def take(self, n, what):
-        if self.offset + n > len(self.buf):
-            raise DataFormatError(
-                f"truncated file: needed {n} bytes for {what} at offset {self.offset}, "
-                f"have {len(self.buf) - self.offset}")
-        chunk = self.buf[self.offset:self.offset + n]
-        self.offset += n
-        return chunk
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def f32_array(self, count, shape, what):
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-
-
 def save_checkpoint(model: Model, path):
     out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     out.append(struct.pack("<I", len(model.input_shape)))
@@ -397,15 +402,15 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
+    """Parse a checkpoint.  Any defect of the file, including layers that do
+    not compose, raises DataFormatError."""
+    r = Reader(path)
     magic = r.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"expected magic {CHECKPOINT_MAGIC!r} at offset 0, got {magic!r}")
+        raise r.fail(f"expected magic {CHECKPOINT_MAGIC!r} at offset 0, got {magic!r}")
     version = r.u32("version")
     if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {version}")
+        raise r.fail(f"unsupported checkpoint version {version}")
     ndim = r.u32("input ndim")
     input_shape = tuple(r.u32(f"input dim {i}") for i in range(ndim))
     count = r.u32("layer count")
@@ -414,7 +419,7 @@ def load_checkpoint(path) -> Model:
         tag = r.u32(f"layer {li} kind")
         kind = _TAG_KINDS.get(tag)
         if kind is None:
-            raise DataFormatError(f"unknown layer kind tag {tag} at offset {r.offset - 4}")
+            raise r.fail(f"unknown layer kind tag {tag} at offset {r.offset - 4}")
         if kind == "relu":
             layers.append(Relu())
             continue
@@ -422,16 +427,20 @@ def load_checkpoint(path) -> Model:
             layers.append(Flatten())
             continue
         stride = r.u32(f"layer {li} stride") if kind == "conv2d" else 1
+        if stride < 1:
+            raise r.fail(f"layer {li} has stride 0 at offset {r.offset - 4}")
         wndim = r.u32(f"layer {li} weight ndim")
+        if wndim != (4 if kind == "conv2d" else 2):
+            raise r.fail(f"layer {li} ({kind}) weight has {wndim} dims at offset {r.offset - 4}")
         wshape = tuple(r.u32(f"layer {li} weight dim {d}") for d in range(wndim))
-        weight = r.f32_array(int(np.prod(wshape)), wshape, f"layer {li} weight data")
+        weight = r.f32_array(math.prod(wshape), wshape, f"layer {li} weight data")
         bias = None
         if r.u32(f"layer {li} has_bias"):
             bias = r.f32_array(wshape[0], (wshape[0],), f"layer {li} bias data")
-        if kind == "conv2d":
-            layers.append(Conv2d(weight, bias, stride=stride))
-        else:
-            layers.append(Linear(weight, bias))
-    if r.offset != len(buf):
-        raise DataFormatError(f"trailing bytes after layer {count - 1} at offset {r.offset}")
-    return Model(layers, input_shape)
+        layers.append(Conv2d(weight, bias, stride=stride) if kind == "conv2d"
+                      else Linear(weight, bias))
+    r.finish()
+    try:
+        return Model(layers, input_shape)
+    except ConfigError as exc:
+        raise r.fail(f"layers do not compose: {exc}") from exc

@@ -1,22 +1,37 @@
-"""Training loop, optimizers, evaluation.
+"""Training loop, optimizers (updating parameters in place), evaluation.
 
 Evaluation tolerates non-finite activations: a sample whose logits contain
 NaN cannot be compared meaningfully, so its prediction resolves to class 0
 and the batch is marked poisoned.  Training, by contrast, treats any
-non-finite loss or parameter as divergence and aborts.
+non-finite loss or parameter as divergence and aborts, unless it runs
+guarded (fault-active training), where such a batch is skipped.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import TrainingDivergedError, UsageError
-from .autodiff import ComputationGraph
+from .autodiff import ComputationGraph, softmax_cross_entropy
 
 EVAL_BATCH = 256
 
 
+def _flat_views(params):
+    """One float64 buffer over all params, plus a view shaped like each."""
+    buf = np.zeros(sum(p.data.size for p in params), dtype=np.float64)
+    views, lo = [], 0
+    for p in params:
+        views.append(buf[lo:lo + p.data.size].reshape(p.data.shape))
+        lo += p.data.size
+    return buf, views
+
+
 class Sgd:
+    """p <- p - lr * grad, in float64, rounded once into the float32 data."""
+
     def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
@@ -24,33 +39,51 @@ class Sgd:
     def step(self):
         for p in self.params:
             if p.grad is not None:
-                p.data = (p.data.astype(np.float64) - self.lr * p.grad.astype(np.float64)
-                          ).astype(np.float32)
+                p.data[...] = p.data.astype(np.float64) - self.lr * p.grad.astype(np.float64)
 
 
 class Adam:
+    """Adam with m and v in flat float64 buffers, updated in place; every
+    parameter must carry a gradient when step() runs."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros(p.data.shape, dtype=np.float64) for p in self.params]
-        self.v = [np.zeros(p.data.shape, dtype=np.float64) for p in self.params]
+        self.m = np.zeros(sum(p.data.size for p in self.params), dtype=np.float64)
+        self.v = np.zeros_like(self.m)
+        self._g, self._g_views = _flat_views(self.params)
+        self._w, self._w_views = _flat_views(self.params)
+        self._tmp = np.empty_like(self.m)
 
     def step(self):
+        """One update; the operation order is fixed, since it sets the bits:
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        w = w - (lr * (m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps)."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad.astype(np.float64)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / b1t
-            vhat = self.v[i] / b2t
-            p.data = (p.data.astype(np.float64)
-                      - self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(np.float32)
+        g, w, m, v, tmp = self._g, self._w, self.m, self.v, self._tmp
+        for p, gv, wv in zip(self.params, self._g_views, self._w_views):
+            gv[...] = p.grad
+            wv[...] = p.data
+        m *= self.beta1
+        np.multiply(g, 1 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, b2t, out=g)          # g is free from here on
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, b1t, out=tmp)
+        tmp *= self.lr
+        tmp /= g
+        w -= tmp
+        for p, wv in zip(self.params, self._w_views):
+            p.data[...] = wv
 
 
 def make_optimizer(name, params, lr):
@@ -102,39 +135,26 @@ def evaluate(model, dataset, batch_size=EVAL_BATCH):
     return evaluate_detailed(model, dataset, batch_size=batch_size)[0]
 
 
-def train_step(model, xb, yb, optimizer, output_faults=()):
-    """One forward/backward/update step; returns the batch loss (float).
+def train_step(model, xb, yb, optimizer, output_faults=(), guarded=False):
+    """One forward/backward/update step; returns (batch loss, stepped).
 
-    Gradients are cleared before the backward pass, so each step sees only
-    its own batch.
+    Each backward writes fresh gradients, so a step sees only its own
+    batch.  With guarded=True the update is skipped (stepped is False)
+    when the loss or any gradient is non-finite: under fault-active
+    training an injected fault can push inf/NaN into one batch, which must
+    not corrupt the parameters or the optimizer state.
     """
-    for p in optimizer.params:
-        p.zero_grad()
     g = ComputationGraph()
     logits, _ = model.forward_graph(g, xb, output_faults=output_faults)
-    loss = g.softmax_cross_entropy(logits, yb)
-    g.backward(loss)
+    loss, glogits = softmax_cross_entropy(logits, yb)
+    g.backward(glogits)
+    loss = float(loss)
+    if guarded:
+        grads = [p.grad.reshape(-1) for p in optimizer.params]
+        if not (math.isfinite(loss) and (not grads or np.isfinite(np.concatenate(grads)).all())):
+            return loss, False
     optimizer.step()
-    return float(loss.data)
-
-
-def _guarded_step(model, xb, yb, optimizer):
-    """Forward/backward, but step only when loss and gradients are finite.
-
-    Used for fault-active training: an injected fault can push inf/NaN into
-    the loss for one batch, which must not corrupt the optimizer state.
-    """
-    for p in optimizer.params:
-        p.zero_grad()
-    g = ComputationGraph()
-    logits, _ = model.forward_graph(g, xb)
-    loss = g.softmax_cross_entropy(logits, yb)
-    g.backward(loss)
-    finite = bool(np.isfinite(loss.data)) and all(
-        p.grad is None or np.isfinite(p.grad).all() for p in optimizer.params)
-    if finite:
-        optimizer.step()
-    return float(loss.data), finite
+    return loss, True
 
 
 def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
@@ -160,6 +180,7 @@ def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
     if train_set.labels.min() < 0 or train_set.labels.max() >= classes:
         raise UsageError(f"labels out of range for {classes} classes")
     opt = make_optimizer(optimizer, model.parameters(), lr)
+    skip = on_nonfinite == "skip"
     rng = np.random.default_rng(seed)
     n = len(train_set.labels)
     log = []
@@ -169,19 +190,15 @@ def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
             xb, yb = train_set.images[idx], train_set.labels[idx]
-            if on_nonfinite == "skip":
-                _, stepped = _guarded_step(model, xb, yb, opt)
-            else:
-                loss = train_step(model, xb, yb, opt)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss {loss} at epoch {epoch} batch {lo // batch_size}")
-                stepped = True
+            loss, stepped = train_step(model, xb, yb, opt, guarded=skip)
+            if not skip and not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss {loss} at epoch {epoch} batch {lo // batch_size}")
             if stepped:
                 any_step = True
                 if post_step is not None:
                     post_step()
-        if on_nonfinite == "skip":
+        if skip:
             if not any_step:
                 raise TrainingDivergedError(
                     f"every batch of epoch {epoch} was skipped on non-finite loss "

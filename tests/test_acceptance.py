@@ -28,9 +28,10 @@ from sdcprobe.data import Dataset, load_idx, synth_blobs, train_test_split
 from sdcprobe.fat import FatConfig, fat_train, measure_latency_to_critical
 from sdcprobe.fault_model import SamplerConfig, build_sampler, enumerate_sites
 from sdcprobe.injector import evaluate_with_fault
-from sdcprobe.nnet import (Flatten, Linear, Model, build_cnn, build_mlp, evaluate,
-                           model_checksum, train)
-from sdcprobe.nnet.autodiff import ComputationGraph
+from sdcprobe.nnet import (ActivationFault, Conv2d, Flatten, Linear, Model, Relu,
+                           build_cnn, build_mlp, evaluate, model_checksum, train)
+from sdcprobe.nnet.autodiff import (ComputationGraph, picked_logit_sum,
+                                    softmax_cross_entropy)
 from sdcprobe.nnet.training import predict
 
 FLT_MAX = np.float32(3.4028235e38)
@@ -153,8 +154,11 @@ class TestGradientGate:
     def test_04_layer_ops_match_finite_differences(self):
         """Linear, convolution, relu, flatten, logit pick, column patch,
         and the softmax loss each pass 100 seeded gradient-vs-finite-
-        difference instances at 1e-3 relative, within thirty seconds."""
+        difference instances at 1e-3 relative, within thirty seconds.
+        Gradients come from the production layer backward, graph backward
+        and loss functions."""
         t0 = time.perf_counter()
+        f32 = np.float32
 
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-6)
@@ -165,15 +169,14 @@ class TestGradientGate:
             w64 = rng.normal(size=(4, 5))
             b64 = rng.normal(size=4)
             r = rng.normal(size=(3, 4))
-            g = ComputationGraph()
-            x, w, b = (g.leaf(a, requires_grad=True) for a in (x64, w64, b64))
-            y = g.linear(x, w, b)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
-            x64, w64, b64 = (t.data.astype(np.float64) for t in (x, w, b))
+            layer = Linear(w64, b64)
+            x = x64.astype(f32)
+            _, cache = layer.forward(x)
+            gx, (gw, gb) = layer.backward(r.astype(f32), cache, True)
+            x64, w64, b64 = (a.astype(np.float64) for a in (x, layer.weight.data,
+                                                            layer.bias.data))
             ref = lambda: float(((x64 @ w64.T + b64) * r).sum())
-            for got, want in zip([x.grad, w.grad, b.grad],
-                                 fd_grads(ref, [x64, w64, b64])):
+            for got, want in zip([gx, gw, gb], fd_grads(ref, [x64, w64, b64])):
                 close(got, want)
 
         for s in range(100):
@@ -182,12 +185,12 @@ class TestGradientGate:
             w64 = rng.normal(size=(3, 2, 3, 3))
             b64 = rng.normal(size=3)
             r = rng.normal(size=(2, 3, 3, 3))
-            g = ComputationGraph()
-            x, w, b = (g.leaf(a, requires_grad=True) for a in (x64, w64, b64))
-            y = g.conv2d(x, w, b)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
-            x64, w64, b64 = (t.data.astype(np.float64) for t in (x, w, b))
+            layer = Conv2d(w64, b64)
+            x = x64.astype(f32)
+            _, cache = layer.forward(x)
+            gx, (gw, gb) = layer.backward(r.astype(f32), cache, True)
+            x64, w64, b64 = (a.astype(np.float64) for a in (x, layer.weight.data,
+                                                            layer.bias.data))
 
             def conv_ref():
                 n, _, h, wd = x64.shape
@@ -202,8 +205,7 @@ class TestGradientGate:
                 out += b64[None, :, None, None]
                 return float((out * r).sum())
 
-            for got, want in zip([x.grad, w.grad, b.grad],
-                                 fd_grads(conv_ref, [x64, w64, b64])):
+            for got, want in zip([gx, gw, gb], fd_grads(conv_ref, [x64, w64, b64])):
                 close(got, want)
 
         for s in range(100):
@@ -211,74 +213,77 @@ class TestGradientGate:
             # keep inputs away from the kink so FD stays one-sided
             x64 = rng.choice([-1.0, 1.0], size=(4, 6)) * rng.uniform(0.1, 2.0, size=(4, 6))
             r = rng.normal(size=(4, 6))
-            g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            y = g.relu(x)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
-            x64 = x.data.astype(np.float64)
-            close(x.grad, fd_grads(lambda: float((np.maximum(x64, 0) * r).sum()),
-                                   [x64])[0])
+            x = x64.astype(f32)
+            _, cache = Relu().forward(x)
+            gx, _ = Relu().backward(r.astype(f32), cache, True)
+            x64 = x.astype(np.float64)
+            close(gx, fd_grads(lambda: float((np.maximum(x64, 0) * r).sum()),
+                               [x64])[0])
 
         for s in range(100):
             rng = np.random.default_rng(7000 + s)
             x64 = rng.normal(size=(2, 3, 2, 2))
             r = rng.normal(size=(2, 12))
-            g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            y = g.flatten(x)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
-            x64 = x.data.astype(np.float64)
-            close(x.grad, fd_grads(lambda: float((x64.reshape(2, 12) * r).sum()),
-                                   [x64])[0])
+            x = x64.astype(f32)
+            _, cache = Flatten().forward(x)
+            gx, _ = Flatten().backward(r.astype(f32), cache, True)
+            x64 = x.astype(np.float64)
+            close(gx, fd_grads(lambda: float((x64.reshape(2, 12) * r).sum()),
+                               [x64])[0])
 
         for s in range(100):
             rng = np.random.default_rng(4000 + s)
             x64 = rng.normal(size=(5, 4))
             idx = rng.integers(0, 4, size=5)
-            g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            g.backward(g.sum(g.pick_class_logits(x, idx)))
-            x64 = x.data.astype(np.float64)
-            close(x.grad, fd_grads(lambda: float(x64[np.arange(5), idx].sum()),
-                                   [x64])[0])
+            x = x64.astype(f32)
+            _, gx = picked_logit_sum(x, idx)
+            x64 = x.astype(np.float64)
+            close(gx, fd_grads(lambda: float(x64[np.arange(5), idx].sum()),
+                               [x64])[0])
 
         for s in range(100):
+            # an output fault overwrites one column of a linear layer's
+            # output; the overwritten values are constants to backward
             rng = np.random.default_rng(6000 + s)
-            x64 = rng.normal(size=(4, 6))
+            x64 = rng.normal(size=(4, 5))
+            w64 = rng.normal(size=(6, 5))
+            b64 = rng.normal(size=6)
             col = int(rng.integers(0, 6))
-            vals = rng.normal(size=4)
+            bit = int(rng.choice([*range(23), 31]))  # mantissa or sign: stays finite
             r = rng.normal(size=(4, 6))
+            model = Model([Linear(w64, b64)], input_shape=(5,))
+            x = x64.astype(f32)
             g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            y = g.column_patch(x, col, vals)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
-            x64 = x.data.astype(np.float64)
+            out, _ = model.forward_graph(g, x, [ActivationFault(0, col, bit)])
+            g.backward(r.astype(f32))
+            layer = model.layers[0]
+            vals = out[:, col].astype(np.float64)
+            x64, w64, b64 = (a.astype(np.float64) for a in (x, layer.weight.data,
+                                                            layer.bias.data))
 
             def patch_ref():
-                out = x64.copy()
+                out = x64 @ w64.T + b64
                 out[:, col] = vals
                 return float((out * r).sum())
 
-            close(x.grad, fd_grads(patch_ref, [x64])[0])
+            for got, want in zip([layer.weight.grad, layer.bias.grad],
+                                 fd_grads(patch_ref, [w64, b64])):
+                close(got, want)
 
         for s in range(100):
             rng = np.random.default_rng(5000 + s)
             z64 = rng.normal(size=(3, 4)) * 1.5
             labels = rng.integers(0, 4, size=3)
-            g = ComputationGraph()
-            z = g.leaf(z64, requires_grad=True)
-            g.backward(g.softmax_cross_entropy(z, labels))
-            z64 = z.data.astype(np.float64)
+            z = z64.astype(f32)
+            _, gz = softmax_cross_entropy(z, labels)
+            z64 = z.astype(np.float64)
 
             def xent_ref():
                 m = z64 - z64.max(axis=1, keepdims=True)
                 lse = np.log(np.exp(m).sum(axis=1))
                 return float((lse - m[np.arange(3), labels]).mean())
 
-            close(z.grad, fd_grads(xent_ref, [z64])[0])
+            close(gz, fd_grads(xent_ref, [z64])[0])
 
         assert time.perf_counter() - t0 < 30.0
 

@@ -1,17 +1,22 @@
-"""Autodiff engine tests.
+"""Layer backward and graph backward tests.
 
-Every op's tape gradient is checked against a central finite difference of
-an independent float64 reference implementation of the same op (ε=1e-3,
-relative tolerance 1e-3 with a 1e-6 absolute floor).
+Every layer's backward, the graph walk and the two loss gradients are
+checked against a central finite difference of an independent float64
+reference implementation of the same operation (ε=1e-3, relative tolerance
+1e-3 with a 1e-6 absolute floor).
 """
 
 import numpy as np
 import pytest
 
 from sdcprobe.errors import UsageError
-from sdcprobe.nnet.autodiff import ComputationGraph, Tensor
+from sdcprobe.nnet import (ActivationFault, Conv2d, Flatten, Linear, Model, Relu,
+                           build_cnn, build_mlp)
+from sdcprobe.nnet.autodiff import (ComputationGraph, picked_logit_sum,
+                                    softmax_cross_entropy)
 
 RTOL, ATOL, EPS = 1e-3, 1e-6, 1e-3
+f32 = np.float32
 
 
 def fd_grads(loss_fn, arrays, eps=EPS):
@@ -33,9 +38,15 @@ def fd_grads(loss_fn, arrays, eps=EPS):
     return grads
 
 
-def check(tape_grads, fd):
-    for got, want in zip(tape_grads, fd):
+def check(got_grads, fd):
+    for got, want in zip(got_grads, fd):
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+
+
+def layer_grads(layer, x, r):
+    """(input gradient, parameter gradients) of sum(r * layer(x))."""
+    _, cache = layer.forward(x)
+    return layer.backward(r.astype(f32), cache, True)
 
 
 class TestOpGradients:
@@ -49,41 +60,27 @@ class TestOpGradients:
     def test_linear(self):
         for s in self.seeds():
             rng = np.random.default_rng(1000 + s)
-            x64 = rng.normal(size=(3, 5))
-            w64 = rng.normal(size=(4, 5))
-            b64 = rng.normal(size=4)
+            x = rng.normal(size=(3, 5)).astype(f32)
+            layer = Linear(rng.normal(size=(4, 5)), rng.normal(size=4))
             r = rng.normal(size=(3, 4))
+            gx, (gw, gb) = layer_grads(layer, x, r)
 
-            g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            w = g.leaf(w64, requires_grad=True)
-            b = g.leaf(b64, requires_grad=True)
-            y = g.linear(x, w, b)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
-
-            # float64 references wrap the same float32 leaf buffers
-            x64, w64, b64 = (t.data.astype(np.float64) for t in (x, w, b))
+            # float64 references over the same float32 values
+            x64, w64, b64 = (a.astype(np.float64) for a in (x, layer.weight.data,
+                                                            layer.bias.data))
             loss = lambda: float(((x64 @ w64.T + b64) * r).sum())
-            check([x.grad, w.grad, b.grad], fd_grads(loss, [x64, w64, b64]))
+            check([gx, gw, gb], fd_grads(loss, [x64, w64, b64]))
 
     def test_conv2d(self):
         for s in range(30):  # heavier op: fewer, larger instances
             rng = np.random.default_rng(2000 + s)
-            x64 = rng.normal(size=(2, 2, 5, 5))
-            w64 = rng.normal(size=(3, 2, 3, 3))
-            b64 = rng.normal(size=3)
+            x = rng.normal(size=(2, 2, 5, 5)).astype(f32)
+            layer = Conv2d(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3))
             r = rng.normal(size=(2, 3, 3, 3))
+            gx, (gw, gb) = layer_grads(layer, x, r)
 
-            g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            w = g.leaf(w64, requires_grad=True)
-            b = g.leaf(b64, requires_grad=True)
-            y = g.conv2d(x, w, b)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
-
-            x64, w64, b64 = (t.data.astype(np.float64) for t in (x, w, b))
+            x64, w64, b64 = (a.astype(np.float64) for a in (x, layer.weight.data,
+                                                            layer.bias.data))
 
             # independent reference: explicit shifted sums, float64 throughout
             def conv_ref():
@@ -98,7 +95,7 @@ class TestOpGradients:
                 out += b64[None, :, None, None]
                 return float((out * r).sum())
 
-            check([x.grad, w.grad, b.grad], fd_grads(conv_ref, [x64, w64, b64]))
+            check([gx, gw, gb], fd_grads(conv_ref, [x64, w64, b64]))
 
     def test_relu(self):
         for s in self.seeds():
@@ -106,152 +103,199 @@ class TestOpGradients:
             # keep inputs away from the kink so FD stays one-sided
             x64 = rng.choice([-1.0, 1.0], size=(4, 6)) * rng.uniform(0.1, 2.0, size=(4, 6))
             r = rng.normal(size=(4, 6))
+            x = x64.astype(f32)
+            gx, grads = layer_grads(Relu(), x, r)
+            assert grads == ()
 
-            g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            y = g.relu(x)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
-
-            x64 = x.data.astype(np.float64)
+            x64 = x.astype(np.float64)
             loss = lambda: float((np.maximum(x64, 0) * r).sum())
-            check([x.grad], fd_grads(loss, [x64]))
+            check([gx], fd_grads(loss, [x64]))
 
     def test_pick_and_sum(self):
         for s in self.seeds():
             rng = np.random.default_rng(4000 + s)
-            x64 = rng.normal(size=(5, 4))
+            x = rng.normal(size=(5, 4)).astype(f32)
             idx = rng.integers(0, 4, size=5)
+            value, gx = picked_logit_sum(x, idx)
 
-            g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            loss = g.sum(g.pick_class_logits(x, idx))
-            g.backward(loss)
-
-            x64 = x.data.astype(np.float64)
+            x64 = x.astype(np.float64)
             ref = lambda: float(x64[np.arange(5), idx].sum())
-            check([x.grad], fd_grads(ref, [x64]))
+            assert value == pytest.approx(ref(), rel=1e-6)
+            check([gx], fd_grads(ref, [x64]))
 
     def test_softmax_cross_entropy(self):
         for s in self.seeds():
             rng = np.random.default_rng(5000 + s)
-            z64 = rng.normal(size=(3, 4)) * 1.5
+            z = (rng.normal(size=(3, 4)) * 1.5).astype(f32)
             labels = rng.integers(0, 4, size=3)
+            loss, gz = softmax_cross_entropy(z, labels)
 
-            g = ComputationGraph()
-            z = g.leaf(z64, requires_grad=True)
-            loss = g.softmax_cross_entropy(z, labels)
-            g.backward(loss)
-
-            z64 = z.data.astype(np.float64)
+            z64 = z.astype(np.float64)
 
             def ref():
                 m = z64 - z64.max(axis=1, keepdims=True)
                 lse = np.log(np.exp(m).sum(axis=1))
                 return float((lse - m[np.arange(3), labels]).mean())
 
-            check([z.grad], fd_grads(ref, [z64]))
+            assert loss == pytest.approx(ref(), rel=1e-6)
+            check([gz], fd_grads(ref, [z64]))
 
     def test_column_patch(self):
+        """An output fault's overwritten column is a constant to backward:
+        the graph gradient of the faulted layer's parameters matches the
+        finite difference of a forward whose column holds fixed values."""
         for s in self.seeds():
             rng = np.random.default_rng(6000 + s)
-            x64 = rng.normal(size=(4, 6))
+            x = rng.normal(size=(4, 5)).astype(f32)
+            model = Model([Linear(rng.normal(size=(6, 5)), rng.normal(size=6)), Relu()],
+                          input_shape=(5,))
             col = int(rng.integers(0, 6))
-            vals = rng.normal(size=4)
+            bit = int(rng.choice([*range(23), 31]))
             r = rng.normal(size=(4, 6))
 
             g = ComputationGraph()
-            x = g.leaf(x64, requires_grad=True)
-            y = g.column_patch(x, col, vals)
-            y.accum_grad(r.astype(np.float32))
-            y._backward(y.grad)
+            _, acts = model.forward_graph(g, x, [ActivationFault(0, col, bit)])
+            g.backward(r.astype(f32))
 
-            x64 = x.data.astype(np.float64)
+            layer = model.layers[0]
+            vals = acts[0][:, col].astype(np.float64)
+            x64, w64, b64 = (a.astype(np.float64) for a in (x, layer.weight.data,
+                                                            layer.bias.data))
 
             def ref():
-                out = x64.copy()
+                out = x64 @ w64.T + b64
                 out[:, col] = vals
-                return float((out * r).sum())
+                return float((np.maximum(out, 0) * r).sum())
 
-            check([x.grad], fd_grads(ref, [x64]))
+            check([layer.weight.grad, layer.bias.grad], fd_grads(ref, [w64, b64]))
 
     def test_flatten(self):
         rng = np.random.default_rng(7)
-        g = ComputationGraph()
-        x = g.leaf(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-        y = g.flatten(x)
-        assert y.data.shape == (2, 12)
-        r = rng.normal(size=(2, 12)).astype(np.float32)
-        y.accum_grad(r)
-        y._backward(y.grad)
-        np.testing.assert_array_equal(x.grad, r.reshape(2, 3, 2, 2))
+        x = rng.normal(size=(2, 3, 2, 2)).astype(f32)
+        y, cache = Flatten().forward(x)
+        assert y.shape == (2, 12)
+        r = rng.normal(size=(2, 12)).astype(f32)
+        gx, grads = Flatten().backward(r, cache, True)
+        assert grads == ()
+        np.testing.assert_array_equal(gx, r.reshape(2, 3, 2, 2))
 
 
 class TestBackwardMechanics:
     def test_scalar_product_gradient(self):
         # loss = w·x with x=3, w=2: grad(w) = 3
+        model = Model([Linear([[2.0]])], input_shape=(1,))
         g = ComputationGraph()
-        x = g.leaf([[3.0]], requires_grad=False)
-        w = g.leaf([[2.0]], requires_grad=True)
-        loss = g.sum(g.linear(x, w))
-        g.backward(loss)
-        assert w.grad[0, 0] == 3.0
+        model.forward_graph(g, [[3.0]])
+        g.backward(np.ones((1, 1), dtype=f32))
+        assert model.layers[0].weight.grad[0, 0] == 3.0
 
     def test_dead_relu_blocks_gradient(self):
-        g = ComputationGraph()
-        x = g.leaf([[-5.0]], requires_grad=True)
-        loss = g.sum(g.relu(x))
-        g.backward(loss)
-        assert x.grad[0, 0] == 0.0
+        x = np.array([[-5.0]], dtype=f32)
+        gx, _ = layer_grads(Relu(), x, np.ones((1, 1)))
+        assert gx[0, 0] == 0.0
 
     def test_backward_requires_scalar(self):
+        """backward takes the gradient of a scalar loss with respect to the
+        logits, so a gradient of any other shape is refused."""
+        model = build_mlp((1, 1, 3), [2], classes=2, seed=0)
         g = ComputationGraph()
-        x = g.leaf(np.ones((2, 2)), requires_grad=True)
-        y = g.relu(x)
+        model.forward_graph(g, np.ones((2, 1, 1, 3), dtype=f32))
         with pytest.raises(UsageError):
-            g.backward(y)
+            g.backward(np.float32(1.0))
+        with pytest.raises(UsageError):
+            g.backward(np.ones((2, 3), dtype=f32))
 
-    def test_gradients_accumulate_until_cleared(self):
-        w = Tensor(np.ones((1, 1)), requires_grad=True)
+    def test_each_backward_overwrites_gradients(self):
+        model = Model([Linear([[1.0]])], input_shape=(1,))
+        w = model.layers[0].weight
         for _ in range(2):
             g = ComputationGraph()
-            x = g.leaf([[4.0]])
-            loss = g.sum(g.linear(x, w))
-            g.backward(loss)
-        assert w.grad[0, 0] == 8.0
-        w.zero_grad()
-        assert w.grad is None
+            model.forward_graph(g, [[4.0]])
+            g.backward(np.ones((1, 1), dtype=f32))
+        assert w.grad[0, 0] == 4.0
 
     def test_softmax_gradients_sum_to_zero_per_sample(self):
         rng = np.random.default_rng(11)
-        g = ComputationGraph()
-        z = g.leaf(rng.normal(size=(6, 5)), requires_grad=True)
-        loss = g.softmax_cross_entropy(z, rng.integers(0, 5, size=6))
-        g.backward(loss)
-        np.testing.assert_allclose(z.grad.sum(axis=1), np.zeros(6), atol=1e-7)
+        z = rng.normal(size=(6, 5)).astype(f32)
+        _, gz = softmax_cross_entropy(z, rng.integers(0, 5, size=6))
+        np.testing.assert_allclose(gz.sum(axis=1), np.zeros(6), atol=1e-7)
 
     def test_column_patch_injects_exact_values_and_blocks_grad(self):
+        model = Model([Linear(np.eye(3, dtype=f32))], input_shape=(3,))
+        x = np.arange(6, dtype=f32).reshape(2, 3) + 1
         g = ComputationGraph()
-        x = g.leaf(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
-        y = g.column_patch(x, 1, [9.0, -9.0])
-        np.testing.assert_array_equal(y.data[:, 1], [9.0, -9.0])
-        np.testing.assert_array_equal(y.data[:, [0, 2]], x.data[:, [0, 2]])
-        loss = g.sum(y)
-        g.backward(loss)
-        np.testing.assert_array_equal(x.grad, [[1, 0, 1], [1, 0, 1]])
+        out, _ = model.forward_graph(g, x, [ActivationFault(0, 1, 31)])
+        np.testing.assert_array_equal(out[:, 1], -x[:, 1])
+        np.testing.assert_array_equal(out[:, [0, 2]], x[:, [0, 2]])
+        ones = np.ones((2, 3), dtype=f32)
+        grads = g.backward(ones)
+        # the faulted layer's own output gradient is reported as it arrived ...
+        np.testing.assert_array_equal(grads[0], ones)
+        # ... but the overwritten column passes nothing into the layer
+        np.testing.assert_array_equal(model.layers[0].weight.grad,
+                                      [[5, 7, 9], [0, 0, 0], [5, 7, 9]])
 
     def test_column_patch_rejects_bad_index(self):
-        g = ComputationGraph()
-        x = g.leaf(np.ones((2, 3)), requires_grad=True)
-        with pytest.raises(UsageError):
-            g.column_patch(x, 3, [0.0, 0.0])
+        model = Model([Linear(np.eye(3, dtype=f32))], input_shape=(3,))
+        for bad in (3, -1):
+            with pytest.raises(UsageError):
+                model.forward_graph(ComputationGraph(), np.ones((2, 3), dtype=f32),
+                                    [ActivationFault(0, bad, 0)])
+            with pytest.raises(UsageError):
+                model.apply(np.ones((2, 3), dtype=f32), [ActivationFault(0, bad, 0)])
 
     def test_shape_mismatch_rejected(self):
-        g = ComputationGraph()
-        x = g.leaf(np.ones((2, 3)))
-        w = g.leaf(np.ones((4, 5)), requires_grad=True)
+        logits = np.ones((2, 3), dtype=f32)
         with pytest.raises(UsageError):
-            g.linear(x, w)
+            softmax_cross_entropy(logits, [0, 1, 2])
+        with pytest.raises(UsageError):
+            picked_logit_sum(logits, [[0], [1]])
+        with pytest.raises(UsageError):
+            softmax_cross_entropy(logits[0], [0])
+
+    def test_gradients_are_float32_with_positive_zero(self):
+        # -1 * 0 gives -0.0 in the relu mask product; stored gradients,
+        # like the zeros-plus-g accumulation they replace, carry +0.0
+        x = np.array([[-1.0, 2.0]], dtype=f32)
+        gx, _ = layer_grads(Relu(), x, np.array([[-1.0, -1.0]]))
+        assert gx.dtype == np.float32
+        assert not np.signbit(gx[0, 0]) and gx[0, 1] == -1.0
+        layer = Linear(np.zeros((2, 2), dtype=f32), np.zeros(2, dtype=f32))
+        gx, (gw, gb) = layer_grads(layer, np.array([[0.0, -0.0]], dtype=f32),
+                                   np.array([[-0.0, -0.0]]))
+        for a in (gx, gw, gb):
+            assert a.dtype == np.float32 and not np.signbit(a).any()
+
+
+class TestGraphWalk:
+    def test_nothing_below_the_first_layer_with_parameters(self):
+        """Training needs no gradient under the first parameterized layer:
+        the walk stops there and never asks it for its input gradient."""
+        model = build_cnn((1, 6, 6), (2, 3), kernel=3, hidden=8, classes=3, seed=7)
+        x = np.random.default_rng(5).normal(size=(4, 1, 6, 6)).astype(f32)
+        asked = []
+        for lid, layer in enumerate(model.layers):
+            def spy(g, cache, need_gx, _orig=layer.backward, _lid=lid):
+                asked.append((_lid, need_gx))
+                return _orig(g, cache, need_gx)
+            layer.backward = spy
+        g = ComputationGraph()
+        logits, _ = model.forward_graph(g, x)
+        grads = g.backward(softmax_cross_entropy(logits, [0, 1, 2, 0])[1])
+        assert asked == [(7, True), (6, True), (5, True), (4, True), (3, True),
+                         (2, True), (1, True), (0, False)]
+        assert all(gr is not None for gr in grads)
+        assert all(p.grad is not None for p in model.parameters())
+
+        mlp = build_mlp((1, 1, 4), [3], classes=2, seed=0)
+        g = ComputationGraph()
+        logits, _ = mlp.forward_graph(g, np.ones((2, 1, 1, 4), dtype=f32))
+        glogits = np.ones_like(logits)
+        assert g.backward(glogits)[0] is None          # flatten output: not needed
+        full = g.backward(glogits, outputs=True)[0]    # conductance asks for it
+        want = (glogits @ mlp.layers[3].weight.data * (g.caches[2] > 0)
+                @ mlp.layers[1].weight.data)
+        np.testing.assert_allclose(full, want, rtol=1e-6)
 
 
 class TestMlpGradcheck:
@@ -260,24 +304,21 @@ class TestMlpGradcheck:
 
     def test_three_layer_mlp(self):
         rng = np.random.default_rng(42)
-        x64 = rng.normal(size=(4, 6))
+        x = rng.normal(size=(4, 6)).astype(f32)
         labels = rng.integers(0, 3, size=4)
         w1, b1 = rng.normal(size=(8, 6)) * 0.5, rng.normal(size=8) * 0.1
         w2, b2 = rng.normal(size=(5, 8)) * 0.5, rng.normal(size=5) * 0.1
         w3, b3 = rng.normal(size=(3, 5)) * 0.5, rng.normal(size=3) * 0.1
+        model = Model([Linear(w1, b1), Relu(), Linear(w2, b2), Relu(), Linear(w3, b3)],
+                      input_shape=(6,))
 
         g = ComputationGraph()
-        xt = g.leaf(x64)
-        params = [g.leaf(p, requires_grad=True) for p in (w1, b1, w2, b2, w3, b3)]
-        t1, t2, t3, t4, t5, t6 = params
-        h = g.relu(g.linear(xt, t1, t2))
-        h = g.relu(g.linear(h, t3, t4))
-        logits = g.linear(h, t5, t6)
-        loss = g.softmax_cross_entropy(logits, labels)
-        g.backward(loss)
+        logits, _ = model.forward_graph(g, x)
+        g.backward(softmax_cross_entropy(logits, labels)[1])
 
+        params = model.parameters()
         arrays = [p.data.astype(np.float64) for p in params]
-        xf = xt.data.astype(np.float64)
+        xf = x.astype(np.float64)
 
         def ref():
             a1, c1, a2, c2, a3, c3 = arrays

@@ -366,6 +366,9 @@ class TestPersistence:
         full_lines = (tmp_path / "full.csv").read_text().splitlines()
         part = tmp_path / "resumed.csv.part"
         part.write_text("\n".join(full_lines[:4]) + "\n")  # header + 3 records
+        # the part's header sidecar holds the same meta as the final sidecar
+        (tmp_path / "resumed.csv.part.meta.json").write_text(
+            (tmp_path / "full.meta.json").read_text())
         resumed = run_campaign(identity_model(), class1_dataset(), cfg,
                                out_csv=str(tmp_path / "resumed.csv"))
         assert [strip_clock(r) for r in resumed.records] == \
@@ -373,6 +376,7 @@ class TestPersistence:
         # the three prefix rows keep their original wallclock from the part file
         assert resumed.records[:3] == full.records[:3]
         assert not part.exists()
+        assert not (tmp_path / "resumed.csv.part.meta.json").exists()
 
     def test_non_prefix_part_rejected(self, tmp_path):
         cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=4,
@@ -414,6 +418,63 @@ class TestPersistence:
             run_campaign(identity_model(), class1_dataset(), cfg,
                          out_csv=str(tmp_path / "resumed.csv"))
         assert (tmp_path / "resumed.csv.part").exists()  # left for the user to inspect
+
+
+class TestPartHeader:
+    """A part file is resumed only by the campaign its header sidecar
+    describes: same config (workers aside), model checksum, dataset hash
+    and baseline."""
+
+    CFG = dict(code="RBRNw", thresholds=THRESH5, sample_budget=8, seeds=(1, 2))
+
+    def interrupted(self, tmp_path, model, dataset, workers=1):
+        out = tmp_path / "run.csv"
+        with pytest.raises(RuntimeError, match="ordinal 5"):
+            run_campaign(model, dataset, CampaignConfig(**self.CFG, workers=workers),
+                         out_csv=str(out),
+                         samplers={1: _ThreadNotingSampler(),
+                                   2: _ThreadNotingSampler(fail_at=5)})
+        return out
+
+    def resume(self, out, model, dataset, workers=1):
+        return run_campaign(model, dataset, CampaignConfig(**self.CFG, workers=workers),
+                            out_csv=str(out), samplers={1: _ThreadNotingSampler(),
+                                                        2: _ThreadNotingSampler()})
+
+    def test_header_written_at_start_and_hash_in_final_meta(self, tmp_path):
+        dataset = class1_dataset()
+        out = self.interrupted(tmp_path, identity_model(), dataset)
+        header = json.loads((tmp_path / "run.csv.part.meta.json").read_text())
+        assert header["model_checksum"] == model_checksum(identity_model())
+        assert header["dataset"]["sha256"] == dataset.sha256()
+        assert header["config"]["experiment_code"] == "RBRNw"
+        self.resume(out, identity_model(), dataset, workers=3)  # workers may differ
+        meta = json.loads((tmp_path / "run.meta.json").read_text())
+        assert meta["dataset"]["sha256"] == dataset.sha256()
+        assert not (tmp_path / "run.csv.part.meta.json").exists()
+
+    def test_part_of_another_model_with_the_same_baseline_rejected(self, tmp_path):
+        other = identity_model()
+        other.layers[1].weight.data[0, 1] = np.float32(1e-3)  # still scores 1.0
+        out = self.interrupted(tmp_path, other, class1_dataset())
+        with pytest.raises(DataFormatError, match="model_checksum"):
+            self.resume(out, identity_model(), class1_dataset())
+        assert (tmp_path / "run.csv.part").exists()
+
+    def test_part_of_another_dataset_rejected(self, tmp_path):
+        out = self.interrupted(tmp_path, identity_model(), class1_dataset())
+        with pytest.raises(DataFormatError, match="dataset"):
+            self.resume(out, identity_model(), class1_dataset(n=9))
+
+    def test_part_without_or_with_a_broken_header_rejected(self, tmp_path):
+        out = self.interrupted(tmp_path, identity_model(), class1_dataset())
+        header = tmp_path / "run.csv.part.meta.json"
+        header.write_bytes(b"\xff{")
+        with pytest.raises(DataFormatError, match="unreadable"):
+            self.resume(out, identity_model(), class1_dataset())
+        header.unlink()
+        with pytest.raises(DataFormatError, match="missing"):
+            self.resume(out, identity_model(), class1_dataset())
 
 
 class TestReport:

@@ -12,7 +12,7 @@ from sdcprobe.attribution import load_attribution
 from sdcprobe.campaign import load_records, meta_path_for
 from sdcprobe.cli import main
 from sdcprobe.fault_model import load_fault_csv
-from sdcprobe.nnet import load_checkpoint, model_checksum
+from sdcprobe.nnet import load_checkpoint, model_checksum, save_checkpoint
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -309,6 +309,56 @@ class TestExitCodes:
         rc = main(["train", "--config", cfg, "--out", str(tmp_path / "m.ckpt")])
         assert rc == 4
         assert capsys.readouterr().err.startswith("error: runtime:")
+
+    def test_non_ascii_attribution_checksum_exits_3(self, workspace, tmp_path, capsys):
+        """A checksum byte outside ASCII is a format error, not a crash."""
+        blob = bytearray(open(workspace["attr"], "rb").read())
+        blob[16] = 0xE9  # first byte of the checksum text
+        bad = tmp_path / "bad.attr"
+        bad.write_bytes(bytes(blob))
+        rc = main(["campaign", "--config", workspace["cfg"], "--checkpoint", workspace["ckpt"],
+                   "--code", "GBINw", "--attribution", str(bad), "--budget", "2",
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
+        assert "ASCII" in capsys.readouterr().err
+
+    def test_conv_weight_with_three_dims_exits_3(self, workspace, tmp_path, capsys):
+        """A checkpoint whose conv weight is not 4-d is a format error."""
+        blob = b"".join([b"ISDL", struct.pack("<5I", 1, 3, 1, 6, 6), struct.pack("<I", 1),
+                         struct.pack("<3I", 0, 1, 3), struct.pack("<3I", 2, 3, 3),
+                         np.zeros(18, dtype="<f4").tobytes(), struct.pack("<I", 0)])
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        rc = main(["campaign", "--config", workspace["cfg"], "--checkpoint", str(bad),
+                   "--code", "RBRNw", "--budget", "2", "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
+        assert "3 dims" in capsys.readouterr().err
+
+    def test_part_of_another_model_with_the_same_baseline_exits_3(self, workspace, tmp_path,
+                                                                   capsys):
+        """The part file and header of an interrupted run on model A are not
+        resumed by model B, although code, seeds and baseline all match."""
+        model_b = load_checkpoint(workspace["ckpt"])
+        word = model_b.layers[1].weight.data.reshape(-1).view(np.uint32)
+        word[0] ^= 1  # lowest mantissa bit: a different model, the same accuracy
+        ckpt_b = str(tmp_path / "b.ckpt")
+        save_checkpoint(model_b, ckpt_b)
+        out = tmp_path / "r.csv"
+        args = ["campaign", "--config", workspace["cfg"], "--code", "RBRNw",
+                "--budget", "6", "--seed", "1", "--out", str(out)]
+        assert main(args + ["--checkpoint", workspace["ckpt"]]) == 0
+        lines = out.read_text().splitlines()
+        meta = json.loads(open(meta_path_for(out)).read())
+        out.unlink()
+        # what a run interrupted after three draws leaves behind
+        (tmp_path / "r.csv.part").write_text("\n".join(lines[:4]) + "\n")
+        (tmp_path / "r.csv.part.meta.json").write_text(json.dumps(meta))
+
+        assert main(args + ["--checkpoint", ckpt_b]) == 3
+        err = capsys.readouterr().err
+        assert "model_checksum" in err and "baseline" not in err
+        assert main(args + ["--checkpoint", workspace["ckpt"]]) == 0  # its own model resumes
+        assert out.read_text().splitlines()[1:4] == lines[1:4]
 
     def test_process_level_exit_code(self, workspace, tmp_path):
         """The module entry point propagates exit codes to the process."""

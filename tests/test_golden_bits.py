@@ -1,0 +1,164 @@
+"""Golden bits: trained parameters and attribution scores pinned exactly.
+
+The constants were recorded from the general-tape implementation of the
+training and attribution passes.  Any rewrite of the forward, backward,
+loss or optimizer arithmetic must reproduce them bit for bit: a changed
+rounding step, operand order or -0/+0 shows up here even where every
+tolerance-based test still passes.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from sdcprobe.attribution import (AttributionConfig, attribute_all,
+                                  conductance_components, make_baseline)
+from sdcprobe.data import synth_blobs, train_test_split
+from sdcprobe.fat import FatConfig, fat_train
+from sdcprobe.nnet import (ActivationFault, build_cnn, build_mlp, model_checksum,
+                           train)
+
+GOLDEN = {
+    "fat_mlp_adam_b1": (
+        "2b5f14a7f28868da488fd3bb0ecd5f4d4c0688198994716792fda26e3d854f45",
+        [0.98, 0.9533333333333334, 0.9933333333333333]),
+    "cnn_adam_b16": (
+        "cf6ef12a52c64489ed5903bc920457e0139d9ed6dbbad6824db4ab374772fcc3",
+        [0.5555555555555556, 0.6, 0.6888888888888889, 0.8222222222222222,
+         0.8888888888888888, 0.8444444444444444, 0.9111111111111111,
+         0.9555555555555556, 0.9555555555555556, 0.9777777777777777,
+         0.9777777777777777, 0.9777777777777777]),
+    "mlp_sgd_b8": (
+        "e2a9d60dc5ec8042f86df375c33c9fc92801987c61437964a245ea0c4ef2ac0d",
+        [1.0, 1.0, 1.0]),
+    "skip_with_output_faults": (
+        "02a75b76146bfdbc0ec95b273576eb5844e1559f4182fee48f730880d5abc9e9",
+        [0.4533333333333333, 0.5866666666666667], 764),
+    "fat_train_weight_faults":
+        "bb0cd16f14593e2f8cb1a25e2e8bd4c70f7984a3f5e8fcd8e7173861892048c5",
+    "cnn_neuron_output_scores":
+        "eb7639c42c45ff3115d3251bc6ff8899e2a4c2c2bb500a1917cd93c8e75efdff",
+    "cnn_neuron_weight_scores":
+        "964aa8188525ff191898911a3476675fec0935490ea6a0035359bbd5d6e025f5",
+    "cnn_conductance_components":
+        "6139236cc81613b37b28fd90e788391b98c204dc82e790653e990ba385cdcac9",
+}
+
+
+def _fat_fixture():
+    ds = synth_blobs(3, 200, dims=12, spread=0.15, seed=5, center_scale=0.3)
+    return train_test_split(ds, test_fraction=0.25)
+
+
+def _scores_sha(amap):
+    h = hashlib.sha256()
+    for lid in sorted(amap.scores):
+        h.update(str(lid).encode())
+        h.update(amap.scores[lid].astype("<f4").tobytes())
+    return h.hexdigest()
+
+
+def fat_mlp_adam_b1():
+    train_set, test_set = _fat_fixture()
+    model = build_mlp((1, 1, 12), [16], 3, seed=4)
+    log = train(model, train_set, epochs=3, batch_size=1, lr=0.01, optimizer="adam",
+                seed=4, eval_set=test_set)
+    return model_checksum(model), log
+
+
+@pytest.fixture(scope="module")
+def trained_cnn():
+    data = synth_blobs(classes=3, samples_per_class=60, dims=36, spread=0.35,
+                       seed=5, image_shape=(1, 6, 6), center_scale=0.5)
+    train_set, test_set = train_test_split(data, test_fraction=0.25)
+    model = build_cnn((1, 6, 6), [3, 4], 3, 16, 3, seed=1)
+    log = train(model, train_set, eval_set=test_set, epochs=12, batch_size=16,
+                lr=0.01, optimizer="adam", seed=3)
+    return model, test_set, log
+
+
+def mlp_sgd_b8():
+    ds = synth_blobs(classes=2, samples_per_class=100, dims=4, spread=0.15, seed=5)
+    train_set, test_set = train_test_split(ds, 0.1)
+    model = build_mlp((1, 1, 4), [5], classes=2, seed=1)
+    log = train(model, train_set, epochs=3, batch_size=8, lr=0.1, optimizer="sgd",
+                seed=2, eval_set=test_set)
+    return model_checksum(model), log
+
+
+def skip_with_output_faults():
+    """Batch-1 Adam in skip mode with two registered output faults: one on
+    the hidden layer (its gradient column is zeroed on every step) and one
+    on the logits that makes some batches' loss non-finite."""
+    train_set, test_set = _fat_fixture()
+    model = build_mlp((1, 1, 12), [16], 3, seed=4)
+    model.registered_output_faults += [ActivationFault(1, 12, 30),
+                                       ActivationFault(3, 0, 30)]
+    applied = []
+    log = train(model, train_set, epochs=2, batch_size=1, lr=0.01, optimizer="adam",
+                seed=4, eval_set=test_set, on_nonfinite="skip",
+                post_step=lambda: applied.append(1))
+    return model_checksum(model), log, len(applied)
+
+
+def fat_train_weight_faults():
+    """fat_train with pinned weight faults (guarded steps, a bit re-pinned
+    after every update); the report's JSON pins logs and accuracies."""
+    train_set, test_set = _fat_fixture()
+    config = FatConfig(code="EBRNw", adversary_code="RBRNw", warmup_epochs=1,
+                       fat_epochs=2, faults_per_round=4, simulations_per_epoch=0,
+                       lr=0.01, batch_size=1, optimizer="adam", seed=4)
+    model, report = fat_train(build_mlp((1, 1, 12), [16], 3, seed=4),
+                              train_set, test_set, config)
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    return hashlib.sha256((model_checksum(model) + text).encode()).hexdigest()
+
+
+def test_fat_mlp_adam_batch_one():
+    assert fat_mlp_adam_b1() == GOLDEN["fat_mlp_adam_b1"]
+
+
+def test_cnn_adam_batch_sixteen(trained_cnn):
+    model, _, log = trained_cnn
+    assert (model_checksum(model), log) == GOLDEN["cnn_adam_b16"]
+
+
+def test_mlp_sgd():
+    assert mlp_sgd_b8() == GOLDEN["mlp_sgd_b8"]
+
+
+def test_skip_mode_with_output_faults():
+    checksum, log, applied = skip_with_output_faults()
+    assert 0 < applied < 2 * 450  # some batches were skipped, not all
+    assert (checksum, log, applied) == GOLDEN["skip_with_output_faults"]
+
+
+def test_fat_train_with_weight_faults():
+    assert fat_train_weight_faults() == GOLDEN["fat_train_weight_faults"]
+
+
+def test_cnn_neuron_output_scores(trained_cnn):
+    model, test_set, _ = trained_cnn
+    amap = attribute_all(model, test_set, AttributionConfig("neuron_output"))
+    assert _scores_sha(amap) == GOLDEN["cnn_neuron_output_scores"]
+
+
+def test_cnn_neuron_weight_scores(trained_cnn):
+    model, test_set, _ = trained_cnn
+    amap = attribute_all(model, test_set, AttributionConfig("neuron_weight"))
+    assert _scores_sha(amap) == GOLDEN["cnn_neuron_weight_scores"]
+
+
+def test_cnn_conductance_components(trained_cnn):
+    """The signed float64 per-sample components, before the mean and the
+    float32 rounding of the published scores."""
+    model, test_set, _ = trained_cnn
+    comps = conductance_components(model, test_set.images,
+                                   make_baseline("zeros", model), steps=8)
+    h = hashlib.sha256()
+    for lid in sorted(comps):
+        h.update(str(lid).encode())
+        h.update(np.ascontiguousarray(comps[lid], dtype="<f8").tobytes())
+    assert h.hexdigest() == GOLDEN["cnn_conductance_components"]

@@ -1,5 +1,7 @@
 """Model/layer tests: forward oracles, JVP consistency, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -76,9 +78,12 @@ class TestConvForward:
         x = rng.normal(size=(2, 2, 5, 5)).astype(np.float32)
         layer = Conv2d(rng.normal(size=(3, 2, 3, 3)).astype(np.float32),
                        rng.normal(size=3).astype(np.float32))
-        g = ComputationGraph()
-        t = layer.tape(g, g.leaf(x))
-        np.testing.assert_array_equal(t.data, layer.apply(x))
+        y, (cols, xshape) = layer.forward(x)
+        np.testing.assert_array_equal(y, layer.apply(x))
+        assert xshape == x.shape and cols.dtype == np.float64
+        model = Model([layer], input_shape=(2, 5, 5))
+        logits, _ = model.forward_graph(ComputationGraph(), x)
+        np.testing.assert_array_equal(logits, model.apply(x))
 
 
 class TestModelForward:
@@ -128,9 +133,9 @@ class TestModelForward:
         g = ComputationGraph()
         logits_t, acts_t = model.forward_graph(g, x)
         logits, acts = model.apply(x, return_activations=True)
-        np.testing.assert_array_equal(logits_t.data, logits)
+        np.testing.assert_array_equal(logits_t, logits)
         for a_t, a in zip(acts_t, acts):
-            np.testing.assert_array_equal(a_t.data, a)
+            np.testing.assert_array_equal(a_t, a)
 
 
 class TestActivationFaults:
@@ -151,7 +156,7 @@ class TestActivationFaults:
 
         g = ComputationGraph()
         logits_t, _ = model.forward_graph(g, x, output_faults=[fault])
-        np.testing.assert_array_equal(logits_t.data, faulty)
+        np.testing.assert_array_equal(logits_t, faulty)
 
     def test_multiple_faults_on_one_layer(self):
         model = build_mlp((1, 1, 4), [6], classes=2, seed=3)
@@ -173,8 +178,9 @@ class TestActivationFaults:
 
 class TestJvp:
     def test_transpose_consistency_with_backward(self):
-        # <grad_x, dx> must equal <r, J dx> when both sides share the tape's
-        # linearization; holds per layer output.
+        # <grad_x, dx> must equal <r, J dx> when both sides share the same
+        # linearization; holds per layer output.  grad_x chains the layers'
+        # own backward (input gradients included) from layer lid down.
         model = build_cnn((1, 6, 6), (2, 3), kernel=3, hidden=8, classes=3, seed=9)
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 1, 6, 6)).astype(np.float32)
@@ -183,14 +189,11 @@ class TestJvp:
         for lid in range(len(model.layers)):
             r = rng.normal(size=acts[lid].shape).astype(np.float32)
             g = ComputationGraph()
-            logits_t, acts_t = model.forward_graph(g, x)
-            target = acts_t[lid]
-            target.accum_grad(r)
-            for node in reversed(g.nodes):
-                if node._backward is not None and node.grad is not None:
-                    node._backward(node.grad)
-            x_leaf = g.nodes[0]
-            lhs = float((x_leaf.grad.astype(np.float64) * dx).sum())
+            model.forward_graph(g, x)
+            grad = r
+            for layer, cache in zip(g.layers[lid::-1], g.caches[lid::-1]):
+                grad, _ = layer.backward(grad, cache, True)
+            lhs = float((grad.astype(np.float64) * dx).sum())
             rhs = float((r.astype(np.float64) * tans[lid]).sum())
             assert abs(lhs - rhs) <= 1e-4 * max(1.0, abs(lhs))
 
@@ -249,6 +252,24 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataFormatError, match="trailing"):
             load_checkpoint(path)
+
+    def test_malformed_layers_rejected_as_format_errors(self, tmp_path):
+        """Weights of the wrong rank, a zero stride and layers that do not
+        compose are defects of the file, not of the caller."""
+        def ckpt(stride, wdims, in_dims=(1, 6, 6)):
+            w = np.zeros(int(np.prod(wdims)), dtype="<f4").tobytes()
+            return b"".join([b"ISDL", struct.pack("<2I", 1, len(in_dims)),
+                             struct.pack(f"<{len(in_dims)}I", *in_dims),
+                             struct.pack("<3I", 1, 0, stride), struct.pack("<I", len(wdims)),
+                             struct.pack(f"<{len(wdims)}I", *wdims), w, struct.pack("<I", 0)])
+        path = tmp_path / "bad.isdl"
+        for blob, message in ((ckpt(1, (2, 3, 3)), "3 dims"), (ckpt(0, (2, 1, 3, 3)), "stride"),
+                              (ckpt(1, (2, 2, 3, 3)), "compose")):
+            path.write_bytes(blob)
+            with pytest.raises(DataFormatError, match=message):
+                load_checkpoint(path)
+        path.write_bytes(ckpt(1, (2, 1, 3, 3)))
+        assert load_checkpoint(path).output_shapes() == [(2, 4, 4)]
 
     def test_checksum_sensitive_to_single_bit(self):
         model = build_mlp((1, 1, 3), [2], classes=2, seed=0)

@@ -5,7 +5,9 @@ import pytest
 
 from sdcprobe.data import Dataset, synth_blobs, train_test_split
 from sdcprobe.errors import TrainingDivergedError, UsageError
+from sdcprobe.nnet.autodiff import Tensor
 from sdcprobe.nnet import (
+    Adam,
     Flatten,
     Linear,
     Model,
@@ -132,3 +134,38 @@ class TestTrain:
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(UsageError):
             make_optimizer("rmsprop", [], 0.01)
+
+
+class TestAdam:
+    def test_matches_the_per_parameter_reference_bit_for_bit(self):
+        """The flat in-place update gives the same float64 moments and
+        float32 weights as the textbook per-parameter form, operation order
+        included, over steps with -0.0, tiny and huge gradients."""
+        rng = np.random.default_rng(8)
+        shapes = [(4, 3), (4,), (2, 4), (2,)]
+        params = [Tensor(rng.normal(size=s)) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = Adam(params, lr=0.01)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        for t in range(1, 8):
+            grads = [(rng.normal(size=s) * 10.0 ** rng.integers(-30, 30, size=s))
+                     .astype(np.float32) for s in shapes]
+            grads[0][0, 0] = -0.0
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            for i, g in enumerate(grads):
+                g = g.astype(np.float64)
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                mhat, vhat = m[i] / (1 - b1 ** t), v[i] / (1 - b2 ** t)
+                ref[i] = (ref[i].astype(np.float64)
+                          - lr * mhat / (np.sqrt(vhat) + eps)).astype(np.float32)
+            np.testing.assert_array_equal(opt.m.view(np.uint64),
+                                          np.concatenate([a.ravel() for a in m]).view(np.uint64))
+            np.testing.assert_array_equal(opt.v.view(np.uint64),
+                                          np.concatenate([a.ravel() for a in v]).view(np.uint64))
+            for p, want in zip(params, ref):
+                np.testing.assert_array_equal(p.data.view(np.uint32), want.view(np.uint32))
