@@ -8,12 +8,17 @@ Two attribution families, one per fault target:
                  Cond[e] = sum_i (x_i - x'_i) * integral_0^1 dF/dy_e * dy_e/dx_i dalpha.
                  The integrand factors into a reverse-mode gradient
                  (dF/dy_e at x_alpha) times a forward-mode directional
-                 derivative (J dx at x_alpha), so one backward pass plus one
-                 JVP per integration step covers every layer at once.
+                 derivative (J dx at x_alpha).  At each integration step one
+                 recorded forward pass feeds both: the backward to every
+                 layer output, and the tangent pass, which reuses its
+                 activations.  The tangents of the layers before the first
+                 ReLU do not depend on x_alpha and are taken once per batch.
 
   neuron_weight  signed gradient sum: score_j = |sum_i dF(x_i)/dw_j| over N
                  inputs, the sum taken before the absolute value, so inputs
-                 pulling a weight in opposite directions cancel.
+                 pulling a weight in opposite directions cancel.  One
+                 forward and backward per batch gives every layer's
+                 gradient at once.
 
 F is the predicted-class logit per input (configurable to the true class).
 Scores are published nonnegative, finite, one flat float32 buffer per layer.
@@ -95,9 +100,6 @@ class AttributionMap:
             clean[int(lid)] = arr
         self.scores = clean
 
-    def total_elements(self):
-        return sum(len(v) for v in self.scores.values())
-
 
 def _scalarize_classes(model, images, labels, scalarization):
     if scalarization == "true_class":
@@ -112,7 +114,11 @@ def conductance_components(model, images, baseline: Baseline, steps,
 
     Returns dict layer_id -> float64 [N, element_count].  ``classes`` fixes
     the scalarized output per sample; default is the clean-run prediction.
+    A model with registered output faults is refused: its backward sees the
+    faulted outputs as constants, which the tangents do not.
     """
+    if model.registered_output_faults:
+        raise UsageError("conductance needs a model without registered output faults")
     images = np.asarray(images, dtype=np.float32)
     if baseline.tensor.shape != model.input_shape:
         raise ConfigError(f"baseline shape {baseline.tensor.shape} != input {model.input_shape}")
@@ -122,22 +128,33 @@ def conductance_components(model, images, baseline: Baseline, steps,
     shapes = model.output_shapes()
     out = {lid: np.zeros((n, int(np.prod(s))), dtype=np.float64)
            for lid, s in enumerate(shapes)}
+    # a ReLU is the only layer whose tangent reads its input: the tangents
+    # of the layers before the first one depend on dx alone
+    first_relu = next((lid for lid, layer in enumerate(model.layers) if layer.kind == "relu"),
+                      len(model.layers))
     x_prime = baseline.tensor[None]
     for lo in range(0, n, batch_size):
         xb = images[lo:lo + batch_size]
         cb = classes[lo:lo + batch_size]
         nb = xb.shape[0]
         dx = xb - x_prime
+        rows = [out[lid][lo:lo + nb] for lid in out]
+        tans = []
         for m in range(steps):
             alpha = (m + 0.5) / steps
             xa = (x_prime + alpha * dx).astype(np.float32)
             g = ComputationGraph()
-            logits, _ = model.forward_graph(g, xa)
-            grads = g.backward(picked_logit_sum(logits, cb)[1], outputs=True)
-            _, tans = model.jvp(xa, dx)
-            for lid, grad in enumerate(grads):
-                term = grad.astype(np.float64) * tans[lid].astype(np.float64)
-                out[lid][lo:lo + nb] += term.reshape(nb, -1) / steps
+            logits, acts = model.forward_graph(g, xa)
+            if not m:   # the one-hot logit gradient is the same at every step
+                glogits = picked_logit_sum(logits, cb)[1]
+            grads = g.backward(glogits, outputs=True)
+            start = first_relu if m else 0   # later steps keep the fixed tangents
+            x_in, t_in = (acts[start - 1], tans[start - 1]) if start else (xa, dx)
+            tans = tans[:start] + model.jvp(x_in, t_in, acts[start:], start)
+            for row, grad, tan in zip(rows, grads, tans):
+                term = np.multiply(grad, tan, dtype=np.float64)
+                term /= steps
+                row += term.reshape(nb, -1)
     return out
 
 
@@ -149,27 +166,32 @@ def conductance(model, layer_id, images, baseline: Baseline, steps) -> np.ndarra
     return np.abs(comps[layer_id]).mean(axis=0).astype(np.float32)
 
 
-def weight_attribution_signed(model, layer_id, images, classes=None,
-                              batch_size=256) -> np.ndarray:
+def weight_sums(model, images, classes=None, batch_size=256):
+    """Signed gradient sum over inputs of every weight layer's weight:
+    dict layer_id -> float64 flat.  One forward and backward per batch
+    serves every layer; each layer's sum adds the batches in order."""
+    images = np.asarray(images, dtype=np.float32)
+    if classes is None:
+        classes = predict(model, images)[0]
+    weights = {lid: model.layers[lid].weight for lid in model.weight_layer_ids()}
+    sums = {lid: np.zeros(w.data.size, dtype=np.float64) for lid, w in weights.items()}
+    for lo in range(0, images.shape[0], batch_size):
+        g = ComputationGraph()
+        logits, _ = model.forward_graph(g, images[lo:lo + batch_size])
+        g.backward(picked_logit_sum(logits, classes[lo:lo + batch_size])[1])
+        for lid, w in weights.items():
+            sums[lid] += w.grad.astype(np.float64).reshape(-1)
+    return sums
+
+
+def weight_attribution_signed(model, layer_id, images, classes=None) -> np.ndarray:
     """Signed gradient sum over inputs for one layer's weight, float64 flat."""
     if not 0 <= layer_id < len(model.layers):
         raise UsageError(f"layer id {layer_id} out of range")
     layer = model.layers[layer_id]
-    weight = getattr(layer, "weight", None)
-    if weight is None:
+    if getattr(layer, "weight", None) is None:
         raise UsageError(f"layer {layer_id} ({layer.kind}) has no weights to attribute")
-    images = np.asarray(images, dtype=np.float32)
-    if classes is None:
-        classes = predict(model, images)[0]
-    acc = np.zeros(weight.data.size, dtype=np.float64)
-    for lo in range(0, images.shape[0], batch_size):
-        xb = images[lo:lo + batch_size]
-        cb = classes[lo:lo + batch_size]
-        g = ComputationGraph()
-        logits, _ = model.forward_graph(g, xb)
-        g.backward(picked_logit_sum(logits, cb)[1])
-        acc += weight.grad.astype(np.float64).reshape(-1)
-    return acc
+    return weight_sums(model, images, classes)[layer_id]
 
 
 def weight_attribution(model, layer_id, images, classes=None) -> np.ndarray:
@@ -209,10 +231,8 @@ def attribute_all(model, dataset, config: AttributionConfig) -> AttributionMap:
         for lid in eligible_layers(model, "neuron_output"):
             scores[lid] = np.abs(comps[lid]).mean(axis=0).astype(np.float32)
     else:
-        for lid in eligible_layers(model, "neuron_weight"):
-            scores[lid] = np.abs(
-                weight_attribution_signed(model, lid, images, classes)
-            ).astype(np.float32)
+        for lid, signed in weight_sums(model, images, classes).items():
+            scores[lid] = np.abs(signed).astype(np.float32)
     return AttributionMap(
         target_kind=config.target_kind,
         scores=scores,

@@ -3,9 +3,11 @@
 Every model here is a plain chain of layers, so there is no general tape:
 Model.forward_graph() records each layer's backward cache in a
 ComputationGraph, and its backward() calls the layers' backward in
-reverse.  Matrix products run through float64 and are rounded once to
-float32.  Every gradient passed between layers or stored on a parameter
-is rounded to float32 and has +0.0 added, which makes -0.0 into +0.0.
+reverse: for training, down to the first layer with parameters; for
+conductance, down to the first layer, with no parameter gradient.  Matrix
+products run through float64 and are rounded once to float32.  Every
+gradient passed between layers or stored on a parameter is rounded to
+float32 and has +0.0 added, which makes -0.0 into +0.0.
 """
 
 from __future__ import annotations
@@ -128,31 +130,38 @@ class ComputationGraph:
 
     def backward(self, glogits, outputs=False):
         """Propagate glogits, the loss gradient with respect to the logits,
-        back through the recorded layers; writes .grad on every parameter
-        and returns each layer's output gradient (of the output the next
-        layer saw).  Columns that output faults overwrote are constants and
-        pass no gradient into their layer.  Nothing below the first layer
-        with parameters is computed (None there) unless outputs=True, as
-        conductance needs; the model input's gradient never is.  Float
-        warnings are suppressed: fault-poisoned values legitimately go
-        non-finite, and the callers handle that."""
+        back through the recorded layers and return each layer's output
+        gradient (of the output the next layer saw).  Columns that output
+        faults overwrote are constants and pass no gradient into their
+        layer.
+
+        By default this is the training pass: it writes .grad on every
+        parameter, and nothing below the first layer with parameters is
+        computed (None there).  With outputs=True, as conductance needs, it
+        returns the gradient of every layer's output and computes and
+        writes no parameter gradient.  The model input's gradient is never
+        computed.  Float warnings are suppressed: fault-poisoned values
+        legitimately go non-finite, and the callers handle that."""
         if np.shape(glogits) != self.out_shape:
             raise UsageError(f"backward needs the gradient of a scalar loss with respect to "
                              f"the logits {self.out_shape}, got shape {np.shape(glogits)}")
         layers = self.layers
-        first = next((i for i, layer in enumerate(layers) if layer.params()), len(layers))
-        stop = 0 if outputs else first    # lowest layer whose output gradient is wanted
+        stop = 0 if outputs else next(   # lowest layer whose output gradient is wanted
+            (i for i, layer in enumerate(layers) if layer.params()), len(layers))
         grads = [None] * len(layers)
         g = glogits
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for lid in range(len(layers) - 1, stop - 1, -1):
                 grads[lid] = g
-                if lid < first and lid == stop:
+                if outputs and lid == 0:
                     break
                 if lid in self.faults:
                     g = g.copy()
                     g.reshape(g.shape[0], -1)[:, [f.element_index for f in self.faults[lid]]] = 0.0
                 layer = layers[lid]
+                if outputs:
+                    g = layer.backward(g, self.caches[lid], True, params=False)[0]
+                    continue
                 g, pgrads = layer.backward(g, self.caches[lid], lid > stop)
                 for p, pg in zip(layer.params(), pgrads):
                     p.grad = pg

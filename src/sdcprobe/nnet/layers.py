@@ -9,8 +9,11 @@ and campaigns; forward_graph() runs their forward and keeps the caches in
 a ComputationGraph, whose backward() serves training and attribution.
 Both honor activation faults (a bit flipped in one element of a layer's
 output, in every sample) through one helper, patch_outputs(), which the
-injector's prefix cache also uses.  jvp() gives the forward-mode
-derivative of every layer's output, used by conductance.
+injector's prefix cache also uses.  backward(..., params=False) skips the
+parameter gradients, for passes that want only the gradients of the layer
+outputs.  Each layer's jvp(x, t) maps the tangent t of its input x to the
+tangent of its output; Model.jvp() chains them over activations recorded
+by a forward pass, which conductance uses.
 
 apply() is resumable: with start=L its input is the input of layer L (the
 output of layer L-1), and only layers L.. run.  Since a layer's arithmetic
@@ -99,7 +102,7 @@ class Conv2d(_Weighted):
     def apply(self, x):
         return self.forward(x)[0]
 
-    def backward(self, g, cache, need_gx):
+    def backward(self, g, cache, need_gx, params=True):
         cols, xshape = cache
         w = self.weight.data
         o, _, kh, kw = w.shape
@@ -108,6 +111,8 @@ class Conv2d(_Weighted):
         if need_gx:
             gcols = np.matmul(_f64(w.reshape(o, -1)).T, gflat)     # [N, C*kh*kw, OH*OW]
             gx = _grad(_col2im(gcols, xshape, kh, kw, self.stride))
+        if not params:
+            return gx, ()
         gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
         pgrads = (_grad(gw.reshape(w.shape)),)
         if self.bias is not None:
@@ -115,11 +120,10 @@ class Conv2d(_Weighted):
         return gx, pgrads
 
     def jvp(self, x, t):
-        y = self.apply(x)
         o, _, kh, kw = self.weight.data.shape
         cols, oh, ow = _im2col(t, kh, kw, self.stride)
         ty = np.matmul(_f64(self.weight.data.reshape(o, -1)), cols)
-        return y, ty.reshape(t.shape[0], o, oh, ow).astype(np.float32)
+        return ty.reshape(t.shape[0], o, oh, ow).astype(np.float32)
 
 
 class Linear(_Weighted):
@@ -145,17 +149,19 @@ class Linear(_Weighted):
     def apply(self, x):
         return self.forward(x)[0]
 
-    def backward(self, g, cache, need_gx):
+    def backward(self, g, cache, need_gx, params=True):
         x64, w64 = cache
         g64 = _f64(g)
         gx = _grad(g64 @ w64) if need_gx else None
+        if not params:
+            return gx, ()
         pgrads = (_grad(g64.T @ x64),)
         if self.bias is not None:
             pgrads += (_grad(np.add.reduce(g64, axis=0)),)
         return gx, pgrads
 
     def jvp(self, x, t):
-        return self.apply(x), (_f64(t) @ _f64(self.weight.data).T).astype(np.float32)
+        return (_f64(t) @ _f64(self.weight.data).T).astype(np.float32)
 
 
 class Relu:
@@ -174,11 +180,11 @@ class Relu:
     def apply(self, x):
         return self.forward(x)[0]
 
-    def backward(self, g, x, need_gx):
+    def backward(self, g, x, need_gx, params=True):
         return (_grad(g * (x > 0)) if need_gx else None), ()
 
     def jvp(self, x, t):
-        return np.maximum(x, 0), t * (x > 0)
+        return t * (x > 0)
 
 
 class Flatten:
@@ -199,11 +205,11 @@ class Flatten:
     def apply(self, x):
         return self.forward(x)[0]
 
-    def backward(self, g, xshape, need_gx):
+    def backward(self, g, xshape, need_gx, params=True):
         return (_grad(g.reshape(xshape)) if need_gx else None), ()
 
     def jvp(self, x, t):
-        return x.reshape(x.shape[0], -1), t.reshape(t.shape[0], -1)
+        return t.reshape(t.shape[0], -1)
 
 
 _KIND_TAGS = {"conv2d": 0, "linear": 1, "relu": 2, "flatten": 3}
@@ -295,22 +301,29 @@ class Model:
                 acts.append(x)
             return x, acts
 
-    def jvp(self, x, dx, upto_layer=None):
-        """Forward-mode pass: (activation, tangent) of every layer along dx."""
-        x = self._check_batch(x)
+    def jvp(self, x, dx, acts, start=0):
+        """Forward-mode pass along dx: the tangent of every layer's output
+        from layer start on.
+
+        x is the input of layer start and dx its tangent; acts are the
+        outputs of layers start.. recorded by a forward pass over x
+        (forward_graph or apply with return_activations), so no layer's
+        output is computed again.  Only a ReLU reads its input; the tangents
+        of conv2d, linear and flatten do not depend on it.
+        """
+        if not 0 <= start <= len(self.layers):
+            raise UsageError(f"start layer {start} out of range")
+        x = self._check_batch(x, start)
         dx = np.asarray(dx, dtype=np.float32)
         if dx.shape != x.shape:
             raise UsageError(f"tangent shape {dx.shape} != input shape {x.shape}")
-        last = len(self.layers) - 1 if upto_layer is None else upto_layer
-        if not 0 <= last < len(self.layers):
-            raise UsageError(f"layer id {upto_layer} out of range")
-        acts, tans = [], []
-        a, t = x, dx
-        for layer in self.layers[:last + 1]:
-            a, t = layer.jvp(a, t)
-            acts.append(a)
+        if len(acts) != len(self.layers) - start:
+            raise UsageError(f"need the outputs of layers {start}.., got {len(acts)}")
+        tans, t = [], dx
+        for layer, a in zip(self.layers[start:], [x] + list(acts[:-1])):
+            t = layer.jvp(a, t)
             tans.append(t)
-        return acts, tans
+        return tans
 
     def copy(self):
         """Independent copy: no parameter array or fault list is shared."""

@@ -8,6 +8,7 @@ and its defining signed-sum structure.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdcprobe.attribution import (
     AttributionConfig,
@@ -25,7 +26,10 @@ from sdcprobe.attribution import (
 )
 from sdcprobe.data import Dataset, synth_blobs
 from sdcprobe.errors import ConfigError, DataFormatError, UsageError
-from sdcprobe.nnet import Flatten, Linear, Model, build_mlp, model_checksum
+from sdcprobe.nnet import (ActivationFault, ComputationGraph, Flatten, Linear, Model, Relu,
+                           build_cnn, build_mlp, model_checksum)
+from sdcprobe.nnet.autodiff import picked_logit_sum
+from sdcprobe.nnet.training import predict
 
 
 def zeros_baseline(model):
@@ -117,6 +121,104 @@ class TestConductanceCompleteness:
         assert d2 <= d1 + 1e-12
 
 
+def reference_components(model, images, baseline, steps, classes, batch_size=128):
+    """Conductance the plain way: at every step a recorded forward, a
+    backward to every layer output, and a tangent pass that recomputes each
+    layer's output from the model input."""
+    n = images.shape[0]
+    out = {lid: np.zeros((n, int(np.prod(s))), dtype=np.float64)
+           for lid, s in enumerate(model.output_shapes())}
+    x_prime = baseline.tensor[None]
+    for lo in range(0, n, batch_size):
+        xb, cb = images[lo:lo + batch_size], classes[lo:lo + batch_size]
+        nb = xb.shape[0]
+        dx = xb - x_prime
+        for m in range(steps):
+            xa = (x_prime + ((m + 0.5) / steps) * dx).astype(np.float32)
+            g = ComputationGraph()
+            logits, _ = model.forward_graph(g, xa)
+            grads = g.backward(picked_logit_sum(logits, cb)[1], outputs=True)
+            a, t, tans = xa, dx, []
+            for layer in model.layers:
+                t = layer.jvp(a, t)
+                a = layer.apply(a)
+                tans.append(t)
+            for lid, grad in enumerate(grads):
+                term = grad.astype(np.float64) * tans[lid].astype(np.float64)
+                out[lid][lo:lo + nb] += term.reshape(nb, -1) / steps
+    return out
+
+
+@st.composite
+def attribution_cases(draw):
+    """A layer stack, a batch, a baseline, a step count and the scalarized
+    classes.  The MLPs without hidden layers have no ReLU at all."""
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["mlp", "relu_first", "cnn"]))
+    if kind == "mlp":
+        hidden = draw(st.lists(st.integers(1, 6), max_size=2))
+        model = build_mlp((1, 1, 5), hidden, classes=3, seed=seed)
+    elif kind == "relu_first":
+        f32 = np.float32
+        model = Model([Relu(), Flatten(),
+                       Linear(rng.normal(size=(4, 5)).astype(f32), rng.normal(size=4).astype(f32)),
+                       Relu(), Linear(rng.normal(size=(3, 4)).astype(f32))], (1, 1, 5))
+    else:
+        model = build_cnn((1, 6, 6), (2, 3), kernel=3, hidden=5, classes=3, seed=seed)
+    n = draw(st.integers(1, 12))
+    images = rng.normal(0.2, 1.0, size=(n,) + model.input_shape).astype(np.float32)
+    if draw(st.booleans()):
+        baseline = zeros_baseline(model)
+    else:
+        baseline = Baseline("zeros", rng.normal(size=model.input_shape))
+    if draw(st.booleans()):   # the true_class scalarization
+        classes = rng.integers(0, 3, size=n)
+    else:
+        classes = predict(model, images)[0]
+    return model, images, baseline, draw(st.integers(1, 8)), classes, draw(st.integers(1, 5))
+
+
+class TestConductanceEngine:
+    @settings(max_examples=80, deadline=None)
+    @given(attribution_cases())
+    def test_matches_reference_bit_for_bit(self, case):
+        model, images, baseline, steps, classes, batch_size = case
+        got = conductance_components(model, images, baseline, steps,
+                                     classes=classes, batch_size=batch_size)
+        want = reference_components(model, images, baseline, steps, classes, batch_size)
+        assert sorted(got) == sorted(want)
+        for lid in want:
+            assert got[lid].tobytes() == want[lid].tobytes(), f"layer {lid}"
+
+    def test_parameter_gradients_left_as_found(self):
+        model = build_cnn((1, 6, 6), (2, 3), kernel=3, hidden=5, classes=3, seed=2)
+        images = np.random.default_rng(4).normal(size=(5, 1, 6, 6)).astype(np.float32)
+        params = model.parameters()
+        before = [np.full(p.data.shape, 7.0, dtype=np.float32) for p in params]
+        for p, grad in zip(params, before):
+            p.grad = grad
+        conductance_components(model, images, zeros_baseline(model), steps=3)
+        assert all(p.grad is grad for p, grad in zip(params, before))
+        assert all((grad == 7.0).all() for grad in before)
+        for p in params:
+            p.grad = None
+        conductance_components(model, images, zeros_baseline(model), steps=3)
+        assert all(p.grad is None for p in params)
+
+    def test_registered_output_faults_refused(self):
+        """The gradient would come from the faulted pass and the tangents
+        from the clean one: two different models."""
+        model = build_mlp((1, 1, 6), [4], classes=2, seed=0)
+        model.registered_output_faults.append(ActivationFault(1, 0, 30))
+        ds = synth_blobs(2, 5, 6, 0.3, seed=5)
+        with pytest.raises(UsageError, match="output faults"):
+            conductance_components(model, ds.images, zeros_baseline(model), steps=2)
+        with pytest.raises(UsageError, match="output faults"):
+            attribute_all(model, ds, AttributionConfig("neuron_output", steps=2))
+        attribute_all(model, ds, AttributionConfig("neuron_weight"))  # not affected
+
+
 class TestWeightAttribution:
     def test_scalar_linear_gradient_is_input(self):
         # L(x) = w·x with one weight: dL/dw = x = 3
@@ -179,6 +281,26 @@ class TestWeightAttribution:
             # float32 gradient buffers bound the match at single precision;
             # a structurally wrong accumulator (abs before sum) misses by O(1)
             np.testing.assert_allclose(sab, sa + sb, rtol=1e-5, atol=1e-6)
+
+    def test_one_forward_per_chunk_for_every_layer(self, monkeypatch):
+        model = build_cnn((1, 6, 6), (2, 3), kernel=3, hidden=5, classes=3, seed=2)
+        ds = synth_blobs(3, 100, 36, 0.3, seed=5, image_shape=(1, 6, 6))
+        rows = []
+        forward_graph = Model.forward_graph
+
+        def counted(self, g, x, *args, **kwargs):
+            rows.append(len(x))
+            return forward_graph(self, g, x, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_graph", counted)
+        amap = attribute_all(model, ds, AttributionConfig("neuron_weight"))
+        assert rows == [256, 44]
+        assert sorted(amap.scores) == model.weight_layer_ids() == [0, 2, 5, 7]
+        monkeypatch.undo()
+        classes = predict(model, ds.images)[0]
+        for lid in model.weight_layer_ids():
+            want = weight_attribution(model, lid, ds.images, classes)
+            assert amap.scores[lid].tobytes() == want.tobytes()
 
     def test_weightless_layer_rejected(self):
         model = build_mlp((1, 1, 4), [5], classes=2, seed=1)

@@ -297,6 +297,24 @@ class TestGraphWalk:
                 @ mlp.layers[1].weight.data)
         np.testing.assert_allclose(full, want, rtol=1e-6)
 
+    def test_outputs_pass_writes_no_parameter_gradient(self):
+        """outputs=True asks no layer for its parameter gradients, and its
+        layer-output gradients equal the training pass's bit for bit where
+        both compute them."""
+        model = build_cnn((1, 6, 6), (2, 3), kernel=3, hidden=8, classes=3, seed=7)
+        x = np.random.default_rng(5).normal(size=(4, 1, 6, 6)).astype(f32)
+        g = ComputationGraph()
+        logits, _ = model.forward_graph(g, x)
+        glogits = softmax_cross_entropy(logits, [0, 1, 2, 0])[1]
+        train_grads = g.backward(glogits)
+        for p in model.parameters():
+            p.grad = None
+        out_grads = g.backward(glogits, outputs=True)
+        assert all(p.grad is None for p in model.parameters())
+        assert all(gr is not None for gr in out_grads)
+        for a, b in zip(train_grads, out_grads):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestMlpGradcheck:
     """Spec-level oracle: every parameter gradient of a random 3-layer MLP

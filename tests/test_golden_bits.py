@@ -44,6 +44,8 @@ GOLDEN = {
         "964aa8188525ff191898911a3476675fec0935490ea6a0035359bbd5d6e025f5",
     "cnn_conductance_components":
         "6139236cc81613b37b28fd90e788391b98c204dc82e790653e990ba385cdcac9",
+    "mlp_conductance_components":
+        "effedb7d29e098e298aa8243c29b8f8186c7820d58b3156178f39b244bc88fba",
 }
 
 
@@ -60,12 +62,21 @@ def _scores_sha(amap):
     return h.hexdigest()
 
 
-def fat_mlp_adam_b1():
+def _components_sha(comps):
+    h = hashlib.sha256()
+    for lid in sorted(comps):
+        h.update(str(lid).encode())
+        h.update(np.ascontiguousarray(comps[lid], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def trained_fat_mlp():
     train_set, test_set = _fat_fixture()
     model = build_mlp((1, 1, 12), [16], 3, seed=4)
     log = train(model, train_set, epochs=3, batch_size=1, lr=0.01, optimizer="adam",
                 seed=4, eval_set=test_set)
-    return model_checksum(model), log
+    return model, test_set, log
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +127,9 @@ def fat_train_weight_faults():
     return hashlib.sha256((model_checksum(model) + text).encode()).hexdigest()
 
 
-def test_fat_mlp_adam_batch_one():
-    assert fat_mlp_adam_b1() == GOLDEN["fat_mlp_adam_b1"]
+def test_fat_mlp_adam_batch_one(trained_fat_mlp):
+    model, _, log = trained_fat_mlp
+    assert (model_checksum(model), log) == GOLDEN["fat_mlp_adam_b1"]
 
 
 def test_cnn_adam_batch_sixteen(trained_cnn):
@@ -157,8 +169,14 @@ def test_cnn_conductance_components(trained_cnn):
     model, test_set, _ = trained_cnn
     comps = conductance_components(model, test_set.images,
                                    make_baseline("zeros", model), steps=8)
-    h = hashlib.sha256()
-    for lid in sorted(comps):
-        h.update(str(lid).encode())
-        h.update(np.ascontiguousarray(comps[lid], dtype="<f8").tobytes())
-    assert h.hexdigest() == GOLDEN["cnn_conductance_components"]
+    assert _components_sha(comps) == GOLDEN["cnn_conductance_components"]
+
+
+def test_mlp_conductance_components(trained_fat_mlp):
+    """The FAT fixture MLP over its 150 test rows, two 128-row chunks, at
+    32 steps: its flatten and first linear layer come before any ReLU."""
+    model, test_set, _ = trained_fat_mlp
+    assert test_set.images.shape[0] == 150
+    comps = conductance_components(model, test_set.images,
+                                   make_baseline("zeros", model), steps=32)
+    assert _components_sha(comps) == GOLDEN["mlp_conductance_components"]

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from sdcprobe.errors import ConfigError, DataFormatError
+from sdcprobe.errors import ConfigError, DataFormatError, UsageError
 from sdcprobe.nnet import (
     ActivationFault,
     ComputationGraph,
@@ -185,7 +185,8 @@ class TestJvp:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 1, 6, 6)).astype(np.float32)
         dx = rng.normal(size=x.shape).astype(np.float32)
-        acts, tans = model.jvp(x, dx)
+        _, acts = model.apply(x, return_activations=True)
+        tans = model.jvp(x, dx, acts)
         for lid in range(len(model.layers)):
             r = rng.normal(size=acts[lid].shape).astype(np.float32)
             g = ComputationGraph()
@@ -202,7 +203,7 @@ class TestJvp:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 1, 1, 5)).astype(np.float32)
         dx = rng.normal(size=x.shape).astype(np.float32)
-        _, tans = model.jvp(x, dx)
+        tans = model.jvp(x, dx, model.apply(x, return_activations=True)[1])
         eps = 1e-2
         fd = (model.apply(x + eps * dx).astype(np.float64)
               - model.apply(x - eps * dx).astype(np.float64)) / (2 * eps)
@@ -212,8 +213,27 @@ class TestJvp:
         model = Model([Flatten(), Linear(np.eye(2, dtype=np.float32)), Relu()], (1, 1, 2))
         x = np.array([[-1.0, 2.0]], dtype=np.float32).reshape(1, 1, 1, 2)
         dx = np.ones_like(x)
-        _, tans = model.jvp(x, dx)
+        tans = model.jvp(x, dx, model.apply(x, return_activations=True)[1])
         np.testing.assert_array_equal(tans[-1], [[0.0, 1.0]])
+
+    def test_resumed_pass_gives_the_same_tail(self):
+        """With start=L, the tangents of layers L.. from the input of layer
+        L and its tangent equal those of the full pass, bit for bit."""
+        model = build_cnn((1, 6, 6), (2, 3), kernel=3, hidden=8, classes=3, seed=9)
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, 1, 6, 6)).astype(np.float32)
+        dx = rng.normal(size=x.shape).astype(np.float32)
+        _, acts = model.apply(x, return_activations=True)
+        tans = model.jvp(x, dx, acts)
+        for start in range(1, len(model.layers) + 1):
+            tail = model.jvp(acts[start - 1], tans[start - 1], acts[start:], start)
+            assert len(tail) == len(model.layers) - start
+            for got, want in zip(tail, tans[start:]):
+                assert got.tobytes() == want.tobytes()
+        with pytest.raises(UsageError):
+            model.jvp(x, dx, acts[1:])
+        with pytest.raises(ConfigError):
+            model.jvp(x, dx, acts[2:], start=2)
 
 
 class TestCheckpoint:
