@@ -7,11 +7,12 @@ optimizer step the faulted bit is set back to its faulted value, and
 removal at the end restores the bit the weight had at injection.  Output
 faults stay registered on the model for every forward pass.
 
-The latency metric asks how many fault evaluations a sampler needs before
-hitting k critical faults in a row; importance-guided samplers find them
-sooner.  "Critical" means clamped accuracy drop >= threshold, where drops
-below zero clamp to zero so threshold 0.0 is trivially met.  Cycle counts
-are proxied by evaluations x test-set size.
+The latency metric asks how many fault evaluations (draws) a sampler needs
+before hitting k critical faults in a row; importance-guided samplers find
+them sooner.  A run draws sites in growing blocks and runs the model once
+per distinct site.  "Critical" means clamped accuracy drop >= threshold,
+where drops below zero clamp to zero so threshold 0.0 is trivially met.
+Cycle counts are proxied by evaluations x test-set size.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .nnet import evaluate_detailed, train
 from .nnet.training import EVAL_BATCH
 
 LATENCY_BUDGET_CAP = 10_000
+# latency runs draw 32 ordinals, then blocks doubling in size: short runs
+# waste few draws, long ones pay the fixed cost of a block draw rarely
+_FIRST_LATENCY_BLOCK = 32
 
 
 @dataclass
@@ -66,6 +70,8 @@ class FatConfig:
             raise ConfigError("simulations_per_epoch must be >= 0")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self):
         return {"code": str(self.code), "adversary_code": str(self.adversary_code),
@@ -132,6 +138,11 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     sequences; the code's own sampler is built otherwise.  The clean pass
     that gives the baseline also fills the PrefixCache every evaluation
     resumes from.
+
+    Sites are drawn in blocks of 32, 64, 128, ... ordinals, capped at the
+    budget left; draws past the stopping ordinal are discarded unevaluated.
+    evaluations_needed counts draws: a site drawn again reuses its first
+    evaluation's accuracy, so the model runs once per distinct site.
     """
     if isinstance(code, str):
         code = parse_code(code)
@@ -143,18 +154,24 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
                                sample_count=attribution_sample_count)
     prefix = PrefixCache(model, dataset)
     baseline, _ = prefix.baseline
+    accuracy = {}  # FaultSite -> faulty accuracy; a repeated site is not re-evaluated
     consecutive = 0
     evaluations = 0
     censored = True
-    for ordinal in range(budget_cap):
-        site = sampler.sample_at(ordinal)
-        faulty, _ = evaluate_with_fault(model, dataset, site, prefix=prefix)
-        evaluations += 1
-        drop = max(0.0, baseline - faulty)  # clamp: improvements are not critical
-        consecutive = consecutive + 1 if drop >= threshold else 0
-        if consecutive >= k:
-            censored = False
-            break
+    block = _FIRST_LATENCY_BLOCK
+    while censored and evaluations < budget_cap:
+        n = min(block, budget_cap - evaluations)
+        for site in sampler.sample(n, evaluations):
+            if site not in accuracy:
+                accuracy[site], _ = evaluate_with_fault(model, dataset, site, prefix=prefix)
+            evaluations += 1
+            # clamp: improvements are not critical
+            drop = max(0.0, baseline - accuracy[site])
+            consecutive = consecutive + 1 if drop >= threshold else 0
+            if consecutive >= k:
+                censored = False
+                break  # the rest of the block is discarded unevaluated
+        block *= 2
     wallclock = time.perf_counter_ns() - t0
     return LatencyResult(str(code), float(threshold), seed, evaluations,
                          wallclock, censored, len(dataset))

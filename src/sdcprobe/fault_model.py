@@ -7,14 +7,19 @@ the bit stage picks one of 32 bits by the configured bit-weight scheme.
 A uniform-mix probability rho routes a draw past both stages straight to a
 uniform (element, bit) pick, which keeps every site reachable.
 
-Each draw ordinal k owns its own RNG stream derived from (seed, k), so a
-sequence of sites depends only on (seed, ordinal), never on batching or on
-how many workers consume the stream.
+Each draw ordinal k owns its own RNG stream: the four uniforms of
+``np.random.default_rng(np.random.SeedSequence((seed, k))).random(4)``.  A
+sequence of sites therefore depends only on (seed, ordinal), never on
+batching or on how many workers consume the stream.  ``FaultSampler.sample``
+draws a block of ordinals at once: a vectorized copy of numpy's
+SeedSequence and PCG64 (O'Neill 2014, XSL-RR output) gives those same
+uniforms bit for bit, and every stage of the draw runs on the whole block.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 from dataclasses import dataclass
@@ -102,6 +107,8 @@ class SamplerConfig:
             self.code = parse_code(self.code)
         if not 0.0 <= self.uniform_mix <= 1.0:
             raise ConfigError(f"uniform_mix must be in [0, 1], got {self.uniform_mix}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def build_alias_table(probs):
@@ -135,8 +142,152 @@ def build_alias_table(probs):
 
 
 def alias_draw(prob, alias, u_bucket, u_accept):
-    i = int(u_bucket * prob.size)
-    return i if u_accept < prob[i] else int(alias[i])
+    """Bucket drawn by each (u_bucket, u_accept) pair; scalars or arrays."""
+    i = np.asarray(u_bucket * prob.size).astype(np.int64)
+    return np.where(u_accept < prob[i], i, alias[i])
+
+
+# numpy's SeedSequence (pool size 4) and PCG64 constants
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+_U16, _U32 = np.uint32(16), np.uint64(32)
+
+
+def _int_words(value):
+    """SeedSequence's coercion of a nonnegative int: its little-endian
+    32-bit words, at least one."""
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_consts(init, mult, count):
+    """The data-independent hash constants of `count` successive hashes, as
+    read-only (xor, multiply) columns: call i xors with h_i and multiplies
+    by h_i+1."""
+    h = [init]
+    for _ in range(count):
+        h.append((h[-1] * mult) & _M32)
+    h = np.array(h, dtype=np.uint32)[:, None]
+    h.flags.writeable = False
+    return h[:-1], h[1:]
+
+
+def _hashmix(values, xor, mul):
+    v = (values ^ xor) * mul
+    return v ^ (v >> _U16)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _U16)
+
+
+def _seed_state(entropy):
+    """SeedSequence(entropy words).generate_state(4, uint64), vectorized:
+    entropy is [n_words, n] uint32, one column per stream; returns
+    [4, n] uint64."""
+    n_words, n = entropy.shape
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, n_words - 4))
+    pool = np.zeros((4, n), dtype=np.uint32)
+    pool[:min(n_words, 4)] = entropy[:4]
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    c = 4
+    for src in range(4):  # every pool word mixes into the other three
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[c:c + 3], mul[c:c + 3]))
+        c += 3
+    for word in entropy[4:]:  # words past the pool size mix into all four
+        pool = _mix(pool, _hashmix(word, xor[c:c + 4], mul[c:c + 4]))
+        c += 4
+    xor, mul = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
+    return state[0::2] | (state[1::2] << _U32)
+
+
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit products a * b of uint64 arrays, by
+    32-bit limbs."""
+    m = np.uint64(_M32)
+    a0, a1, b0, b1 = a & m, a >> _U32, b & m, b >> _U32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> _U32) + (p01 & m) + (p10 & m)
+    return p11 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+
+
+def _mul128(ahi, alo, bhi, blo):
+    """(ahi, alo) * (bhi, blo) mod 2**128, in uint64 halves."""
+    return _mulhi(alo, blo) + ahi * blo + alo * bhi, alo * blo
+
+
+def _add128(ahi, alo, bhi, blo):
+    lo = alo + blo
+    return ahi + bhi + (lo < alo).astype(np.uint64), lo
+
+
+def _pcg_jumps(steps):
+    """PCG64 jump-ahead: (a, c) with s_j = a * s + c * inc mod 2**128, where
+    s_j is state s after j steps s -> s * multiplier + inc; one [len(steps), 1]
+    uint64 column per 64-bit half, as (a_hi, a_lo, c_hi, c_lo)."""
+    mult = (_PCG_MULT_HI << 64) | _PCG_MULT_LO
+    a, c, rows = 1, 0, []
+    for j in range(1, max(steps) + 1):
+        a, c = (a * mult) % 2**128, (c * mult + 1) % 2**128
+        if j in steps:
+            rows.append((a >> 64, a & (2**64 - 1), c >> 64, c & (2**64 - 1)))
+    return tuple(np.array(col, dtype=np.uint64)[:, None] for col in zip(*rows))
+
+
+# PCG64 seeding steps once after adding initstate, then each of the four
+# doubles of random(4) steps once before its output: states 2..5 steps on
+_OUTPUT_JUMPS = _pcg_jumps((2, 3, 4, 5))
+
+
+def _ordinal_words(start, stop):
+    """Entropy word rows of the ordinals start..stop-1, in runs of equal
+    word count: [[n_words, run length] uint32, ...]."""
+    runs = []
+    while start < stop:
+        n_words = len(_int_words(start))
+        end = min(stop, 1 << (32 * n_words))
+        if end <= 1 << 64:
+            ks = np.arange(start, end, dtype=np.uint64)
+            words = [(ks >> np.uint64(32 * j)) & np.uint64(_M32) for j in range(n_words)]
+        else:
+            ks = np.arange(start, end, dtype=object)
+            words = [(ks >> (32 * j)) & _M32 for j in range(n_words)]
+        runs.append(np.array(words, dtype=np.uint32))
+        start = end
+    return runs
+
+
+def _stream_uniforms(seed, start, n):
+    """[n, 4] float64: row i is bit for bit
+    np.random.default_rng(np.random.SeedSequence((seed, start + i))).random(4)."""
+    seed_words = np.array(_int_words(seed), dtype=np.uint32)[:, None]
+    blocks = []
+    for kwords in _ordinal_words(start, start + n):
+        entropy = np.concatenate(
+            [np.repeat(seed_words, kwords.shape[1], axis=1), kwords])
+        s = _seed_state(entropy)
+        # PCG64 seeding: state 0, inc = initseq << 1 | 1, step (state = inc),
+        # add initstate; the four output states follow by jump-ahead
+        inc_hi = (s[2] << np.uint64(1)) | (s[3] >> np.uint64(63))
+        inc_lo = (s[3] << np.uint64(1)) | np.uint64(1)
+        a_hi, a_lo, c_hi, c_lo = _OUTPUT_JUMPS
+        hi, lo = _add128(*_mul128(*_add128(inc_hi, inc_lo, s[0], s[1]), a_hi, a_lo),
+                         *_mul128(inc_hi, inc_lo, c_hi, c_lo))
+        # XSL-RR output: (hi ^ lo) rotated right by the top 6 bits of the state
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        blocks.append(((x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53).T)
+    return np.concatenate(blocks)
 
 
 class FaultSampler:
@@ -160,30 +311,34 @@ class FaultSampler:
     def search_space_size(self):
         return self.n_elements * 32
 
-    def site_of_global_index(self, g: int) -> tuple[int, int]:
-        """(layer_id, local element index) of a pooled element index."""
-        li = int(np.searchsorted(self.offsets, g, side="right")) - 1
-        return self.layer_ids[li], int(g - self.offsets[li])
-
     def sample_at(self, ordinal: int) -> FaultSite:
         """The fault site for one draw ordinal; a pure function of
         (config.seed, ordinal)."""
-        rng = np.random.default_rng(np.random.SeedSequence((self.config.seed, ordinal)))
-        u = rng.random(4)
-        if u[0] < self.config.uniform_mix:
-            g = min(int(u[1] * self.n_elements), self.n_elements - 1)
-            bit = min(int(u[3] * 32), 31)
-        else:
-            g = alias_draw(self._alias_prob, self._alias_alias, u[1], u[2])
-            cdf = self._bit_cdf if self._bit_cdf.ndim == 1 else self._bit_cdf[g]
-            bit = min(int(np.searchsorted(cdf, u[3], side="right")), 31)
-        layer_id, elem = self.site_of_global_index(g)
-        return FaultSite(layer_id, self.code.target_kind, elem, bit)
+        return self.sample(1, ordinal)[0]
 
     def sample(self, n: int, start_ordinal: int = 0) -> list[FaultSite]:
+        """Sites of the ordinals start_ordinal .. start_ordinal+n-1, each
+        the same as sample_at gives, drawn as one vectorized block."""
         if n < 1:
             raise UsageError(f"sample needs n >= 1, got {n}")
-        return [self.sample_at(k) for k in range(start_ordinal, start_ordinal + n)]
+        u = _stream_uniforms(self.config.seed, start_ordinal, n)
+        # uniform-mix branch: a uniform (element, bit) pick
+        mixed = u[:, 0] < self.config.uniform_mix
+        g_mix = np.minimum((u[:, 1] * self.n_elements).astype(np.int64), self.n_elements - 1)
+        bit_mix = np.minimum((u[:, 3] * 32).astype(np.int64), 31)
+        # guided branch: neuron stage, then the bit stage of that element
+        g = alias_draw(self._alias_prob, self._alias_alias, u[:, 1], u[:, 2])
+        if self._bit_cdf.ndim == 1:
+            bit = np.searchsorted(self._bit_cdf, u[:, 3], side="right")
+        else:  # entries <= u of each row: searchsorted(side="right") per row
+            bit = np.count_nonzero(self._bit_cdf[g] <= u[:, 3:], axis=1)
+        g = np.where(mixed, g_mix, g)
+        bit = np.where(mixed, bit_mix, np.minimum(bit, 31))
+        li = np.searchsorted(self.offsets, g, side="right") - 1
+        layers = np.asarray(self.layer_ids)[li]
+        kind = self.code.target_kind
+        return [FaultSite(layer, kind, elem, b) for layer, elem, b in
+                zip(layers.tolist(), (g - self.offsets[li]).tolist(), bit.tolist())]
 
 
 def _element_pool(model, target_kind):

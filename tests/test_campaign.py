@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from sdcprobe import campaign as campaign_mod
 from sdcprobe.campaign import (CampaignConfig, DEFAULT_SEEDS, DEFAULT_THRESHOLDS,
                                InjectionRecord, census_from_records, compute_recall,
                                compute_stats, exhaustive_census, load_records,
@@ -13,7 +14,7 @@ from sdcprobe.campaign import (CampaignConfig, DEFAULT_SEEDS, DEFAULT_THRESHOLDS
                                running_precision, save_records, write_report_csvs)
 from sdcprobe.data import Dataset
 from sdcprobe.errors import ConfigError, DataFormatError, DataIntegrityError, UsageError
-from sdcprobe.fault_model import FaultSite
+from sdcprobe.fault_model import FaultSite, SamplerConfig, build_sampler
 from sdcprobe.injector import evaluate_with_fault
 from sdcprobe.nnet import Flatten, Linear, Model, model_checksum
 
@@ -51,8 +52,8 @@ class _FixedSiteSampler:
     def __init__(self, site):
         self.site = site
 
-    def sample_at(self, k):
-        return self.site
+    def sample(self, n, start_ordinal=0):
+        return [self.site] * n
 
 
 class _ThreadNotingSampler:
@@ -68,6 +69,9 @@ class _ThreadNotingSampler:
         if k == self.fail_at:
             raise RuntimeError(f"sampler failed at ordinal {k}")
         return FaultSite(1, "neuron_weight", k % 4, (7 * k) % 32)
+
+    def sample(self, n, start_ordinal=0):
+        return [self.sample_at(k) for k in range(start_ordinal, start_ordinal + n)]
 
 
 class TestRecordClassification:
@@ -131,6 +135,7 @@ class TestConfigValidation:
         {"seeds": (1, 1)},
         {"workers": 0},
         {"uniform_mix": 2.0},
+        {"seeds": (3, -1)},
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -208,6 +213,36 @@ class TestRunCampaign:
             [strip_clock(r) for r in full.records]
         assert resumed.records[:13] == part
         assert load_records(str(out))[0] == resumed.records
+
+    def test_each_distinct_site_is_evaluated_once(self, monkeypatch):
+        """400 draws over 128 weight sites repeat many of them: each distinct
+        site is evaluated once, at any seed, and the records equal a
+        memo-free loop that evaluates every draw on a fresh model copy."""
+        evaluated = []
+
+        def counting(model, dataset, site, **kwargs):
+            evaluated.append(site)
+            return evaluate_with_fault(model, dataset, site, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "evaluate_with_fault", counting)
+        model, data = identity_model(), class1_dataset()
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=200,
+                             seeds=(1, 2))
+        result = run_campaign(model, data, cfg)
+        distinct = {r.site for r in result.records}
+        assert len(evaluated) == len(set(evaluated)) == len(distinct) < len(result.records)
+
+        baseline = result.baseline_accuracy
+        reference = []
+        for seed in cfg.seeds:
+            sampler = build_sampler(SamplerConfig(code=cfg.code, seed=seed), None, model)
+            for k in range(cfg.sample_budget):
+                site = sampler.sample_at(k)
+                faulty, poisoned = evaluate_with_fault(model.copy(), data, site)
+                reference.append(make_record(str(cfg.code), seed, k, site, baseline,
+                                             faulty, poisoned, 0, THRESH5))
+        assert [strip_clock(r) for r in result.records] == \
+            [strip_clock(r) for r in reference]
 
     def test_constructed_always_critical_sampler_gives_precision_one(self):
         """Flipping bit 30 of w[0,0] drives the class-0 logit to +inf, so

@@ -286,6 +286,17 @@ class TestExitCodes:
         assert rc == 2
         assert "grammar" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys):
+        """A negative campaign seed is a config error, caught before any
+        record, part file or header is written."""
+        out = tmp_path / "run" / "r.csv"
+        out.parent.mkdir()
+        cfg = write_config(tmp_path / "cfg.json", campaign={"seeds": [-1]})
+        assert main(["campaign", "--config", cfg, "--checkpoint", workspace["ckpt"],
+                     "--code", "RBRNw", "--out", str(out)]) == 2
+        assert "seeds must be >= 0" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+
     def test_bad_idx_magic_exits_3(self, workspace, tmp_path):
         """A dataset file with the wrong magic number is a data error."""
         images = tmp_path / "bad_images.idx"

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from sdcprobe import fat as fat_mod
 from sdcprobe.data import synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError
 from sdcprobe.fat import (FatConfig, _weight_fault_reapplier, fat_train,
                           measure_latency_to_critical, save_fat_report)
 from sdcprobe.fault_model import FaultSite
-from sdcprobe.injector import inject, remove
+from sdcprobe.injector import evaluate_with_fault, inject, remove
 from sdcprobe.nnet import (Flatten, Linear, Model, Sgd, build_mlp, evaluate_detailed,
                            model_checksum, train)
 from sdcprobe.nnet.training import train_step
@@ -35,8 +36,8 @@ class _FixedSiteSampler:
     def __init__(self, site):
         self.site = site
 
-    def sample_at(self, k):
-        return self.site
+    def sample(self, n, start_ordinal=0):
+        return [self.site] * n
 
 
 def blob_splits(seed=0):
@@ -103,6 +104,37 @@ class TestLatencyMeasurement:
         measure_latency_to_critical(model, class1_dataset(), "GBRNw", 0.05,
                                     k=2, seed=1)
         assert model_checksum(model) == checksum
+
+    def test_nothing_past_the_stopping_ordinal_is_evaluated(self, monkeypatch):
+        """Ordinals 40-42 draw the critical site; the run stops at ordinal
+        42, inside the second block (32..95).  Every distinct site of
+        ordinals 0..42 is evaluated once, and none drawn after them."""
+        critical = FaultSite(1, "neuron_weight", 0, 30)
+        sequence = [critical if 40 <= k <= 42 else
+                    FaultSite(1, "neuron_weight", k % 4, (k // 4) % 23)
+                    for k in range(200)]
+
+        class Sequence:
+            drawn = 0
+
+            def sample(self, n, start_ordinal=0):
+                self.drawn = max(self.drawn, start_ordinal + n)
+                return sequence[start_ordinal:start_ordinal + n]
+
+        evaluated = []
+
+        def counting(model, dataset, site, **kwargs):
+            evaluated.append(site)
+            return evaluate_with_fault(model, dataset, site, **kwargs)
+
+        monkeypatch.setattr(fat_mod, "evaluate_with_fault", counting)
+        sampler = Sequence()
+        result = measure_latency_to_critical(identity_model(), class1_dataset(), "RBRNw",
+                                             0.5, k=3, sampler=sampler)
+        assert (result.evaluations_needed, result.censored) == (43, False)
+        assert sampler.drawn == 96
+        assert len(evaluated) == len(set(evaluated))
+        assert set(evaluated) == set(sequence[:43])
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -278,5 +310,7 @@ class TestFatTrain:
             FatConfig(consecutive_criticals_required=0)
         with pytest.raises(ConfigError):
             FatConfig(lr=0.0)
+        with pytest.raises(ConfigError):
+            FatConfig(seed=-1)
         with pytest.raises(ConfigError):
             FatConfig(code="XXXXX")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from sdcprobe import bitfloat, fault_model
@@ -10,7 +11,7 @@ from sdcprobe.errors import ConfigError, DataFormatError, UsageError
 from sdcprobe.fault_model import (FaultSite, SamplerConfig, all_codes, build_alias_table,
                                   build_sampler, enumerate_sites, load_fault_csv,
                                   parse_code, save_fault_csv)
-from sdcprobe.nnet import Flatten, Linear, Model, model_checksum
+from sdcprobe.nnet import Flatten, Linear, Model, build_mlp, model_checksum
 
 
 def tiny_weight_model(values):
@@ -95,6 +96,10 @@ class TestCodeGrammar:
     def test_uniform_mix_range(self):
         with pytest.raises(ConfigError):
             SamplerConfig(code="RBRNo", uniform_mix=1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SamplerConfig(code="RBRNo", seed=-1)
 
 
 class TestAliasTable:
@@ -386,3 +391,83 @@ class TestFaultCsv:
         path.write_text("layer_id,target_kind,element_index,bit_index\n0,neuron_weight,0,55\n")
         with pytest.raises(DataFormatError):
             load_fault_csv(path)
+
+
+def numpy_uniforms(seed, ordinal):
+    return np.random.default_rng(np.random.SeedSequence((seed, ordinal))).random(4)
+
+
+def reference_sample_at(sampler, ordinal):
+    """One draw the per-ordinal way: a numpy generator for (seed, ordinal),
+    then the uniform-mix branch or the alias draw and the bit stage, then
+    the layer lookup.  FaultSampler.sample must agree with it exactly."""
+    u = numpy_uniforms(sampler.config.seed, ordinal)
+    if u[0] < sampler.config.uniform_mix:
+        g = min(int(u[1] * sampler.n_elements), sampler.n_elements - 1)
+        bit = min(int(u[3] * 32), 31)
+    else:
+        prob, alias = sampler._alias_prob, sampler._alias_alias
+        i = int(u[1] * prob.size)
+        g = i if u[2] < prob[i] else int(alias[i])
+        cdf = sampler._bit_cdf if sampler._bit_cdf.ndim == 1 else sampler._bit_cdf[g]
+        bit = min(int(np.searchsorted(cdf, u[3], side="right")), 31)
+    li = int(np.searchsorted(sampler.offsets, g, side="right")) - 1
+    return FaultSite(sampler.layer_ids[li], sampler.code.target_kind,
+                     int(g - sampler.offsets[li]), bit)
+
+
+class TestReferenceStream:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           start=st.one_of(st.just(0), st.integers(0, 2**32 + 8),
+                           st.integers(2**32 - 4, 2**32 + 4),
+                           st.integers(2**32, 2**64 - 9)),
+           n=st.integers(1, 8))
+    def test_block_uniforms_are_numpys_bits(self, seed, start, n):
+        """Row i is numpy's random(4) for SeedSequence((seed, start + i)),
+        bit for bit, also across the 2**32 word boundary of the ordinal."""
+        want = np.array([numpy_uniforms(seed, k) for k in range(start, start + n)])
+        got = fault_model._stream_uniforms(seed, start, n)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 5,
+                                      2**66 + 12345])
+    @pytest.mark.parametrize("start", [0, 2**32 - 2, 2**64 - 2])
+    def test_extra_entropy_words(self, seed, start):
+        """Seeds and ordinals of 2**32 and more take extra entropy words; a
+        67-bit seed plus a 3-word ordinal overflow the 4-word pool."""
+        want = np.array([numpy_uniforms(seed, k) for k in range(start, start + 4)])
+        assert fault_model._stream_uniforms(seed, start, 4).tobytes() == want.tobytes()
+
+
+class TestBlockDrawMatchesReference:
+    """sample(n, start) against the per-draw reference loop."""
+
+    def sampler(self, code, mix, seed=21):
+        model = build_mlp((1, 1, 4), [5], 3, seed=1)
+        lids = model.weight_layer_ids()
+        rng = np.random.default_rng(0)
+        scores = {}
+        for lid in lids:
+            s = rng.uniform(0.0, 1.0, model.layers[lid].weight.data.size)
+            s[::3] = 0.0  # zero-weight alias buckets
+            scores[lid] = s
+        attr = attribution_for(model, "neuron_weight", scores) if code[2] == "I" else None
+        return build_sampler(SamplerConfig(code=code, seed=seed, uniform_mix=mix),
+                             attr, model)
+
+    @pytest.mark.parametrize("code", ["GBINw", "EBINw", "LBRNw", "GBRNw"])
+    @pytest.mark.parametrize("mix", [0.0, 0.3, 1.0])
+    def test_block_equals_reference(self, code, mix):
+        s = self.sampler(code, mix)
+        assert s._bit_cdf.ndim == (2 if code[0] == "G" else 1)
+        want = [reference_sample_at(s, k) for k in range(300, 500)]
+        assert s.sample(200, 300) == want
+        assert [s.sample_at(k) for k in (300, 499)] == [want[0], want[-1]]
+
+    def test_zero_weight_buckets_never_drawn(self):
+        s = self.sampler("EBINw", 0.0)
+        zero = {g for g in range(s.n_elements) if s.neuron_probs[g] == 0.0}
+        drawn = {int(s.offsets[s.layer_ids.index(site.layer_id)]) + site.element_index
+                 for site in s.sample(3000)}
+        assert zero and not drawn & zero

@@ -5,6 +5,10 @@ training and attribution passes.  Any rewrite of the forward, backward,
 loss or optimizer arithmetic must reproduce them bit for bit: a changed
 rounding step, operand order or -0/+0 shows up here even where every
 tolerance-based test still passes.
+
+The campaign-record digests and latency outcomes were recorded from the
+per-draw sampler (one numpy generator per ordinal, every draw evaluated),
+so block draws and the once-per-distinct-site evaluation must keep them.
 """
 
 import hashlib
@@ -15,10 +19,12 @@ import pytest
 
 from sdcprobe.attribution import (AttributionConfig, attribute_all,
                                   conductance_components, make_baseline)
+from sdcprobe.campaign import CampaignConfig, run_campaign
 from sdcprobe.data import synth_blobs, train_test_split
-from sdcprobe.fat import FatConfig, fat_train
+from sdcprobe.fat import FatConfig, fat_train, measure_latency_to_critical
 from sdcprobe.nnet import (ActivationFault, build_cnn, build_mlp, model_checksum,
                            train)
+from sdcprobe.nnet.training import EVAL_BATCH
 
 GOLDEN = {
     "fat_mlp_adam_b1": (
@@ -46,6 +52,16 @@ GOLDEN = {
         "6139236cc81613b37b28fd90e788391b98c204dc82e790653e990ba385cdcac9",
     "mlp_conductance_components":
         "effedb7d29e098e298aa8243c29b8f8186c7820d58b3156178f39b244bc88fba",
+    # (code, uniform_mix) -> records digest, seeds (3, 8), budget 300
+    "cnn_campaign_records": {
+        ("GBINw", 0.0): "93e1f2895c37997bec8696b7e2f681eeaa9cf13fd76f2ec79a1d0ab653d44e07",
+        ("RBRNo", 0.0): "56a6e1b27a1f35b9f626e72f6cf17372a9f3069e184a7c6fc4353ec7d33899d2",
+        ("GBINo", 0.3): "2d30663180857753cccd8d3196c574e28e16554740f03cc549165dc2afff0ecb",
+    },
+    # (evaluations_needed, censored): GBINo then RBRNo at seeds 0, 1, 2,
+    # then RBRNo seed 0 censored by budget_cap 100
+    "fat_mlp_latency": [(4, False), (23, False), (4, False), (522, False),
+                        (370, False), (3289, False), (100, True)],
 }
 
 
@@ -180,3 +196,39 @@ def test_mlp_conductance_components(trained_fat_mlp):
     comps = conductance_components(model, test_set.images,
                                    make_baseline("zeros", model), steps=32)
     assert _components_sha(comps) == GOLDEN["mlp_conductance_components"]
+
+
+def _records_sha(records):
+    """SHA-256 over every record column but wallclock_ns."""
+    h = hashlib.sha256()
+    for r in records:
+        s = r.site
+        cells = [r.experiment_code, r.seed, r.sample_ordinal, s.layer_id, s.target_kind,
+                 s.element_index, s.bit_index, repr(r.baseline_accuracy),
+                 repr(r.faulty_accuracy), repr(r.accuracy_drop), int(r.poisoned)]
+        h.update((",".join(str(c) for c in cells + [int(f) for f in r.sdc_flags])
+                  + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("code,mix", sorted(GOLDEN["cnn_campaign_records"]))
+def test_cnn_campaign_records(trained_cnn, code, mix):
+    model, test_set, _ = trained_cnn
+    amap = None
+    if code[2] == "I":
+        target = "neuron_weight" if code[4] == "w" else "neuron_output"
+        amap = attribute_all(model, test_set, AttributionConfig(target))
+    config = CampaignConfig(code=code, thresholds=(0.0, 0.05, 0.1, 0.25),
+                            sample_budget=300, seeds=(3, 8), uniform_mix=mix)
+    result = run_campaign(model, test_set, config, amap,
+                          probe_images=test_set.images[:EVAL_BATCH])
+    assert _records_sha(result.records) == GOLDEN["cnn_campaign_records"][(code, mix)]
+
+
+def test_fat_mlp_latency_runs(trained_fat_mlp):
+    model, test_set, _ = trained_fat_mlp
+    runs = [measure_latency_to_critical(model, test_set, code, 0.01, 3, seed=seed)
+            for code in ("GBINo", "RBRNo") for seed in (0, 1, 2)]
+    runs.append(measure_latency_to_critical(model, test_set, "RBRNo", 0.01, 3, seed=0,
+                                            budget_cap=100))
+    assert [(r.evaluations_needed, r.censored) for r in runs] == GOLDEN["fat_mlp_latency"]
