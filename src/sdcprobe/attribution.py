@@ -75,6 +75,8 @@ class AttributionConfig:
             raise ConfigError(f"target_kind must be one of {TARGET_KINDS}, got {self.target_kind!r}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.sample_count is not None and self.sample_count < 1:
+            raise ConfigError(f"sample_count must be >= 1 or null, got {self.sample_count}")
         if self.scalarization not in ("predicted", "true_class"):
             raise ConfigError(f"unknown scalarization {self.scalarization!r}")
 

@@ -41,10 +41,9 @@ _EXP_POW = 2.0 ** np.arange(8, dtype=np.float64)             # 2^j
 
 @dataclass
 class BitVector32:
-    """32 relaxed bits of one float32 value, optionally with their gradients."""
+    """32 relaxed bits of one float32 value."""
 
     bits: np.ndarray                 # float64[32], each in [0, 1]
-    bit_grads: np.ndarray | None = None
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.float64)
@@ -71,9 +70,7 @@ def pattern_to_float(pattern: int) -> np.float32:
 
 def flip_bit(value, bit_index: int) -> np.float32:
     """XOR one bit of the float32 pattern of ``value``.  Involutive."""
-    if not 0 <= bit_index <= 31:
-        raise ValueError(f"bit_index {bit_index} out of range [0, 31]")
-    return pattern_to_float(float_to_pattern(value) ^ (1 << bit_index))
+    return flip_bit_many(value, bit_index)[0]
 
 
 def flip_bit_many(values, bit_index: int) -> np.ndarray:
@@ -86,9 +83,7 @@ def flip_bit_many(values, bit_index: int) -> np.ndarray:
 
 def encode(value) -> BitVector32:
     """Exact bit pattern of a float32 as a relaxed-bit vector (all 0.0/1.0)."""
-    u = float_to_pattern(value)
-    bits = ((u >> np.arange(32, dtype=np.uint32)) & 1).astype(np.float64)
-    return BitVector32(bits)
+    return BitVector32(encode_many(value)[0])
 
 
 def encode_many(values) -> np.ndarray:
@@ -98,32 +93,18 @@ def encode_many(values) -> np.ndarray:
 
 
 def decode_relaxed(bits) -> float:
-    """Smooth decode of 32 relaxed bits to a float64 value.
-
-    The branch (normal / subnormal / special) is chosen from the bits rounded
-    to {0, 1}; within a branch the value is a smooth function of the relaxed
-    bits, which is what makes central finite differences over bits meaningful.
-    At a concrete pattern the result is the exact IEEE decoding (special
-    patterns map to the signed surrogate).
-    """
-    bits = np.asarray(bits, dtype=np.float64)
-    sign_factor = 1.0 - 2.0 * bits[31]
-    mant_frac = float(bits[0:23] @ _MANT_POW)
-    exp_relaxed = float(bits[23:31] @ _EXP_POW)
-
-    exp_class = int(np.rint(bits[23:31]).astype(np.int64) @ (2 ** np.arange(8)))
-    if exp_class == 255:
-        return float(sign_factor * SPECIAL_SURROGATE)
-    if exp_class == 0:
-        return float(sign_factor * 2.0 ** -126 * mant_frac)
-    return float(sign_factor * 2.0 ** (exp_relaxed - 127.0) * (1.0 + mant_frac))
+    """decode_relaxed_many of one row of 32 relaxed bits."""
+    return float(decode_relaxed_many([bits])[0])
 
 
 def decode_relaxed_many(bits_matrix) -> np.ndarray:
-    """Vectorized decode_relaxed: float64[n, 32] -> float64[n].
+    """Smooth decode of rows of 32 relaxed bits: float64[n, 32] -> float64[n].
 
-    Branch selection rounds each row's exponent bits, exactly like the
-    scalar form, so finite differences stay within one branch.
+    The branch (normal / subnormal / special) is chosen from each row's
+    exponent bits rounded to {0, 1}; within a branch the value is a smooth
+    function of the relaxed bits, which is what makes central finite
+    differences over bits meaningful.  At a concrete pattern the result is
+    the exact IEEE decoding (special patterns map to the signed surrogate).
     """
     b = np.asarray(bits_matrix, dtype=np.float64)
     sign_factor = 1.0 - 2.0 * b[:, 31]
@@ -141,39 +122,23 @@ def decode(bits) -> DecodeResult:
     """Decode a BitVector32 (or raw 32-vector) to a flagged float32."""
     if isinstance(bits, BitVector32):
         bits = bits.bits
-    bits = np.asarray(bits, dtype=np.float64)
-    rounded = np.rint(bits).astype(np.int64)
-    sign_bit = int(rounded[31])
-    exp_class = int(rounded[23:31] @ (2 ** np.arange(8)))
-    mant_nonzero = bool(rounded[0:23].any())
-
-    flag_inf = exp_class == 255 and not mant_nonzero
-    flag_nan = exp_class == 255 and mant_nonzero
-    value = np.float32(decode_relaxed(bits))
-    return DecodeResult(value=value, flag_nan=flag_nan, flag_inf=flag_inf,
-                        sign=-1 if sign_bit else +1)
+    values, flag_nan, flag_inf = decode_many([bits])
+    return DecodeResult(value=values[0], flag_nan=bool(flag_nan[0]),
+                        flag_inf=bool(flag_inf[0]), sign=-1 if np.rint(bits[31]) else +1)
 
 
 def decode_many(bits_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode of concrete patterns.
+    """decode_relaxed_many as float32, with the special patterns flagged.
 
-    bits_matrix: float64[n, 32] of exact 0/1 bits.
+    bits_matrix: float64[n, 32] of relaxed bits; the flags are read from
+    the bits rounded to {0, 1}.
     Returns (values float32[n], flag_nan bool[n], flag_inf bool[n]).
     """
     b = np.asarray(bits_matrix, dtype=np.float64)
-    sign_factor = 1.0 - 2.0 * b[:, 31]
-    mant_frac = b[:, 0:23] @ _MANT_POW
-    exp = b[:, 23:31] @ _EXP_POW
-
-    special = exp == 255.0
-    subnormal = exp == 0.0
-    mant_nonzero = mant_frac > 0.0
-
-    values = np.where(subnormal,
-                      sign_factor * 2.0 ** -126 * mant_frac,
-                      sign_factor * 2.0 ** (exp - 127.0) * (1.0 + mant_frac))
-    values = np.where(special, sign_factor * SPECIAL_SURROGATE, values)
-    return (values.astype(np.float32),
+    rounded = np.rint(b)
+    special = rounded[:, 23:31] @ _EXP_POW == 255.0
+    mant_nonzero = rounded[:, 0:23].any(axis=1)
+    return (decode_relaxed_many(b).astype(np.float32),
             special & mant_nonzero,
             special & ~mant_nonzero)
 
@@ -181,10 +146,7 @@ def decode_many(bits_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def bit_gradients(value) -> np.ndarray:
     """d(decode)/d(bit_i) of the relaxed decode at the concrete pattern of
     a finite float32 ``value``.  Returns float64[32]."""
-    v32 = np.float32(value)
-    if not np.isfinite(v32):
-        raise ValueError(f"bit_gradients requires a finite value, got {value!r}")
-    return bit_gradients_many(np.array([v32], dtype=np.float32))[0]
+    return bit_gradients_many(np.float32(value))[0]
 
 
 def bit_gradients_many(values) -> np.ndarray:

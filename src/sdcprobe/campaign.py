@@ -17,7 +17,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,13 +106,17 @@ class CampaignConfig:
             raise ConfigError(f"uniform_mix must be in [0, 1], got {self.uniform_mix}")
 
     def to_json_dict(self):
-        return {"experiment_code": str(self.code),
-                "thresholds": list(self.thresholds),
-                "sample_budget": self.sample_budget,
-                "seeds": list(self.seeds),
-                "uniform_mix": self.uniform_mix,
-                "workers": self.workers,
-                "exhaustive": self.exhaustive}
+        out = json_fields(self)
+        out["experiment_code"] = out.pop("code")
+        return out
+
+
+def json_fields(config) -> dict:
+    """The fields of a config dataclass as JSON values: experiment codes as
+    text, tuples as lists."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    return {k: str(v) if isinstance(v, ExperimentCode) else list(v) if isinstance(v, tuple)
+            else v for k, v in values.items()}
 
 
 @dataclass
@@ -189,8 +193,9 @@ class _RecordSink:
     a crash leaves a clean prefix.  Before the first row, the campaign's
     meta (config, model checksum, dataset hash, baseline) goes to the
     part's header sidecar `<path>.part.meta.json`; a part file is resumed
-    only by a campaign with the same meta.  `finalize` renames the whole
-    file into place atomically and writes the meta sidecar.
+    only by a campaign with the same meta.  The finished part file is the
+    records file save_records would write, so `finalize` renames it into
+    place atomically and writes the meta sidecar.
     """
 
     def __init__(self, path, thresholds, meta):
@@ -199,7 +204,6 @@ class _RecordSink:
         self.header = self.part + ".meta.json"
         self.thresholds = tuple(thresholds)
         self.meta = meta
-        self.done = []
         self._fh = None
 
     def start(self, expected_order, code, baseline):
@@ -226,7 +230,8 @@ class _RecordSink:
             raise DataFormatError(f"{self.part}: rows are not a clean prefix of this "
                                   "campaign; delete the part file to restart")
         self._check_header()
-        self.done = records
+        # rewritten in canonical form, in case a crash cut its last newline
+        atomic_write(self.part, _records_text(records, self.thresholds))
         return records
 
     def _check_header(self):
@@ -251,26 +256,22 @@ class _RecordSink:
             new = not os.path.exists(self.part)
             self._fh = open(self.part, "a", encoding="utf-8", newline="")
             if new:
-                self._fh.write(",".join(_FIXED_COLUMNS +
-                                        [threshold_column(t) for t in self.thresholds]) + "\n")
+                self._fh.write(_records_text([], self.thresholds))
                 self._fh.flush()
 
     def append(self, record):
         self._open()
         self._fh.write(_format_row(record) + "\n")
         self._fh.flush()
-        self.done.append(record)
 
     def finalize(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        save_records(self.done, self.thresholds, self.path, meta=self.meta)
-        for path in (self.part, self.header):
-            if os.path.exists(path):
-                os.remove(path)
+        self._open()  # a campaign that flushed no row still gets its header line
+        self.close()
+        os.replace(self.part, self.path)
+        write_meta_sidecar(self.path, self.meta)
+        os.remove(self.header)
 
-    def abort(self):
+    def close(self):
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -286,12 +287,15 @@ def _format_row(r: InjectionRecord) -> str:
     return ",".join(cells)
 
 
+def _records_text(rows, thresholds):
+    header = ",".join(_FIXED_COLUMNS + [threshold_column(t) for t in thresholds])
+    return "".join(line + "\n" for line in [header] + [_format_row(r) for r in rows])
+
+
 def save_records(records, thresholds, path, meta=None):
     """Atomic CSV write, rows sorted by (seed, ordinal); optional sidecar."""
-    rows = sorted(records, key=InjectionRecord.sort_key)
-    header = ",".join(_FIXED_COLUMNS + [threshold_column(t) for t in thresholds])
-    lines = [header] + [_format_row(r) for r in rows]
-    atomic_write(path, "".join(line + "\n" for line in lines))
+    atomic_write(path, _records_text(sorted(records, key=InjectionRecord.sort_key),
+                                     thresholds))
     if meta is not None:
         write_meta_sidecar(path, meta)
 
@@ -415,7 +419,8 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     an existing part file from an interrupted run is picked up where it
     stopped, provided its header sidecar shows the same config (workers
     aside), model checksum, dataset hash and baseline, and its rows carry
-    this experiment code and baseline.
+    this experiment code and baseline.  The finished part file is renamed
+    onto out_csv.  Records come back in canonical (seed, ordinal) order.
     """
     prefix = PrefixCache(model, dataset)
     baseline, _ = prefix.baseline
@@ -478,12 +483,10 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                     sink.append(rec)
     except BaseException:
         if sink is not None:
-            sink.abort()  # part file keeps the flushed prefix for resume
+            sink.close()  # part file keeps the flushed prefix for resume
         raise
 
-    records.sort(key=InjectionRecord.sort_key)
     if sink is not None:
-        sink.done = records
         sink.finalize()
     stats = compute_stats(records, config.thresholds)
     return CampaignResult(config, records, stats, baseline)

@@ -10,6 +10,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,18 +33,57 @@ _DATASET_KEYS = {"kind", "classes", "samples_per_class", "dims", "spread", "seed
                  "train_images", "train_labels", "test_images", "test_labels"}
 _TRAIN_KEYS = {"epochs", "batch_size", "lr", "optimizer", "seed"}
 _ATTRIBUTE_KEYS = {"target_kind", "steps", "sample_count", "baseline", "seed"}
-_CAMPAIGN_KEYS = {"code", "thresholds", "sample_budget", "seeds", "uniform_mix",
-                  "workers", "exhaustive"}
-_FAT_KEYS = {"code", "adversary_code", "warmup_epochs", "fat_epochs", "faults_per_round",
-             "consecutive_criticals_required", "thresholds", "simulations_per_epoch",
-             "latency_threshold", "lr", "batch_size", "optimizer", "seed",
-             "uniform_mix", "attribution_steps", "attribution_sample_count"}
+_CAMPAIGN_KEYS = {f.name for f in dataclasses.fields(campaign_mod.CampaignConfig)}
+_FAT_KEYS = {f.name for f in dataclasses.fields(fat_mod.FatConfig)}
 
 
 def _check_keys(section, allowed, context):
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown {context} config keys: {', '.join(unknown)}")
+
+
+def _section(cfg, name, keys):
+    """The `name` section of a config, refused unless it is a JSON object
+    with only known keys; an absent section reads as {}."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, "
+                          f"got {type(section).__name__}")
+    _check_keys(section, keys, name)
+    return section
+
+
+def _value(section, key, default, convert, flag=None):
+    """flag > config file > default.  A value from the file passes through
+    convert, and one that convert refuses is a ConfigError naming its key."""
+    if flag is not None:
+        return flag
+    value = section.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has bad value {value!r}: {exc}") from None
+
+
+def _items(convert):
+    """Converter of a JSON list to a tuple of converted items."""
+    def parse(value):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(map(convert, value))
+    return parse
+
+
+def _cnn_width(hidden):
+    """The cnn head takes one hidden width: a number or a list of one."""
+    if isinstance(hidden, list):
+        if len(hidden) != 1:
+            raise ConfigError(f"cnn hidden must be a single width, got {hidden}")
+        hidden = hidden[0]
+    return int(hidden)
 
 
 def load_config(path) -> dict:
@@ -66,39 +106,34 @@ def load_config(path) -> dict:
 
 
 def build_model_from_config(mcfg):
-    _check_keys(mcfg, _MODEL_KEYS, "model")
     kind = mcfg.get("kind", "mlp")
-    input_shape = tuple(mcfg.get("input_shape", (1, 1, 6)))
-    classes = int(mcfg.get("classes", 3))
-    seed = int(mcfg.get("seed", 0))
+    input_shape = _value(mcfg, "input_shape", (1, 1, 6), _items(int))
+    classes = _value(mcfg, "classes", 3, int)
+    seed = _value(mcfg, "seed", 0, int)
     if kind == "mlp":
-        return build_mlp(input_shape, list(mcfg.get("hidden", [16])), classes, seed=seed)
+        return build_mlp(input_shape, list(_value(mcfg, "hidden", [16], _items(int))),
+                         classes, seed=seed)
     if kind == "cnn":
-        hidden = mcfg.get("hidden", 32)
-        if isinstance(hidden, list):  # the cnn head takes one hidden width
-            if len(hidden) != 1:
-                raise ConfigError(f"cnn hidden must be a single width, got {hidden}")
-            hidden = hidden[0]
-        return build_cnn(input_shape, list(mcfg.get("conv_channels", [4, 8])),
-                         int(mcfg.get("kernel", 3)), int(hidden), classes, seed=seed)
+        return build_cnn(input_shape, list(_value(mcfg, "conv_channels", [4, 8], _items(int))),
+                         _value(mcfg, "kernel", 3, int), _value(mcfg, "hidden", 32, _cnn_width),
+                         classes, seed=seed)
     raise ConfigError(f"unknown model kind {kind!r}; expected 'mlp' or 'cnn'")
 
 
 def build_datasets_from_config(dcfg):
     """(train_set, test_set) from the dataset section; either may be None
     for idx configs that name only one split."""
-    _check_keys(dcfg, _DATASET_KEYS, "dataset")
     kind = dcfg.get("kind", "blobs")
     if kind == "blobs":
-        data = synth_blobs(classes=int(dcfg.get("classes", 3)),
-                           samples_per_class=int(dcfg.get("samples_per_class", 100)),
-                           dims=int(dcfg.get("dims", 6)),
-                           spread=float(dcfg.get("spread", 0.25)),
-                           seed=int(dcfg.get("seed", 0)),
-                           image_shape=(tuple(dcfg["image_shape"])
-                                        if "image_shape" in dcfg else None),
-                           center_scale=float(dcfg.get("center_scale", 1.0)))
-        return train_test_split(data, test_fraction=float(dcfg.get("test_fraction", 0.1)))
+        data = synth_blobs(classes=_value(dcfg, "classes", 3, int),
+                           samples_per_class=_value(dcfg, "samples_per_class", 100, int),
+                           dims=_value(dcfg, "dims", 6, int),
+                           spread=_value(dcfg, "spread", 0.25, float),
+                           seed=_value(dcfg, "seed", 0, int),
+                           image_shape=_value(dcfg, "image_shape", None, _items(int)),
+                           center_scale=_value(dcfg, "center_scale", 1.0, float))
+        return train_test_split(data,
+                                test_fraction=_value(dcfg, "test_fraction", 0.1, float))
     if kind == "idx":
         train_set = test_set = None
         if "train_images" in dcfg or "train_labels" in dcfg:
@@ -117,19 +152,8 @@ def _need(dataset, which):
     return dataset
 
 
-def _resolve(flag, file_value, default):
-    if flag is not None:
-        return flag
-    if file_value is not None:
-        return file_value
-    return default
-
-
-def _single_seed(args, file_value, default):
-    seeds = getattr(args, "seed", None)
-    if seeds:
-        return int(seeds[-1])
-    return int(_resolve(None, file_value, default))
+def _single_seed(args, section):
+    return _value(section, "seed", 0, int, args.seed[-1] if args.seed else None)
 
 
 def _write_meta(out_path, command, payload):
@@ -148,21 +172,20 @@ def _parse_thresholds(text):
 
 def cmd_train(args):
     cfg = load_config(args.config)
-    tcfg = cfg.get("train", {})
-    _check_keys(tcfg, _TRAIN_KEYS, "train")
-    model = build_model_from_config(cfg.get("model", {}))
-    train_set, test_set = build_datasets_from_config(cfg.get("dataset", {}))
-    seed = _single_seed(args, tcfg.get("seed"), 0)
-    params = {"epochs": int(_resolve(None, tcfg.get("epochs"), 10)),
-              "batch_size": int(_resolve(None, tcfg.get("batch_size"), 32)),
-              "lr": float(_resolve(None, tcfg.get("lr"), 0.01)),
-              "optimizer": _resolve(None, tcfg.get("optimizer"), "adam"),
-              "seed": seed}
+    tcfg = _section(cfg, "train", _TRAIN_KEYS)
+    mcfg = _section(cfg, "model", _MODEL_KEYS)
+    dcfg = _section(cfg, "dataset", _DATASET_KEYS)
+    params = {"epochs": _value(tcfg, "epochs", 10, int),
+              "batch_size": _value(tcfg, "batch_size", 32, int),
+              "lr": _value(tcfg, "lr", 0.01, float),
+              "optimizer": _value(tcfg, "optimizer", "adam", str),
+              "seed": _single_seed(args, tcfg)}
+    model = build_model_from_config(mcfg)
+    train_set, test_set = build_datasets_from_config(dcfg)
     log = train(model, _need(train_set, "train"), eval_set=test_set, **params)
     save_checkpoint(model, args.out)
     _write_meta(args.out, "train", {
-        "config": {"model": cfg.get("model", {}), "dataset": cfg.get("dataset", {}),
-                   "train": params},
+        "config": {"model": mcfg, "dataset": dcfg, "train": params},
         "model_checksum": model_checksum(model),
         "accuracy_log": log})
     final = log[-1] if log else None
@@ -173,24 +196,22 @@ def cmd_train(args):
 
 def cmd_attribute(args):
     cfg = load_config(args.config)
-    acfg = cfg.get("attribute", {})
-    _check_keys(acfg, _ATTRIBUTE_KEYS, "attribute")
+    acfg = _section(cfg, "attribute", _ATTRIBUTE_KEYS)
+    dcfg = _section(cfg, "dataset", _DATASET_KEYS)
     model = load_checkpoint(args.checkpoint)
-    train_set, test_set = build_datasets_from_config(cfg.get("dataset", {}))
+    train_set, test_set = build_datasets_from_config(dcfg)
     dataset = _need(test_set if test_set is not None else train_set, "test")
-    target = _resolve(args.target, acfg.get("target_kind"), "neuron_weight")
+    target = _value(acfg, "target_kind", "neuron_weight", str, args.target)
     config = attr_mod.AttributionConfig(
         target_kind=target,
-        steps=int(_resolve(args.steps, acfg.get("steps"), 32)),
-        sample_count=_resolve(args.samples, acfg.get("sample_count"), None),
-        baseline=_resolve(args.baseline, acfg.get("baseline"), "zeros"),
-        seed=_single_seed(args, acfg.get("seed"), 0))
+        steps=_value(acfg, "steps", 32, int, args.steps),
+        sample_count=_value(acfg, "sample_count", None, int, args.samples),
+        baseline=_value(acfg, "baseline", "zeros", str, args.baseline),
+        seed=_single_seed(args, acfg))
     amap = attr_mod.attribute_all(model, dataset, config)
     attr_mod.save_attribution(amap, args.out)
     _write_meta(args.out, "attribute", {
-        "config": {"target_kind": config.target_kind, "steps": config.steps,
-                   "sample_count": config.sample_count, "baseline": config.baseline,
-                   "seed": config.seed},
+        "config": {k: getattr(config, k) for k in _ATTRIBUTE_KEYS},
         "checkpoint": args.checkpoint,
         "model_checksum": amap.model_checksum})
     print(f"attributed {len(amap.scores)} layers ({target}); wrote {args.out}")
@@ -199,23 +220,23 @@ def cmd_attribute(args):
 
 def cmd_campaign(args):
     cfg = load_config(args.config)
-    ccfg = cfg.get("campaign", {})
-    _check_keys(ccfg, _CAMPAIGN_KEYS, "campaign")
+    ccfg = _section(cfg, "campaign", _CAMPAIGN_KEYS)
+    dcfg = _section(cfg, "dataset", _DATASET_KEYS)
     model = load_checkpoint(args.checkpoint)
-    train_set, test_set = build_datasets_from_config(cfg.get("dataset", {}))
+    train_set, test_set = build_datasets_from_config(dcfg)
     dataset = _need(test_set if test_set is not None else train_set, "test")
-    code = parse_code(_resolve(args.code, ccfg.get("code"), "RBRNw"))
-    seeds = args.seed if args.seed else ccfg.get("seeds", campaign_mod.DEFAULT_SEEDS)
+    code = parse_code(_value(ccfg, "code", "RBRNw", str, args.code))
     thresholds = (_parse_thresholds(args.thresholds) if args.thresholds is not None
-                  else tuple(ccfg.get("thresholds", campaign_mod.DEFAULT_THRESHOLDS)))
+                  else _value(ccfg, "thresholds", campaign_mod.DEFAULT_THRESHOLDS,
+                              _items(float)))
     config = campaign_mod.CampaignConfig(
         code=code, thresholds=thresholds,
-        sample_budget=int(_resolve(args.budget, ccfg.get("sample_budget"),
-                                   campaign_mod.DEFAULT_BUDGET)),
-        seeds=tuple(seeds),
-        uniform_mix=float(_resolve(args.mix, ccfg.get("uniform_mix"), 0.0)),
-        workers=int(_resolve(args.workers, ccfg.get("workers"), 1)),
-        exhaustive=bool(ccfg.get("exhaustive", False)))
+        sample_budget=_value(ccfg, "sample_budget", campaign_mod.DEFAULT_BUDGET, int,
+                             args.budget),
+        seeds=_value(ccfg, "seeds", campaign_mod.DEFAULT_SEEDS, _items(int), args.seed),
+        uniform_mix=_value(ccfg, "uniform_mix", 0.0, float, args.mix),
+        workers=_value(ccfg, "workers", 1, int, args.workers),
+        exhaustive=_value(ccfg, "exhaustive", False, bool))
     attributions = None
     if code.needs_attributions and not config.exhaustive:
         if args.attribution is None:
@@ -234,19 +255,19 @@ def cmd_campaign(args):
 
 def cmd_fat(args):
     cfg = load_config(args.config)
-    fcfg = dict(cfg.get("fat", {}))
-    _check_keys(fcfg, _FAT_KEYS, "fat")
-    if args.code is not None:
-        fcfg["code"] = args.code
-    if args.mix is not None:
-        fcfg["uniform_mix"] = float(args.mix)
-    if args.seed:
-        fcfg["seed"] = int(args.seed[-1])
-    if args.thresholds is not None:
-        fcfg["thresholds"] = _parse_thresholds(args.thresholds)
-    config = fat_mod.FatConfig(**fcfg)
-    model = build_model_from_config(cfg.get("model", {}))
-    train_set, test_set = build_datasets_from_config(cfg.get("dataset", {}))
+    fcfg = dict(_section(cfg, "fat", _FAT_KEYS))
+    mcfg = _section(cfg, "model", _MODEL_KEYS)
+    dcfg = _section(cfg, "dataset", _DATASET_KEYS)
+    flags = {"code": args.code, "uniform_mix": args.mix,
+             "seed": args.seed[-1] if args.seed else None,
+             "thresholds": None if args.thresholds is None else _parse_thresholds(args.thresholds)}
+    fcfg.update((k, v) for k, v in flags.items() if v is not None)
+    try:
+        config = fat_mod.FatConfig(**fcfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fat config: {exc}") from None
+    model = build_model_from_config(mcfg)
+    train_set, test_set = build_datasets_from_config(dcfg)
     model, report = fat_mod.fat_train(model, _need(train_set, "train"),
                                       _need(test_set, "test"), config)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -259,8 +280,7 @@ def cmd_fat(args):
     save_fault_csv(report.adversary_fault_sites,
                    os.path.join(args.out_dir, "adversary_faults.csv"))
     _write_meta(report_path, "fat", {
-        "config": {"model": cfg.get("model", {}), "dataset": cfg.get("dataset", {}),
-                   "fat": config.to_json_dict()},
+        "config": {"model": mcfg, "dataset": dcfg, "fat": config.to_json_dict()},
         "model_checksum": model_checksum(model)})
     print(f"fat: baseline {report.baseline_accuracy} post-fat {report.post_fat_accuracy} "
           f"under-trained-faults {report.accuracy_under_trained_faults}; "

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .attribution import AttributionConfig, attribute_all
-from .campaign import DEFAULT_THRESHOLDS
+from .campaign import DEFAULT_THRESHOLDS, json_fields
 from .errors import ConfigError
 from .fault_model import SamplerConfig, build_sampler, parse_code
 from .fileio import atomic_write
@@ -61,7 +61,8 @@ class FatConfig:
             self.code = parse_code(self.code)
         if isinstance(self.adversary_code, str):
             self.adversary_code = parse_code(self.adversary_code)
-        for name in ("warmup_epochs", "fat_epochs", "consecutive_criticals_required"):
+        for name in ("warmup_epochs", "fat_epochs", "consecutive_criticals_required",
+                     "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.faults_per_round < 0:
@@ -70,22 +71,13 @@ class FatConfig:
             raise ConfigError("simulations_per_epoch must be >= 0")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        if self.attribution_sample_count is not None and self.attribution_sample_count < 1:
+            raise ConfigError("attribution_sample_count must be >= 1 or null")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self):
-        return {"code": str(self.code), "adversary_code": str(self.adversary_code),
-                "warmup_epochs": self.warmup_epochs, "fat_epochs": self.fat_epochs,
-                "faults_per_round": self.faults_per_round,
-                "consecutive_criticals_required": self.consecutive_criticals_required,
-                "thresholds": list(self.thresholds),
-                "simulations_per_epoch": self.simulations_per_epoch,
-                "latency_threshold": self.latency_threshold,
-                "lr": self.lr, "batch_size": self.batch_size,
-                "optimizer": self.optimizer, "seed": self.seed,
-                "uniform_mix": self.uniform_mix,
-                "attribution_steps": self.attribution_steps,
-                "attribution_sample_count": self.attribution_sample_count}
+        return json_fields(self)
 
 
 @dataclass
@@ -191,15 +183,9 @@ class FatReport:
     latency: dict = field(default_factory=dict)  # code -> [LatencyResult]
 
     def to_json_dict(self):
-        return {"config": self.config.to_json_dict(),
-                "baseline_accuracy": self.baseline_accuracy,
-                "post_fat_accuracy": self.post_fat_accuracy,
-                "accuracy_under_trained_faults": self.accuracy_under_trained_faults,
-                "accuracy_under_adversary_faults": self.accuracy_under_adversary_faults,
+        return {**vars(self), "config": self.config.to_json_dict(),
                 "trained_fault_sites": [vars(s) for s in self.trained_fault_sites],
                 "adversary_fault_sites": [vars(s) for s in self.adversary_fault_sites],
-                "warmup_log": self.warmup_log,
-                "fat_log": self.fat_log,
                 "latency": {code: [r.to_json_dict() for r in results]
                             for code, results in self.latency.items()}}
 
@@ -243,34 +229,30 @@ def fat_train(model, train_set, test_set, config: FatConfig):
     for bit.  Per-epoch latency simulations run on clean snapshots with
     distinct seeds and never touch the training model.
     """
+    def fit(m, epochs, seed, **kwargs):
+        return train(m, train_set, epochs=epochs, batch_size=config.batch_size,
+                     lr=config.lr, optimizer=config.optimizer, seed=seed,
+                     eval_set=test_set, **kwargs)
+
+    def draw(code):
+        return _sampler_for(model, train_set, code, config.seed,
+                            uniform_mix=config.uniform_mix, steps=config.attribution_steps,
+                            sample_count=config.attribution_sample_count
+                            ).sample(config.faults_per_round)
+
     twin = model.copy()
-    train(twin, train_set, epochs=config.warmup_epochs, batch_size=config.batch_size,
-          lr=config.lr, optimizer=config.optimizer, seed=config.seed,
-          eval_set=test_set)
+    fit(twin, config.warmup_epochs, config.seed)
     for epoch in range(config.fat_epochs):
-        train(twin, train_set, epochs=1, batch_size=config.batch_size, lr=config.lr,
-              optimizer=config.optimizer, seed=config.seed + 1 + epoch,
-              eval_set=test_set)
+        fit(twin, 1, config.seed + 1 + epoch)
     baseline_accuracy, _ = evaluate_detailed(twin, test_set)
 
-    warmup_log = train(model, train_set, epochs=config.warmup_epochs,
-                       batch_size=config.batch_size, lr=config.lr,
-                       optimizer=config.optimizer, seed=config.seed,
-                       eval_set=test_set)
+    warmup_log = fit(model, config.warmup_epochs, config.seed)
 
     trained_sites, adversary_sites = [], []
     handles = []
     if config.faults_per_round > 0:
-        own = _sampler_for(model, train_set, config.code, config.seed,
-                           uniform_mix=config.uniform_mix,
-                           steps=config.attribution_steps,
-                           sample_count=config.attribution_sample_count)
-        trained_sites = own.sample(config.faults_per_round)
-        adversary = _sampler_for(model, train_set, config.adversary_code, config.seed,
-                                 uniform_mix=config.uniform_mix,
-                                 steps=config.attribution_steps,
-                                 sample_count=config.attribution_sample_count)
-        adversary_sites = adversary.sample(config.faults_per_round)
+        trained_sites = draw(config.code)
+        adversary_sites = draw(config.adversary_code)
         handles = inject_set(model, trained_sites)
 
     reapply = _weight_fault_reapplier(model, handles)
@@ -278,11 +260,8 @@ def fat_train(model, train_set, test_set, config: FatConfig):
     latency: dict = {}
     try:
         for epoch in range(config.fat_epochs):
-            log = train(model, train_set, epochs=1, batch_size=config.batch_size,
-                        lr=config.lr, optimizer=config.optimizer,
-                        seed=config.seed + 1 + epoch, eval_set=test_set,
-                        on_nonfinite="skip", post_step=reapply)
-            fat_log.extend(log)
+            fat_log.extend(fit(model, 1, config.seed + 1 + epoch,
+                               on_nonfinite="skip", post_step=reapply))
             for sim in range(config.simulations_per_epoch):
                 snapshot = _clean_snapshot(model, handles)
                 sim_seed = config.seed + 1000 * (epoch + 1) + sim

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitfloat
+from .attribution import eligible_layers
 from .errors import ConfigError, DataFormatError, UsageError
 from .fileio import atomic_write
 from .nnet import model_checksum
@@ -342,16 +343,11 @@ class FaultSampler:
 
 
 def _element_pool(model, target_kind):
-    shapes = model.output_shapes()
+    layer_ids = eligible_layers(model, target_kind)
     if target_kind == "neuron_output":
-        # same eligibility as attribution: reshape-only layers own no outputs
-        layer_ids = [lid for lid, layer in enumerate(model.layers)
-                     if layer.computes]
-        counts = [int(np.prod(shapes[lid])) for lid in layer_ids]
-    else:
-        layer_ids = model.weight_layer_ids()
-        counts = [int(model.layers[lid].weight.data.size) for lid in layer_ids]
-    return layer_ids, counts
+        shapes = model.output_shapes()
+        return layer_ids, [int(np.prod(shapes[lid])) for lid in layer_ids]
+    return layer_ids, [int(model.layers[lid].weight.data.size) for lid in layer_ids]
 
 
 def _pooled_values(model, target_kind, probe_images):

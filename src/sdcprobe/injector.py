@@ -37,7 +37,6 @@ from .nnet.training import EVAL_BATCH, classify, score
 @dataclass
 class InjectionHandle:
     site: FaultSite
-    original_value: float
     active: bool = True
     _fault: ActivationFault | None = field(default=None, repr=False)
     original_bit: int | None = None  # weight faults: the bit before injection
@@ -75,11 +74,10 @@ def pin_weight_bit(model, site: FaultSite, value: int):
 def inject(model, site: FaultSite) -> InjectionHandle:
     """Activate one fault site on the model; returns the handle that undoes it."""
     if site.target_kind == "neuron_weight":
-        flat = _weight_view(model, site)
-        original = float(flat[site.element_index])
-        bit = int(flat.view(np.uint32)[site.element_index]) >> site.bit_index & 1
+        word = _weight_view(model, site).view(np.uint32)[site.element_index]
+        bit = int(word) >> site.bit_index & 1
         pin_weight_bit(model, site, 1 - bit)
-        return InjectionHandle(site, original, original_bit=bit)
+        return InjectionHandle(site, original_bit=bit)
     _check_layer(model, site)
     n_elems = math.prod(model.in_shapes[site.layer_id + 1])
     if not 0 <= site.element_index < n_elems:
@@ -87,7 +85,7 @@ def inject(model, site: FaultSite) -> InjectionHandle:
                          f"{site.layer_id} outputs ({n_elems} elements)")
     fault = ActivationFault(site.layer_id, site.element_index, site.bit_index)
     model.registered_output_faults.append(fault)
-    return InjectionHandle(site, float("nan"), _fault=fault)
+    return InjectionHandle(site, _fault=fault)
 
 
 def remove(model, handle: InjectionHandle):
@@ -190,26 +188,21 @@ class PrefixCache:
         return score(preds, poisoned, labels)
 
 
-def evaluate_with_fault(model, dataset, site: FaultSite, batch_size: int = EVAL_BATCH,
+def evaluate_with_fault(model, dataset, site: FaultSite,
                         prefix: PrefixCache | None = None) -> tuple[float, bool]:
     """(accuracy, poisoned) on the dataset with one fault active.
 
     Without prefix this is the full-recompute reference.  With a
     PrefixCache that passes check() for this model and dataset, only the
-    layers from the faulted one onward run.  The cache always chunks by
-    EVAL_BATCH, so prefix is refused with any other batch_size.  The fault
-    is always removed afterwards, even when evaluation raises.
+    layers from the faulted one onward run.  The fault is always removed
+    afterwards, even when evaluation raises.
     """
-    if prefix is not None:
-        if batch_size != EVAL_BATCH:
-            raise UsageError(f"a prefix cache evaluates in chunks of {EVAL_BATCH} rows; "
-                             f"batch_size {batch_size} cannot use it")
-        prefix.check(model, dataset)
+    if prefix is None:
+        return evaluate_with_fault_set(model, dataset, [site])
+    prefix.check(model, dataset)
     handle = inject(model, site)
     try:
-        if prefix is not None:
-            return prefix.evaluate(model, site)
-        return evaluate_detailed(model, dataset, batch_size=batch_size)
+        return prefix.evaluate(model, site)
     finally:
         remove(model, handle)
 
@@ -228,12 +221,11 @@ def inject_set(model, sites) -> list:
     return handles
 
 
-def evaluate_with_fault_set(model, dataset, sites,
-                            batch_size: int = EVAL_BATCH) -> tuple[float, bool]:
+def evaluate_with_fault_set(model, dataset, sites) -> tuple[float, bool]:
     """(accuracy, poisoned) with every site in the set active at once."""
     handles = inject_set(model, sites)
     try:
-        return evaluate_detailed(model, dataset, batch_size=batch_size)
+        return evaluate_detailed(model, dataset)
     finally:
         for h in reversed(handles):
             remove(model, h)

@@ -174,6 +174,9 @@ def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
     """
     if len(train_set.labels) == 0:
         raise UsageError("cannot train on an empty dataset")
+    if epochs < 0 or batch_size < 1 or lr <= 0:
+        raise UsageError(f"training needs epochs >= 0, batch_size >= 1 and lr > 0; got "
+                         f"{epochs}, {batch_size} and {lr}")
     if on_nonfinite not in ("raise", "skip"):
         raise UsageError(f"on_nonfinite must be 'raise' or 'skip', got {on_nonfinite!r}")
     classes = model.output_shapes()[-1][0]

@@ -406,6 +406,11 @@ class TestBaseline:
         b = make_baseline("dataset_mean", model, ds)
         np.testing.assert_allclose(b.tensor, ds.images.mean(axis=0))
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_count_below_one_refused(self, count):
+        with pytest.raises(ConfigError, match="sample_count"):
+            AttributionConfig("neuron_output", sample_count=count)
+
     def test_unknown_kind(self):
         model = build_mlp((1, 1, 4), [], classes=2, seed=0)
         with pytest.raises(ConfigError):

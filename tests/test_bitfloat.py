@@ -9,7 +9,8 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sdcprobe import bitfloat
 from sdcprobe.bitfloat import (
@@ -30,6 +31,45 @@ from sdcprobe.bitfloat import (
     float_to_pattern,
     pattern_to_float,
 )
+
+_MANT_POW = 2.0 ** (np.arange(23, dtype=np.float64) - 23.0)
+_EXP_POW = 2.0 ** np.arange(8, dtype=np.float64)
+
+
+# One-value reference forms of the codec, written out per element; the
+# package's scalar functions wrap its vectorized ones and must agree.
+
+def ref_flip_bit(value, bit_index):
+    return pattern_to_float(float_to_pattern(value) ^ (1 << bit_index))
+
+
+def ref_encode(value):
+    u = float_to_pattern(value)
+    return ((u >> np.arange(32, dtype=np.uint32)) & 1).astype(np.float64)
+
+
+def ref_decode_relaxed(bits):
+    bits = np.asarray(bits, dtype=np.float64)
+    sign_factor = 1.0 - 2.0 * bits[31]
+    mant_frac = float(bits[0:23] @ _MANT_POW)
+    exp_relaxed = float(bits[23:31] @ _EXP_POW)
+    exp_class = int(np.rint(bits[23:31]).astype(np.int64) @ (2 ** np.arange(8)))
+    if exp_class == 255:
+        return float(sign_factor * SPECIAL_SURROGATE)
+    if exp_class == 0:
+        return float(sign_factor * 2.0 ** -126 * mant_frac)
+    return float(sign_factor * 2.0 ** (exp_relaxed - 127.0) * (1.0 + mant_frac))
+
+
+def ref_decode(bits):
+    """(value, flag_nan, flag_inf, sign) of 32 relaxed bits."""
+    rounded = np.rint(np.asarray(bits, dtype=np.float64)).astype(np.int64)
+    exp_class = int(rounded[23:31] @ (2 ** np.arange(8)))
+    mant_nonzero = bool(rounded[0:23].any())
+    with np.errstate(over="ignore"):
+        value = np.float32(ref_decode_relaxed(bits))
+    return (value, exp_class == 255 and mant_nonzero, exp_class == 255 and not mant_nonzero,
+            -1 if rounded[31] else +1)
 
 FINITE_EDGE_VALUES = [
     0.0,
@@ -132,11 +172,11 @@ class TestEncodeDecode:
         values = np.array([pattern_to_float(p) for p in patterns], dtype=np.float32)
         bits = encode_many(values)
         vals, nan_flags, inf_flags = decode_many(bits)
-        for i, v in enumerate(values):
-            single = decode(encode(v))
-            assert float_to_pattern(vals[i]) == float_to_pattern(single.value)
-            assert nan_flags[i] == single.flag_nan
-            assert inf_flags[i] == single.flag_inf
+        for i, row in enumerate(bits):
+            value, flag_nan, flag_inf, _ = ref_decode(row)
+            assert float_to_pattern(vals[i]) == float_to_pattern(value)
+            assert nan_flags[i] == flag_nan
+            assert inf_flags[i] == flag_inf
 
     def test_relaxed_many_matches_scalar_on_relaxed_bits(self):
         """Vectorized relaxed decode agrees with the scalar form, including
@@ -148,11 +188,52 @@ class TestEncodeDecode:
         rows[16:32] = np.rint(rows[16:32])  # concrete patterns too
         got = decode_relaxed_many(rows)
         for row, value in zip(rows, got):
-            np.testing.assert_allclose(value, decode_relaxed(row), rtol=1e-12)
+            np.testing.assert_allclose(value, ref_decode_relaxed(row), rtol=1e-12)
 
     def test_bitvector_shape_checked(self):
         with pytest.raises(ValueError):
             BitVector32(np.zeros(31))
+
+
+class TestWrappersMatchReferences:
+    """The scalar functions wrap the vectorized ones: same bits and flags as
+    the per-element references on every pattern, NaN and inf included."""
+
+    # any pattern, or one with the special exponent and a one-bit, random or
+    # empty mantissa, which random patterns reach too rarely
+    PATTERNS = st.one_of(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.builds(lambda sign, mant: sign << 31 | 0xFF << 23 | mant,
+                  st.integers(min_value=0, max_value=1),
+                  st.one_of(st.just(0),
+                            st.integers(min_value=0, max_value=22).map(lambda k: 1 << k),
+                            st.integers(min_value=0, max_value=2**23 - 1))))
+
+    @given(PATTERNS, st.integers(min_value=0, max_value=31))
+    def test_concrete_patterns_bit_for_bit(self, pattern, i):
+        v = pattern_to_float(pattern)
+        assert float_to_pattern(flip_bit(v, i)) == float_to_pattern(ref_flip_bit(v, i))
+        bits = encode(v).bits
+        np.testing.assert_array_equal(bits, ref_encode(v))
+        assert decode_relaxed(bits) == ref_decode_relaxed(bits)
+        out = decode(bits)
+        value, flag_nan, flag_inf, sign = ref_decode(bits)
+        assert float_to_pattern(out.value) == float_to_pattern(value)
+        assert (out.flag_nan, out.flag_inf, out.sign) == (flag_nan, flag_inf, sign)
+
+    @settings(deadline=None)
+    @given(arrays(np.float64, (8, 32), elements=st.floats(min_value=0.0, max_value=1.0)))
+    def test_relaxed_rows_within_1e_12(self, rows):
+        """A matrix dot and a vector dot may round differently, so relaxed
+        rows agree to 1e-12 relative; the flags and sign agree exactly."""
+        for row, value in zip(rows, decode_relaxed_many(rows)):
+            np.testing.assert_allclose(value, ref_decode_relaxed(row), rtol=1e-12)
+            np.testing.assert_allclose(decode_relaxed(row), value, rtol=1e-12)
+            with np.errstate(over="ignore"):
+                out = decode(row)
+            ref_value, flag_nan, flag_inf, sign = ref_decode(row)
+            assert (out.flag_nan, out.flag_inf, out.sign) == (flag_nan, flag_inf, sign)
+            np.testing.assert_allclose(out.value, ref_value, rtol=2.0 ** -23)
 
 
 class TestBitGradients:

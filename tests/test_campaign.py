@@ -390,6 +390,41 @@ class TestPersistence:
         assert loaded == result.records
         assert not (tmp_path / "run.csv.part").exists()
 
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_finished_csv_is_what_save_records_writes(self, tmp_path, interrupted):
+        """The part file renamed into place holds byte for byte what
+        save_records writes for the returned records, for a fresh run and
+        for one interrupted at seed 2, ordinal 5 and then resumed."""
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=8,
+                             seeds=(2, 1))
+        out = tmp_path / "run.csv"
+        if interrupted:
+            with pytest.raises(RuntimeError, match="ordinal 5"):
+                run_campaign(identity_model(), class1_dataset(), cfg, out_csv=str(out),
+                             samplers={1: _ThreadNotingSampler(),
+                                       2: _ThreadNotingSampler(fail_at=5)})
+        result = run_campaign(identity_model(), class1_dataset(), cfg, out_csv=str(out),
+                              samplers={1: _ThreadNotingSampler(), 2: _ThreadNotingSampler()})
+        save_records(result.records, THRESH5, tmp_path / "saved.csv")
+        assert out.read_bytes() == (tmp_path / "saved.csv").read_bytes()
+        assert [r.sort_key() for r in result.records] == \
+            [(seed, k) for seed in (1, 2) for k in range(8)]
+
+    def test_part_whose_last_row_lost_its_newline_resumes_cleanly(self, tmp_path):
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=6, seeds=(1,))
+        run_campaign(identity_model(), class1_dataset(), cfg,
+                     out_csv=str(tmp_path / "full.csv"))
+        lines = (tmp_path / "full.csv").read_text().splitlines()
+        (tmp_path / "resumed.csv.part").write_text("\n".join(lines[:4]))  # no final newline
+        (tmp_path / "resumed.csv.part.meta.json").write_text(
+            (tmp_path / "full.meta.json").read_text())
+        resumed = run_campaign(identity_model(), class1_dataset(), cfg,
+                               out_csv=str(tmp_path / "resumed.csv"))
+        save_records(resumed.records, THRESH5, tmp_path / "saved.csv")
+        assert (tmp_path / "resumed.csv").read_bytes() == \
+            (tmp_path / "saved.csv").read_bytes()
+        assert load_records(tmp_path / "resumed.csv")[0] == resumed.records
+
     def test_resume_from_partial_flush(self, tmp_path):
         """A part file holding a clean prefix is picked up: only the
         missing ordinals are evaluated and the final CSV matches a fresh

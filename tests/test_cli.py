@@ -297,6 +297,43 @@ class TestExitCodes:
         assert "seeds must be >= 0" in capsys.readouterr().err
         assert list(out.parent.iterdir()) == []
 
+    @pytest.mark.parametrize("command, overrides, flags", [
+        ("train", {"train": {"batch_size": 0}}, []),
+        ("train", {"train": {"batch_size": -4}}, []),
+        ("train", {"train": {"epochs": -3}}, []),
+        ("train", {"train": {"lr": 0}}, []),
+        ("train", {"train": []}, []),
+        ("train", {"model": []}, []),
+        ("train", {"dataset": []}, []),
+        ("train", {"train": {"epochs": "two"}}, []),
+        ("train", {"model": {"classes": "three"}}, []),
+        ("campaign", {"campaign": []}, []),
+        ("campaign", {"campaign": {"seeds": "ab"}}, []),
+        ("campaign", {"campaign": {"seeds": 5}}, []),
+        ("campaign", {"campaign": {"sample_budget": "x"}}, []),
+        ("fat", {"fat": []}, []),
+        ("fat", {"fat": {"batch_size": 0}}, []),
+        ("fat", {"fat": {"warmup_epochs": "two"}}, []),
+        ("attribute", {"attribute": {"sample_count": -3}}, []),
+        ("attribute", {"attribute": {"sample_count": 0}}, []),
+        ("attribute", {}, ["--samples", "-2", "--target", "neuron_output"]),
+    ])
+    def test_malformed_config_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys,
+                                                          command, overrides, flags):
+        """Bad values, values of the wrong type and sections that are not
+        JSON objects are config errors, caught before any file is written."""
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        out.mkdir()
+        args = {"train": ["--out", str(out / "m.ckpt")],
+                "attribute": ["--checkpoint", workspace["ckpt"], "--out", str(out / "a.attr")],
+                "campaign": ["--checkpoint", workspace["ckpt"], "--code", "RBRNw",
+                             "--out", str(out / "r.csv")],
+                "fat": ["--out-dir", str(out / "fat")]}[command]
+        assert main([command, "--config", cfg] + args + flags) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert list(out.iterdir()) == []
+
     def test_bad_idx_magic_exits_3(self, workspace, tmp_path):
         """A dataset file with the wrong magic number is a data error."""
         images = tmp_path / "bad_images.idx"

@@ -314,3 +314,9 @@ class TestFatTrain:
             FatConfig(seed=-1)
         with pytest.raises(ConfigError):
             FatConfig(code="XXXXX")
+        with pytest.raises(ConfigError, match="batch_size"):
+            FatConfig(batch_size=0)
+        for count in (0, -3):
+            with pytest.raises(ConfigError, match="attribution_sample_count"):
+                FatConfig(attribution_sample_count=count)
+        assert FatConfig(attribution_sample_count=None).attribution_sample_count is None

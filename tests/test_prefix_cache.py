@@ -210,12 +210,6 @@ class TestMismatchedCache:
             evaluate_with_fault(model, other, FaultSite(1, "neuron_weight", 0, 3),
                                 prefix=cache)
 
-    def test_other_batch_size_refused(self, mlp_case):
-        model, dataset, cache = mlp_case
-        with pytest.raises(UsageError, match="batch_size 64"):
-            evaluate_with_fault(model, dataset, FaultSite(1, "neuron_weight", 0, 3),
-                                batch_size=64, prefix=cache)
-
     def test_model_with_other_registered_faults_refused(self, mlp_case):
         model, dataset, cache = mlp_case
         replica = model.copy()
@@ -238,9 +232,10 @@ class TestMismatchedCache:
     def test_refusal_leaves_the_model_clean(self, mlp_case):
         model, dataset, cache = mlp_case
         before = model_checksum(model)
-        with pytest.raises(UsageError):
-            evaluate_with_fault(model, dataset, FaultSite(1, "neuron_weight", 0, 3),
-                                batch_size=128, prefix=cache)
+        other = Dataset(dataset.images.copy(), dataset.labels.copy(), split="test")
+        with pytest.raises(UsageError, match="different dataset"):
+            evaluate_with_fault(model, other, FaultSite(1, "neuron_weight", 0, 3),
+                                prefix=cache)
         assert model_checksum(model) == before
         assert model.registered_output_faults == []
 

@@ -131,6 +131,16 @@ class TestTrain:
         with pytest.raises(UsageError):
             train(model, bad, epochs=1, batch_size=2, lr=0.01, seed=0)
 
+    @pytest.mark.parametrize("kwargs", [dict(epochs=-3), dict(batch_size=0),
+                                        dict(batch_size=-4), dict(lr=0.0), dict(lr=-0.1)])
+    def test_bad_training_parameters_rejected(self, kwargs):
+        train_ds, _ = self.make_blobs()
+        model = build_mlp((1, 1, 4), [3], classes=2, seed=1)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(UsageError, match="training needs"):
+            train(model, train_ds, **{**dict(epochs=1, batch_size=8, lr=0.01), **kwargs})
+        assert all((p.data == b).all() for p, b in zip(model.parameters(), before))
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(UsageError):
             make_optimizer("rmsprop", [], 0.01)
