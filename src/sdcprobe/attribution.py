@@ -20,7 +20,7 @@ Two attribution families, one per fault target:
                  forward and backward per batch gives every layer's
                  gradient at once.
 
-F is the predicted-class logit per input (configurable to the true class).
+F is the logit of the class the clean model predicts for each input.
 Scores are published nonnegative, finite, one flat float32 buffer per layer.
 """
 
@@ -35,7 +35,7 @@ from .errors import ConfigError, UsageError
 from .fileio import Reader, atomic_write
 from .nnet import ComputationGraph, model_checksum
 from .nnet.autodiff import picked_logit_sum
-from .nnet.training import predict
+from .nnet.training import EVAL_BATCH, predict
 
 TARGET_KINDS = ("neuron_output", "neuron_weight")
 ATTRIBUTION_MAGIC = b"ISAT"
@@ -68,7 +68,6 @@ class AttributionConfig:
     sample_count: int | None = None  # N inputs; None = full dataset
     baseline: str = "zeros"
     seed: int = 0
-    scalarization: str = "predicted"  # or "true_class"
 
     def __post_init__(self):
         if self.target_kind not in TARGET_KINDS:
@@ -77,8 +76,6 @@ class AttributionConfig:
             raise ConfigError("steps must be >= 1")
         if self.sample_count is not None and self.sample_count < 1:
             raise ConfigError(f"sample_count must be >= 1 or null, got {self.sample_count}")
-        if self.scalarization not in ("predicted", "true_class"):
-            raise ConfigError(f"unknown scalarization {self.scalarization!r}")
 
 
 @dataclass
@@ -101,13 +98,6 @@ class AttributionMap:
                 raise UsageError(f"layer {lid} attribution scores must be finite and >= 0")
             clean[int(lid)] = arr
         self.scores = clean
-
-
-def _scalarize_classes(model, images, labels, scalarization):
-    if scalarization == "true_class":
-        return np.asarray(labels, dtype=np.int64)
-    preds, _ = predict(model, images)
-    return preds
 
 
 def conductance_components(model, images, baseline: Baseline, steps,
@@ -168,19 +158,20 @@ def conductance(model, layer_id, images, baseline: Baseline, steps) -> np.ndarra
     return np.abs(comps[layer_id]).mean(axis=0).astype(np.float32)
 
 
-def weight_sums(model, images, classes=None, batch_size=256):
+def weight_sums(model, images, classes=None):
     """Signed gradient sum over inputs of every weight layer's weight:
-    dict layer_id -> float64 flat.  One forward and backward per batch
-    serves every layer; each layer's sum adds the batches in order."""
+    dict layer_id -> float64 flat.  One forward and backward per
+    EVAL_BATCH rows serves every layer; each layer's sum adds the batches
+    in order."""
     images = np.asarray(images, dtype=np.float32)
     if classes is None:
         classes = predict(model, images)[0]
     weights = {lid: model.layers[lid].weight for lid in model.weight_layer_ids()}
     sums = {lid: np.zeros(w.data.size, dtype=np.float64) for lid, w in weights.items()}
-    for lo in range(0, images.shape[0], batch_size):
+    for lo in range(0, images.shape[0], EVAL_BATCH):
         g = ComputationGraph()
-        logits, _ = model.forward_graph(g, images[lo:lo + batch_size])
-        g.backward(picked_logit_sum(logits, classes[lo:lo + batch_size])[1])
+        logits, _ = model.forward_graph(g, images[lo:lo + EVAL_BATCH])
+        g.backward(picked_logit_sum(logits, classes[lo:lo + EVAL_BATCH])[1])
         for lid, w in weights.items():
             sums[lid] += w.grad.astype(np.float64).reshape(-1)
     return sums
@@ -223,7 +214,7 @@ def attribute_all(model, dataset, config: AttributionConfig) -> AttributionMap:
         rng = np.random.default_rng(config.seed)
         idx = rng.permutation(n_total)[:config.sample_count]
     images = dataset.images[idx]
-    classes = _scalarize_classes(model, images, dataset.labels[idx], config.scalarization)
+    classes = predict(model, images)[0]
 
     scores: dict[int, np.ndarray] = {}
     if config.target_kind == "neuron_output":

@@ -292,12 +292,10 @@ def _records_text(rows, thresholds):
     return "".join(line + "\n" for line in [header] + [_format_row(r) for r in rows])
 
 
-def save_records(records, thresholds, path, meta=None):
-    """Atomic CSV write, rows sorted by (seed, ordinal); optional sidecar."""
+def save_records(records, thresholds, path):
+    """Atomic CSV write, rows sorted by (seed, ordinal)."""
     atomic_write(path, _records_text(sorted(records, key=InjectionRecord.sort_key),
                                      thresholds))
-    if meta is not None:
-        write_meta_sidecar(path, meta)
 
 
 def meta_path_for(path) -> str:
@@ -539,9 +537,9 @@ def report(records, thresholds, series_threshold=0.05) -> ReportSummary:
     for code in sorted(by_code):
         seed_groups = [sorted(group, key=InjectionRecord.sort_key)
                        for _, group in sorted(by_code[code].items())]
+        precisions = [compute_stats(g, thresholds).precision for g in seed_groups]
         for i, t in enumerate(thresholds):
-            per_seed = [compute_stats(g, thresholds).precision[i] for g in seed_groups]
-            per_seed = [p for p in per_seed if p is not None]
+            per_seed = [p[i] for p in precisions if p[i] is not None]
             if per_seed:
                 summary.rows.append((code, t, float(np.mean(per_seed)),
                                      float(np.std(per_seed)), len(per_seed)))

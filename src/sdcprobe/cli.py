@@ -23,6 +23,7 @@ from .errors import (ConfigError, DataFormatError, DataIntegrityError, SdcProbeE
                      UsageError)
 from .fault_model import parse_code, save_fault_csv
 from .nnet import build_cnn, build_mlp, load_checkpoint, model_checksum, save_checkpoint, train
+from .nnet.training import EVAL_BATCH
 
 SCHEMA_VERSION = 1
 
@@ -68,6 +69,21 @@ def _value(section, key, default, convert, flag=None):
         raise ConfigError(f"config key {key!r} has bad value {value!r}: {exc}") from None
 
 
+def _json(*types):
+    """Converter that refuses a JSON value of any other type instead of
+    coercing it: true and false are not integers, 2.7 is not one either.
+    A value accepted as a float is returned as one."""
+    def check(value):
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+            names = " or ".join(t.__name__ for t in types)
+            raise TypeError(f"expected {names}, got {type(value).__name__}")
+        return float(value) if float in types else value
+    return check
+
+
+_int, _float, _bool = _json(int), _json(int, float), _json(bool)
+
+
 def _items(convert):
     """Converter of a JSON list to a tuple of converted items."""
     def parse(value):
@@ -77,13 +93,19 @@ def _items(convert):
     return parse
 
 
+# each fat key's converter, chosen by its FatConfig field's declared type
+_FAT_CONVERTERS = {f.name: {"int": _int, "int | None": _int, "float": _float, "str": str,
+                            "object": str, "tuple": _items(_float)}[f.type]
+                   for f in dataclasses.fields(fat_mod.FatConfig)}
+
+
 def _cnn_width(hidden):
     """The cnn head takes one hidden width: a number or a list of one."""
     if isinstance(hidden, list):
         if len(hidden) != 1:
             raise ConfigError(f"cnn hidden must be a single width, got {hidden}")
         hidden = hidden[0]
-    return int(hidden)
+    return _int(hidden)
 
 
 def load_config(path) -> dict:
@@ -107,15 +129,15 @@ def load_config(path) -> dict:
 
 def build_model_from_config(mcfg):
     kind = mcfg.get("kind", "mlp")
-    input_shape = _value(mcfg, "input_shape", (1, 1, 6), _items(int))
-    classes = _value(mcfg, "classes", 3, int)
-    seed = _value(mcfg, "seed", 0, int)
+    input_shape = _value(mcfg, "input_shape", (1, 1, 6), _items(_int))
+    classes = _value(mcfg, "classes", 3, _int)
+    seed = _value(mcfg, "seed", 0, _int)
     if kind == "mlp":
-        return build_mlp(input_shape, list(_value(mcfg, "hidden", [16], _items(int))),
+        return build_mlp(input_shape, list(_value(mcfg, "hidden", [16], _items(_int))),
                          classes, seed=seed)
     if kind == "cnn":
-        return build_cnn(input_shape, list(_value(mcfg, "conv_channels", [4, 8], _items(int))),
-                         _value(mcfg, "kernel", 3, int), _value(mcfg, "hidden", 32, _cnn_width),
+        return build_cnn(input_shape, list(_value(mcfg, "conv_channels", [4, 8], _items(_int))),
+                         _value(mcfg, "kernel", 3, _int), _value(mcfg, "hidden", 32, _cnn_width),
                          classes, seed=seed)
     raise ConfigError(f"unknown model kind {kind!r}; expected 'mlp' or 'cnn'")
 
@@ -125,15 +147,15 @@ def build_datasets_from_config(dcfg):
     for idx configs that name only one split."""
     kind = dcfg.get("kind", "blobs")
     if kind == "blobs":
-        data = synth_blobs(classes=_value(dcfg, "classes", 3, int),
-                           samples_per_class=_value(dcfg, "samples_per_class", 100, int),
-                           dims=_value(dcfg, "dims", 6, int),
-                           spread=_value(dcfg, "spread", 0.25, float),
-                           seed=_value(dcfg, "seed", 0, int),
-                           image_shape=_value(dcfg, "image_shape", None, _items(int)),
-                           center_scale=_value(dcfg, "center_scale", 1.0, float))
+        data = synth_blobs(classes=_value(dcfg, "classes", 3, _int),
+                           samples_per_class=_value(dcfg, "samples_per_class", 100, _int),
+                           dims=_value(dcfg, "dims", 6, _int),
+                           spread=_value(dcfg, "spread", 0.25, _float),
+                           seed=_value(dcfg, "seed", 0, _int),
+                           image_shape=_value(dcfg, "image_shape", None, _items(_int)),
+                           center_scale=_value(dcfg, "center_scale", 1.0, _float))
         return train_test_split(data,
-                                test_fraction=_value(dcfg, "test_fraction", 0.1, float))
+                                test_fraction=_value(dcfg, "test_fraction", 0.1, _float))
     if kind == "idx":
         train_set = test_set = None
         if "train_images" in dcfg or "train_labels" in dcfg:
@@ -153,7 +175,7 @@ def _need(dataset, which):
 
 
 def _single_seed(args, section):
-    return _value(section, "seed", 0, int, args.seed[-1] if args.seed else None)
+    return _value(section, "seed", 0, _int, args.seed[-1] if args.seed else None)
 
 
 def _write_meta(out_path, command, payload):
@@ -175,9 +197,9 @@ def cmd_train(args):
     tcfg = _section(cfg, "train", _TRAIN_KEYS)
     mcfg = _section(cfg, "model", _MODEL_KEYS)
     dcfg = _section(cfg, "dataset", _DATASET_KEYS)
-    params = {"epochs": _value(tcfg, "epochs", 10, int),
-              "batch_size": _value(tcfg, "batch_size", 32, int),
-              "lr": _value(tcfg, "lr", 0.01, float),
+    params = {"epochs": _value(tcfg, "epochs", 10, _int),
+              "batch_size": _value(tcfg, "batch_size", 32, _int),
+              "lr": _value(tcfg, "lr", 0.01, _float),
               "optimizer": _value(tcfg, "optimizer", "adam", str),
               "seed": _single_seed(args, tcfg)}
     model = build_model_from_config(mcfg)
@@ -204,8 +226,8 @@ def cmd_attribute(args):
     target = _value(acfg, "target_kind", "neuron_weight", str, args.target)
     config = attr_mod.AttributionConfig(
         target_kind=target,
-        steps=_value(acfg, "steps", 32, int, args.steps),
-        sample_count=_value(acfg, "sample_count", None, int, args.samples),
+        steps=_value(acfg, "steps", 32, _int, args.steps),
+        sample_count=_value(acfg, "sample_count", None, _int, args.samples),
         baseline=_value(acfg, "baseline", "zeros", str, args.baseline),
         seed=_single_seed(args, acfg))
     amap = attr_mod.attribute_all(model, dataset, config)
@@ -228,21 +250,21 @@ def cmd_campaign(args):
     code = parse_code(_value(ccfg, "code", "RBRNw", str, args.code))
     thresholds = (_parse_thresholds(args.thresholds) if args.thresholds is not None
                   else _value(ccfg, "thresholds", campaign_mod.DEFAULT_THRESHOLDS,
-                              _items(float)))
+                              _items(_float)))
     config = campaign_mod.CampaignConfig(
         code=code, thresholds=thresholds,
-        sample_budget=_value(ccfg, "sample_budget", campaign_mod.DEFAULT_BUDGET, int,
+        sample_budget=_value(ccfg, "sample_budget", campaign_mod.DEFAULT_BUDGET, _int,
                              args.budget),
-        seeds=_value(ccfg, "seeds", campaign_mod.DEFAULT_SEEDS, _items(int), args.seed),
-        uniform_mix=_value(ccfg, "uniform_mix", 0.0, float, args.mix),
-        workers=_value(ccfg, "workers", 1, int, args.workers),
-        exhaustive=_value(ccfg, "exhaustive", False, bool))
+        seeds=_value(ccfg, "seeds", campaign_mod.DEFAULT_SEEDS, _items(_int), args.seed),
+        uniform_mix=_value(ccfg, "uniform_mix", 0.0, _float, args.mix),
+        workers=_value(ccfg, "workers", 1, _int, args.workers),
+        exhaustive=_value(ccfg, "exhaustive", False, _bool))
     attributions = None
     if code.needs_attributions and not config.exhaustive:
         if args.attribution is None:
             raise ConfigError(f"code {code} requires --attribution")
         attributions = attr_mod.load_attribution(args.attribution)
-    probe = dataset.images[:fat_mod.EVAL_BATCH]
+    probe = dataset.images[:EVAL_BATCH]
     result = campaign_mod.run_campaign(model, dataset, config, attributions,
                                        out_csv=args.out, probe_images=probe)
     stats = result.stats
@@ -255,17 +277,14 @@ def cmd_campaign(args):
 
 def cmd_fat(args):
     cfg = load_config(args.config)
-    fcfg = dict(_section(cfg, "fat", _FAT_KEYS))
+    fcfg = _section(cfg, "fat", _FAT_KEYS)
     mcfg = _section(cfg, "model", _MODEL_KEYS)
     dcfg = _section(cfg, "dataset", _DATASET_KEYS)
     flags = {"code": args.code, "uniform_mix": args.mix,
              "seed": args.seed[-1] if args.seed else None,
              "thresholds": None if args.thresholds is None else _parse_thresholds(args.thresholds)}
-    fcfg.update((k, v) for k, v in flags.items() if v is not None)
-    try:
-        config = fat_mod.FatConfig(**fcfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"fat config: {exc}") from None
+    values = {k: _value(fcfg, k, None, _FAT_CONVERTERS[k], flags.get(k)) for k in _FAT_KEYS}
+    config = fat_mod.FatConfig(**{k: v for k, v in values.items() if v is not None})
     model = build_model_from_config(mcfg)
     train_set, test_set = build_datasets_from_config(dcfg)
     model, report = fat_mod.fat_train(model, _need(train_set, "train"),

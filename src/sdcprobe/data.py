@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, UsageError
-from .fileio import Reader
+from .fileio import Reader, atomic_write
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -82,12 +82,9 @@ def save_idx(dataset: Dataset, images_path, labels_path):
     if c != 1:
         raise UsageError("IDX image files hold single-channel images")
     pixels = np.rint(dataset.images[:, 0] * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_MAGIC_IMAGES, n, h, w))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_MAGIC_LABELS, n))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
+    atomic_write(images_path, struct.pack(">IIII", IDX_MAGIC_IMAGES, n, h, w) + pixels.tobytes())
+    atomic_write(labels_path, struct.pack(">II", IDX_MAGIC_LABELS, n)
+                 + dataset.labels.astype(np.uint8).tobytes())
 
 
 def synth_blobs(classes, samples_per_class, dims, spread, seed,

@@ -224,10 +224,12 @@ def _clean_snapshot(model, handles):
 def fat_train(model, train_set, test_set, config: FatConfig):
     """Fault-aware training; returns (model, FatReport).
 
-    The resilience baseline is a twin model trained clean with the exact
-    same phase structure and seeds, so faults_per_round=0 reproduces it bit
-    for bit.  Per-epoch latency simulations run on clean snapshots with
-    distinct seeds and never touch the training model.
+    The resilience baseline is a twin: a copy of the model taken after the
+    warm-up, trained clean through the FAT epochs with the same seeds, so
+    faults_per_round=0 reproduces it bit for bit.  Per-epoch latency
+    simulations run on one clean snapshot per epoch with distinct seeds and
+    never touch the training model; each run removes its faults bit-exactly,
+    so the runs of an epoch share the snapshot.
     """
     def fit(m, epochs, seed, **kwargs):
         return train(m, train_set, epochs=epochs, batch_size=config.batch_size,
@@ -240,13 +242,11 @@ def fat_train(model, train_set, test_set, config: FatConfig):
                             sample_count=config.attribution_sample_count
                             ).sample(config.faults_per_round)
 
+    warmup_log = fit(model, config.warmup_epochs, config.seed)
     twin = model.copy()
-    fit(twin, config.warmup_epochs, config.seed)
     for epoch in range(config.fat_epochs):
         fit(twin, 1, config.seed + 1 + epoch)
     baseline_accuracy, _ = evaluate_detailed(twin, test_set)
-
-    warmup_log = fit(model, config.warmup_epochs, config.seed)
 
     trained_sites, adversary_sites = [], []
     handles = []
@@ -262,8 +262,8 @@ def fat_train(model, train_set, test_set, config: FatConfig):
         for epoch in range(config.fat_epochs):
             fat_log.extend(fit(model, 1, config.seed + 1 + epoch,
                                on_nonfinite="skip", post_step=reapply))
+            snapshot = _clean_snapshot(model, handles)
             for sim in range(config.simulations_per_epoch):
-                snapshot = _clean_snapshot(model, handles)
                 sim_seed = config.seed + 1000 * (epoch + 1) + sim
                 for code in (config.code, config.adversary_code):
                     result = measure_latency_to_critical(

@@ -9,15 +9,11 @@ model and corrupt the targeted activation element of every sample on every
 forward pass until removed.
 
 A fault at layer L cannot change anything upstream of L.  A PrefixCache
-holds the clean activations of every layer, chunked exactly as evaluation
+keeps the clean activations of every layer, chunked exactly as evaluation
 chunks the dataset, so evaluate_with_fault(..., prefix=cache) reruns only
-the layers from the fault onward: a weight fault at L resumes from the
-cached input of L, an output fault at L patches the cached output of L and
-resumes at L+1.  Each chunk is the same batch the full pass would compute,
-so the results are bit-identical to the full recompute, which
-evaluate_with_fault still performs when no cache is given.  The cache costs
-N x (per-sample activations) float32; past PREFIX_CACHE_BYTES it keeps only
-the baseline and evaluations fall back to the full recompute.
+the layers from the fault onward, on the same batches, and its results are
+bit-identical to the full recompute it performs without a cache.  Past
+PREFIX_CACHE_BYTES a chunk keeps only its input.
 """
 
 from __future__ import annotations
@@ -99,25 +95,23 @@ def remove(model, handle: InjectionHandle):
     handle.active = False
 
 
-# Largest prefix cache kept, in bytes.  The cache holds every layer's
-# output for the whole evaluation set, so its size is N x (per-sample
-# activations) x 4: 1.1 MB for 1500 6x6 images through a small CNN, but
-# about 590 MB for a 10000-image 28x28 test set through a [4, 8]-channel
-# one.  Past this budget the cache keeps only the baseline and every
-# evaluation runs the full recompute, whose memory stays at one chunk.
+# Largest set of activations a prefix cache keeps, in bytes: N x (per-sample
+# activations) x 4, so 1.1 MB for 1500 6x6 images through a small CNN but
+# about 590 MB for 10000 28x28 images through a [4, 8]-channel one.  Past it
+# a chunk keeps only its input, a view of the dataset, and evaluations run
+# every layer, one chunk at a time.
 PREFIX_CACHE_BYTES = 64 << 20
 
 
 class PrefixCache:
     """Clean per-layer activations of one model on one dataset.
 
-    Built by one clean forward pass per EVAL_BATCH chunk; every chunk keeps
-    its input followed by each layer's output, so chunks[c][L] is the input
-    of layer L.  The arrays are made read-only, so evaluations only read
-    them, and threads that each evaluate on their own Model.copy() replica
-    may share one cache without locks.  When the outputs would take more than
-    PREFIX_CACHE_BYTES, chunks is None and evaluate() falls back to the
-    full recompute.
+    Built by one clean forward pass per EVAL_BATCH chunk, which also gives
+    the baseline.  Every chunk keeps its input; while the outputs fit in
+    PREFIX_CACHE_BYTES it also keeps each layer's output, so chunks[c][L]
+    is the input of layer L.  The arrays are made read-only, so evaluations
+    only read them, and threads that each evaluate on their own Model.copy()
+    replica may share one cache without locks.
 
     The cache is only valid for models identical to the one it was built
     from: replicas made by Model.copy() qualify, the same model after its
@@ -134,23 +128,18 @@ class PrefixCache:
         self.dataset = dataset
         self._signature = self._model_signature(model)
         self.nbytes = 4 * n * sum(int(np.prod(s)) for s in model.output_shapes())
-        self.chunks = None
-        if self.nbytes > PREFIX_CACHE_BYTES:
-            self.baseline = evaluate_detailed(model, dataset)
-            return
-        self.chunks = []
-        preds = np.empty(n, dtype=np.int64)
-        poisoned = np.zeros(n, dtype=bool)
+        self.stores_activations = self.nbytes <= PREFIX_CACHE_BYTES
+        self.chunks, logits = [], []
         for lo in range(0, n, EVAL_BATCH):
             x = dataset.images[lo:lo + EVAL_BATCH]
-            logits, acts = model.apply(x, return_activations=True)
-            chunk = [x] + acts
+            out, acts = model.apply(x, return_activations=True)
+            chunk = [x] + acts if self.stores_activations else [x]
             for a in chunk:
                 a.flags.writeable = False
             self.chunks.append(chunk)
-            preds[lo:lo + EVAL_BATCH], poisoned[lo:lo + EVAL_BATCH] = classify(logits)
+            logits.append(out)
         # (accuracy, poisoned) of the clean model, as evaluate_detailed gives it
-        self.baseline = score(preds, poisoned, dataset.labels)
+        self.baseline = score(*classify(logits), dataset.labels)
 
     @staticmethod
     def _model_signature(model):
@@ -168,24 +157,21 @@ class PrefixCache:
     def evaluate(self, model, site: FaultSite) -> tuple[float, bool]:
         """(accuracy, poisoned) with the site already injected into model.
 
-        A weight fault at L resumes from the clean input of L.  An output
-        fault at L resumes at L+1 from the clean output of L, patched here,
-        because a pass starting after L never applies faults registered on L.
+        With activations stored, a weight fault at L resumes from the clean
+        input of L and an output fault at L at L+1, from the clean output of
+        L patched here: a pass starting after L never applies faults
+        registered on L.  Without them the pass starts at layer 0 and
+        applies the injected fault itself.
         """
-        if self.chunks is None:
-            return evaluate_detailed(model, self.dataset)
-        lid = site.layer_id
-        if site.target_kind == "neuron_weight":
-            start, faults = lid, ()
-        else:
-            start, faults = lid + 1, [ActivationFault(lid, site.element_index, site.bit_index)]
-        labels, b = self.dataset.labels, EVAL_BATCH
-        preds = np.empty(len(labels), dtype=np.int64)
-        poisoned = np.zeros(len(labels), dtype=bool)
-        for lo, chunk in zip(range(0, len(labels), b), self.chunks):
-            x = patch_outputs(chunk[start], faults) if faults else chunk[start]
-            preds[lo:lo + b], poisoned[lo:lo + b] = classify(model.apply(x, start=start))
-        return score(preds, poisoned, labels)
+        start, faults = 0, ()
+        if self.stores_activations:
+            start = site.layer_id
+            if site.target_kind == "neuron_output":
+                start += 1
+                faults = [ActivationFault(site.layer_id, site.element_index, site.bit_index)]
+        logits = [model.apply(patch_outputs(chunk[start], faults) if faults else chunk[start],
+                              start=start) for chunk in self.chunks]
+        return score(*classify(logits), self.dataset.labels)
 
 
 def evaluate_with_fault(model, dataset, site: FaultSite,

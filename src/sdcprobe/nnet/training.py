@@ -95,27 +95,27 @@ def make_optimizer(name, params, lr):
 
 
 def classify(logits):
-    """(predicted class, poisoned flag) per row of a logits batch.
+    """(predicted class, poisoned flag) per row of a list of per-chunk
+    logits, taken in order.
 
     Rows whose logits contain NaN resolve to class 0 (the lowest index) and
     are flagged; argmax on finite logits breaks ties at the lowest index.
+    Each row is classified on its own, so the chunking does not matter.
     """
+    logits = logits[0] if len(logits) == 1 else np.concatenate(logits)
     bad = np.isnan(logits).any(axis=1)
     p = np.argmax(logits, axis=1)
     p[bad] = 0
     return p, bad
 
 
-def predict(model, images, output_faults=(), batch_size=EVAL_BATCH):
+def predict(model, images, output_faults=()):
     """Predicted class per sample plus a per-sample poisoned mask (see
-    classify), computed in chunks of batch_size rows."""
-    n = images.shape[0]
-    preds = np.empty(n, dtype=np.int64)
-    poisoned = np.zeros(n, dtype=bool)
-    for lo in range(0, n, batch_size):
-        logits = model.apply(images[lo:lo + batch_size], output_faults=output_faults)
-        preds[lo:lo + batch_size], poisoned[lo:lo + batch_size] = classify(logits)
-    return preds, poisoned
+    classify), computed in chunks of EVAL_BATCH rows."""
+    if images.shape[0] == 0:  # no chunk to classify
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    return classify([model.apply(images[lo:lo + EVAL_BATCH], output_faults=output_faults)
+                     for lo in range(0, images.shape[0], EVAL_BATCH)])
 
 
 def score(preds, poisoned, labels):
@@ -123,19 +123,18 @@ def score(preds, poisoned, labels):
     return float(np.mean(preds == labels)), bool(poisoned.any())
 
 
-def evaluate_detailed(model, dataset, output_faults=(), batch_size=EVAL_BATCH):
+def evaluate_detailed(model, dataset, output_faults=()):
     """(accuracy, any_poisoned) over a full dataset."""
     if len(dataset.labels) == 0:
         raise UsageError("cannot evaluate on an empty dataset")
-    preds, poisoned = predict(model, dataset.images, output_faults, batch_size)
-    return score(preds, poisoned, dataset.labels)
+    return score(*predict(model, dataset.images, output_faults), dataset.labels)
 
 
-def evaluate(model, dataset, batch_size=EVAL_BATCH):
-    return evaluate_detailed(model, dataset, batch_size=batch_size)[0]
+def evaluate(model, dataset):
+    return evaluate_detailed(model, dataset)[0]
 
 
-def train_step(model, xb, yb, optimizer, output_faults=(), guarded=False):
+def train_step(model, xb, yb, optimizer, guarded=False):
     """One forward/backward/update step; returns (batch loss, stepped).
 
     Each backward writes fresh gradients, so a step sees only its own
@@ -145,7 +144,7 @@ def train_step(model, xb, yb, optimizer, output_faults=(), guarded=False):
     not corrupt the parameters or the optimizer state.
     """
     g = ComputationGraph()
-    logits, _ = model.forward_graph(g, xb, output_faults=output_faults)
+    logits, _ = model.forward_graph(g, xb)
     loss, glogits = softmax_cross_entropy(logits, yb)
     g.backward(glogits)
     loss = float(loss)

@@ -1,5 +1,6 @@
 """Campaign tests: classification, determinism, persistence, recall."""
 
+import hashlib
 import json
 import threading
 
@@ -592,6 +593,22 @@ class TestReport:
     def test_unknown_series_threshold_rejected(self):
         with pytest.raises(UsageError, match="series threshold"):
             report(synthetic_records([0.1]), THRESH5, series_threshold=0.07)
+
+    def test_report_csvs_match_the_recorded_bytes(self, tmp_path):
+        """Two codes over three seeds of uneven length, random drops: the
+        CSVs equal, byte for byte, those recorded when the stats of a seed
+        group were recomputed once per threshold."""
+        rng = np.random.default_rng(17)
+        records = []
+        for code in ("GBINw", "RBRNo"):
+            for seed, n in ((3, 40), (8, 33), (21, 47)):
+                drops = np.round(rng.uniform(-0.1, 0.7, n), 3)
+                records.extend(synthetic_records(drops, seed=seed, code=code))
+        summary = report(records, THRESH5, series_threshold=0.1)
+        paths = write_report_csvs(summary, tmp_path / "out")
+        assert [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths] == [
+            "58604566f21d5c8a49cf83a483c155d5bd5559f09303f5ba12173ded6fef5208",
+            "ae9b34064a6b4d5c01531762bcc4d656976d7b49fe37f3e9858c6cdf875b41d8"]
 
     def test_report_csvs_written(self, tmp_path):
         records = self.five_seed_records({1: [0.1, 0.0], 2: [0.1, 0.1]})

@@ -334,6 +334,44 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config:")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("campaign", {"campaign": {"exhaustive": "false"}}, "exhaustive"),
+        ("campaign", {"campaign": {"exhaustive": 0}}, "exhaustive"),
+        ("campaign", {"campaign": {"sample_budget": 2.7}}, "sample_budget"),
+        ("campaign", {"campaign": {"sample_budget": True}}, "sample_budget"),
+        ("campaign", {"campaign": {"seeds": [True]}}, "seeds"),
+        ("campaign", {"campaign": {"uniform_mix": "0.5"}}, "uniform_mix"),
+        ("train", {"train": {"epochs": 2.0}}, "epochs"),
+        ("train", {"train": {"lr": False}}, "lr"),
+        ("train", {"model": {"hidden": [12.5]}}, "hidden"),
+        ("fat", {"fat": {"warmup_epochs": "two"}}, "warmup_epochs"),
+        ("fat", {"fat": {"faults_per_round": 1.5}}, "faults_per_round"),
+        ("fat", {"fat": {"thresholds": [0.1, True]}}, "thresholds"),
+        ("fat", {"fat": {"lr": "0.05"}}, "lr"),
+    ])
+    def test_value_of_the_wrong_json_type_names_its_key(self, workspace, tmp_path, capsys,
+                                                        command, overrides, key):
+        """A boolean key takes only true or false and an integer key only a
+        JSON integer; nothing is coerced, and nothing is written."""
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        out.mkdir()
+        args = {"train": ["--out", str(out / "m.ckpt")],
+                "campaign": ["--checkpoint", workspace["ckpt"], "--code", "RBRNw",
+                             "--out", str(out / "r.csv")],
+                "fat": ["--out-dir", str(out / "fat")]}[command]
+        assert main([command, "--config", cfg] + args) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: config key {key!r} ")
+        assert list(out.iterdir()) == []
+
+    def test_float_keys_accept_integers(self, workspace, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", campaign={"uniform_mix": 0})
+        out = tmp_path / "r.csv"
+        assert main(["campaign", "--config", cfg, "--checkpoint", workspace["ckpt"],
+                     "--code", "RBRNw", "--out", str(out)]) == 0
+        meta = json.loads(open(meta_path_for(out)).read())
+        assert meta["config"]["uniform_mix"] == 0.0
+
     def test_bad_idx_magic_exits_3(self, workspace, tmp_path):
         """A dataset file with the wrong magic number is a data error."""
         images = tmp_path / "bad_images.idx"

@@ -51,6 +51,18 @@ class TestIdx:
         np.testing.assert_array_equal(ds.images.view(np.uint32), ds2.images.view(np.uint32))
         np.testing.assert_array_equal(ds.labels, ds2.labels)
 
+    def test_save_writes_the_loaded_bytes_and_no_temp_file(self, tmp_path):
+        rng = np.random.default_rng(2)
+        images = rng.integers(0, 256, size=(6, 3, 2)).astype(np.uint8)
+        labels = rng.integers(0, 10, size=6).astype(np.uint8)
+        ipath, lpath = write_idx_pair(tmp_path, images, labels)
+        out = tmp_path / "out"
+        out.mkdir()
+        save_idx(load_idx(ipath, lpath), out / "images.idx", out / "labels.idx")
+        assert sorted(p.name for p in out.iterdir()) == ["images.idx", "labels.idx"]
+        assert (out / "images.idx").read_bytes() == ipath.read_bytes()
+        assert (out / "labels.idx").read_bytes() == lpath.read_bytes()
+
     def test_pixels_in_unit_interval(self, tmp_path):
         rng = np.random.default_rng(1)
         images = rng.integers(0, 256, size=(8, 3, 3)).astype(np.uint8)

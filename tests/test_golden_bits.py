@@ -44,6 +44,13 @@ GOLDEN = {
         [0.4533333333333333, 0.5866666666666667], 764),
     "fat_train_weight_faults":
         "bb0cd16f14593e2f8cb1a25e2e8bd4c70f7984a3f5e8fcd8e7173861892048c5",
+    # (code, adversary_code) -> fat_train with two latency simulations per
+    # epoch; recorded when the twin trained its own warm-up and every
+    # simulation took its own clean snapshot
+    "fat_train_simulations": {
+        ("GBINo", "RBRNo"): "d256b1c014ade295c4e028fb510b9be8f1c87a3144869c8f9fde7dcdcb4b0b1b",
+        ("GBINw", "RBRNw"): "a67f1b8b1bd9bb6d70a13ad343b48a6ecaf8aa8ed2561cf7059438bf586e5886",
+    },
     "cnn_neuron_output_scores":
         "eb7639c42c45ff3115d3251bc6ff8899e2a4c2c2bb500a1917cd93c8e75efdff",
     "cnn_neuron_weight_scores":
@@ -143,6 +150,25 @@ def fat_train_weight_faults():
     return hashlib.sha256((model_checksum(model) + text).encode()).hexdigest()
 
 
+def fat_train_simulations(code, adversary_code):
+    """fat_train with three trained faults and two latency simulations per
+    FAT epoch, some of them censored; the report's JSON without its
+    wallclock fields pins the latency runs, logs and accuracies."""
+    train_set, test_set = _fat_fixture()
+    config = FatConfig(code=code, adversary_code=adversary_code, warmup_epochs=1,
+                       fat_epochs=2, faults_per_round=3, simulations_per_epoch=2,
+                       latency_threshold=0.05, lr=0.01, batch_size=4, optimizer="adam",
+                       seed=6)
+    model, report = fat_train(build_mlp((1, 1, 12), [16], 3, seed=4),
+                              train_set, test_set, config)
+    out = report.to_json_dict()
+    for runs in out["latency"].values():
+        for run in runs:
+            del run["wallclock_ns"]
+    text = json.dumps(out, sort_keys=True)
+    return hashlib.sha256((model_checksum(model) + text).encode()).hexdigest()
+
+
 def test_fat_mlp_adam_batch_one(trained_fat_mlp):
     model, _, log = trained_fat_mlp
     assert (model_checksum(model), log) == GOLDEN["fat_mlp_adam_b1"]
@@ -165,6 +191,11 @@ def test_skip_mode_with_output_faults():
 
 def test_fat_train_with_weight_faults():
     assert fat_train_weight_faults() == GOLDEN["fat_train_weight_faults"]
+
+
+@pytest.mark.parametrize("codes", sorted(GOLDEN["fat_train_simulations"]))
+def test_fat_train_with_simulations(codes):
+    assert fat_train_simulations(*codes) == GOLDEN["fat_train_simulations"][codes]
 
 
 def test_cnn_neuron_output_scores(trained_cnn):

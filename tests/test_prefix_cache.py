@@ -7,6 +7,7 @@ the same (accuracy, poisoned) for every site, bit for bit.
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,6 +21,7 @@ from sdcprobe.fault_model import FaultSite
 from sdcprobe import injector
 from sdcprobe.injector import PrefixCache, evaluate_with_fault, inject, remove
 from sdcprobe.nnet import build_cnn, build_mlp, evaluate_detailed, model_checksum, train
+from sdcprobe.nnet.training import EVAL_BATCH
 
 ROWS = 300  # more than one 256-row evaluation chunk
 
@@ -62,6 +64,38 @@ def sites(draw, model):
     element = draw(st.integers(0, sizes[lid] - 1))
     bit = draw(st.integers(0, 31))
     return FaultSite(lid, kind, element, bit)
+
+
+def _assert_holds_only_inputs(cache, dataset):
+    """Every chunk holds only its input: a view of its EVAL_BATCH rows of
+    the dataset, so the cache keeps no activation."""
+    starts = range(0, len(dataset), EVAL_BATCH)
+    assert len(cache.chunks) == len(starts)
+    for lo, chunk in zip(starts, cache.chunks):
+        assert len(chunk) == 1
+        assert np.shares_memory(chunk[0], dataset.images)
+        assert np.array_equal(chunk[0], dataset.images[lo:lo + EVAL_BATCH])
+
+
+def _assert_holds_every_output(cache, model, dataset):
+    """Every chunk holds its input followed by every layer's clean output."""
+    starts = range(0, len(dataset), EVAL_BATCH)
+    assert len(cache.chunks) == len(starts)
+    for lo, chunk in zip(starts, cache.chunks):
+        x = dataset.images[lo:lo + EVAL_BATCH]
+        _, acts = model.apply(x, return_activations=True)
+        assert len(chunk) == 1 + len(model.layers)
+        for got, want in zip(chunk, [x] + acts):
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def _over_budget(model, dataset):
+    """A cache built with a budget one byte short of its activations."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(injector, "PREFIX_CACHE_BYTES", PrefixCache(model, dataset).nbytes - 1)
+        cache = PrefixCache(model, dataset)
+    _assert_holds_only_inputs(cache, dataset)
+    return cache
 
 
 def _assert_same(model, dataset, cache, site):
@@ -162,14 +196,75 @@ class TestByteBudget:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(injector, "PREFIX_CACHE_BYTES", full_cache.nbytes - 1)
             cache = PrefixCache(model, dataset)
-        assert cache.chunks is None
+        _assert_holds_only_inputs(cache, dataset)
         assert cache.baseline == evaluate_detailed(model, dataset)
         _assert_same(model, dataset, cache, data.draw(sites(model)))
 
     def test_exactly_at_budget_is_cached(self, mlp_case, monkeypatch):
         model, dataset, full_cache = mlp_case
         monkeypatch.setattr(injector, "PREFIX_CACHE_BYTES", full_cache.nbytes)
-        assert PrefixCache(model, dataset).chunks is not None
+        _assert_holds_every_output(PrefixCache(model, dataset), model, dataset)
+
+    @pytest.mark.parametrize("case", ["cnn_case", "mlp_case"])
+    @pytest.mark.parametrize("kind", ["neuron_weight", "neuron_output"])
+    def test_over_budget_first_and_last_layers(self, request, case, kind):
+        model, dataset, _ = request.getfixturevalue(case)
+        cache = _over_budget(model, dataset)
+        sizes = _layer_sizes(model, kind)
+        for lid in (min(sizes), max(sizes)):
+            for element in (0, sizes[lid] - 1):
+                for bit in (0, 23, 30, 31):
+                    _assert_same(model, dataset, cache, FaultSite(lid, kind, element, bit))
+
+    def test_over_budget_poisoned_sites(self, mlp_case, cnn_case):
+        """The NaN weight of test_poisoned_weight_site and exponent flips
+        of every first-conv output element, evaluated from the inputs."""
+        model, dataset, _ = mlp_case
+        replica = model.copy()
+        replica.layers[1].weight.data[0, 0] = 1.5
+        _, poisoned = _assert_same(replica, dataset, _over_budget(replica, dataset),
+                                   FaultSite(1, "neuron_weight", 0, 30))
+        assert poisoned
+        model, dataset, _ = cnn_case
+        cache = _over_budget(model, dataset)
+        outcomes = [_assert_same(model, dataset, cache, FaultSite(0, "neuron_output", e, 30))
+                    for e in range(_layer_sizes(model, "neuron_output")[0])]
+        assert any(poisoned for _, poisoned in outcomes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_over_budget_model_with_a_registered_output_fault(self, cnn_case, data):
+        """A pass from the inputs applies the fault already on the model and
+        the injected one, including a site on the same layer."""
+        model, dataset, _ = cnn_case
+        replica = model.copy()
+        handle = inject(replica, FaultSite(2, "neuron_output", 5, 29))
+        cache = _over_budget(replica, dataset)
+        assert cache.baseline == evaluate_detailed(replica, dataset)
+        _assert_same(replica, dataset, cache, data.draw(sites(replica)))
+        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_output", 5, 29))
+        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_output", 6, 30))
+        remove(replica, handle)
+
+    def test_over_budget_build_holds_one_chunk_of_activations(self, mlp_case):
+        """Building over budget on 3000 rows (12 chunks) never holds half of
+        the activations a cache within budget keeps: one chunk's layer
+        outputs and their temporaries peak at about a quarter."""
+        model, dataset, _ = mlp_case
+        big = Dataset(np.tile(dataset.images, (10, 1, 1, 1)), np.tile(dataset.labels, 10),
+                      split="test")
+        per_sample = 4 * sum(int(np.prod(s)) for s in model.output_shapes())
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(injector, "PREFIX_CACHE_BYTES", 0)
+            tracemalloc.start()
+            try:
+                cache = PrefixCache(model, big)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        _assert_holds_only_inputs(cache, big)
+        assert cache.baseline == evaluate_detailed(model, big)
+        assert peak < per_sample * len(big) / 2
 
 
 class TestSharedAcrossWorkers:

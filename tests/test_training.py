@@ -6,6 +6,7 @@ import pytest
 from sdcprobe.data import Dataset, synth_blobs, train_test_split
 from sdcprobe.errors import TrainingDivergedError, UsageError
 from sdcprobe.nnet.autodiff import Tensor
+from sdcprobe.nnet.training import predict
 from sdcprobe.nnet import (
     Adam,
     Flatten,
@@ -51,6 +52,10 @@ class TestEvaluate:
         empty = Dataset(np.zeros((0, 1, 1, 2), dtype=np.float32), np.zeros(0, dtype=np.int64))
         with pytest.raises(UsageError):
             evaluate(model, empty)
+
+    def test_predict_on_zero_rows_gives_empty_arrays(self):
+        preds, poisoned = predict(passthrough_model(2), np.zeros((0, 1, 1, 2), np.float32))
+        assert preds.shape == poisoned.shape == (0,)
 
     def test_nan_logits_poison_and_resolve_to_class_zero(self):
         model = passthrough_model(2)
