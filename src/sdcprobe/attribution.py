@@ -100,9 +100,9 @@ class AttributionMap:
         self.scores = clean
 
 
-def conductance_components(model, images, baseline: Baseline, steps,
-                           classes=None, batch_size=128):
-    """Signed per-sample conductance for every layer.
+def conductance_components(model, images, baseline: Baseline, steps, classes=None):
+    """Signed per-sample conductance for every layer, in chunks of
+    EVAL_BATCH rows.
 
     Returns dict layer_id -> float64 [N, element_count].  ``classes`` fixes
     the scalarized output per sample; default is the clean-run prediction.
@@ -125,9 +125,9 @@ def conductance_components(model, images, baseline: Baseline, steps,
     first_relu = next((lid for lid, layer in enumerate(model.layers) if layer.kind == "relu"),
                       len(model.layers))
     x_prime = baseline.tensor[None]
-    for lo in range(0, n, batch_size):
-        xb = images[lo:lo + batch_size]
-        cb = classes[lo:lo + batch_size]
+    for lo in range(0, n, EVAL_BATCH):
+        xb = images[lo:lo + EVAL_BATCH]
+        cb = classes[lo:lo + EVAL_BATCH]
         nb = xb.shape[0]
         dx = xb - x_prime
         rows = [out[lid][lo:lo + nb] for lid in out]
@@ -175,22 +175,6 @@ def weight_sums(model, images, classes=None):
         for lid, w in weights.items():
             sums[lid] += w.grad.astype(np.float64).reshape(-1)
     return sums
-
-
-def weight_attribution_signed(model, layer_id, images, classes=None) -> np.ndarray:
-    """Signed gradient sum over inputs for one layer's weight, float64 flat."""
-    if not 0 <= layer_id < len(model.layers):
-        raise UsageError(f"layer id {layer_id} out of range")
-    layer = model.layers[layer_id]
-    if getattr(layer, "weight", None) is None:
-        raise UsageError(f"layer {layer_id} ({layer.kind}) has no weights to attribute")
-    return weight_sums(model, images, classes)[layer_id]
-
-
-def weight_attribution(model, layer_id, images, classes=None) -> np.ndarray:
-    """score_j = |sum_i dF(x_i)/dw_j|, absolute value applied after the sum."""
-    return np.abs(weight_attribution_signed(model, layer_id, images, classes)
-                  ).astype(np.float32)
 
 
 def eligible_layers(model, target_kind):

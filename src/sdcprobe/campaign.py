@@ -71,9 +71,9 @@ def make_record(code, seed, ordinal, site, baseline, faulty, poisoned,
 @dataclass
 class CampaignConfig:
     code: ExperimentCode
-    thresholds: tuple = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     sample_budget: int = DEFAULT_BUDGET
-    seeds: tuple = DEFAULT_SEEDS
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
     uniform_mix: float = 0.0
     workers: int = 1
     exhaustive: bool = False
@@ -84,13 +84,12 @@ class CampaignConfig:
         self.thresholds = tuple(float(t) for t in self.thresholds)
         if not self.thresholds:
             raise ConfigError("thresholds must be nonempty")
-        if list(self.thresholds) != sorted(self.thresholds):
-            raise ConfigError("thresholds must be sorted ascending")
-        if any(not 0.0 <= t <= 1.0 for t in self.thresholds):
-            raise ConfigError("thresholds must lie in [0, 1]")
-        cols = [threshold_column(t) for t in self.thresholds]
-        if len(set(cols)) != len(cols):
-            raise ConfigError("thresholds must be distinct at 0.01 resolution")
+        # a records column stores its threshold as a whole percent
+        for t in self.thresholds:
+            if not 0.0 <= t <= 1.0 or round(t * 100) / 100 != t:
+                raise ConfigError(f"thresholds must be whole percents in [0, 1], got {t}")
+        if any(a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
+            raise ConfigError("thresholds must be strictly ascending")
         if self.sample_budget < 0:
             raise ConfigError(f"sample_budget must be >= 0, got {self.sample_budget}")
         self.seeds = tuple(int(s) for s in self.seeds)

@@ -21,7 +21,7 @@ from . import fat as fat_mod
 from .data import load_idx, synth_blobs, train_test_split
 from .errors import (ConfigError, DataFormatError, DataIntegrityError, SdcProbeError,
                      UsageError)
-from .fault_model import parse_code, save_fault_csv
+from .fault_model import save_fault_csv
 from .nnet import build_cnn, build_mlp, load_checkpoint, model_checksum, save_checkpoint, train
 from .nnet.training import EVAL_BATCH
 
@@ -33,9 +33,6 @@ _DATASET_KEYS = {"kind", "classes", "samples_per_class", "dims", "spread", "seed
                  "center_scale", "image_shape", "test_fraction",
                  "train_images", "train_labels", "test_images", "test_labels"}
 _TRAIN_KEYS = {"epochs", "batch_size", "lr", "optimizer", "seed"}
-_ATTRIBUTE_KEYS = {"target_kind", "steps", "sample_count", "baseline", "seed"}
-_CAMPAIGN_KEYS = {f.name for f in dataclasses.fields(campaign_mod.CampaignConfig)}
-_FAT_KEYS = {f.name for f in dataclasses.fields(fat_mod.FatConfig)}
 
 
 def _check_keys(section, allowed, context):
@@ -81,7 +78,7 @@ def _json(*types):
     return check
 
 
-_int, _float, _bool = _json(int), _json(int, float), _json(bool)
+_int, _float, _bool, _str = _json(int), _json(int, float), _json(bool), _json(str)
 
 
 def _items(convert):
@@ -93,10 +90,23 @@ def _items(convert):
     return parse
 
 
-# each fat key's converter, chosen by its FatConfig field's declared type
-_FAT_CONVERTERS = {f.name: {"int": _int, "int | None": _int, "float": _float, "str": str,
-                            "object": str, "tuple": _items(_float)}[f.type]
-                   for f in dataclasses.fields(fat_mod.FatConfig)}
+# each config key's converter, chosen by its dataclass field's declared type
+_TYPE_CONVERTERS = {"int": _int, "int | None": _int, "float": _float, "bool": _bool,
+                    "str": _str, "object": _str, "ExperimentCode": _str,
+                    "tuple[int, ...]": _items(_int), "tuple[float, ...]": _items(_float)}
+_CONVERTERS = {cls: {f.name: _TYPE_CONVERTERS[f.type] for f in dataclasses.fields(cls)}
+               for cls in (attr_mod.AttributionConfig, campaign_mod.CampaignConfig,
+                           fat_mod.FatConfig)}
+
+
+def _config(cls, cfg, name, flags, **defaults):
+    """The `name` section of cfg as a cls: each field takes its flag, else
+    its value in the file, else defaults[field], else the dataclass default."""
+    converters = _CONVERTERS[cls]
+    section = _section(cfg, name, set(converters))
+    values = {k: _value(section, k, defaults.get(k), convert, flags.get(k))
+              for k, convert in converters.items()}
+    return cls(**{k: v for k, v in values.items() if v is not None})
 
 
 def _cnn_width(hidden):
@@ -157,14 +167,19 @@ def build_datasets_from_config(dcfg):
         return train_test_split(data,
                                 test_fraction=_value(dcfg, "test_fraction", 0.1, _float))
     if kind == "idx":
-        train_set = test_set = None
-        if "train_images" in dcfg or "train_labels" in dcfg:
-            train_set = load_idx(dcfg["train_images"], dcfg["train_labels"], split="train")
-        if "test_images" in dcfg or "test_labels" in dcfg:
-            test_set = load_idx(dcfg["test_images"], dcfg["test_labels"], split="test")
-        if train_set is None and test_set is None:
+        pairs = {}   # every path is checked before any file is opened
+        for split in ("train", "test"):
+            keys = (f"{split}_images", f"{split}_labels")
+            paths = [_value(dcfg, key, None, _str) for key in keys]
+            if paths.count(None) == 1:
+                given, missing = keys if paths[1] is None else keys[::-1]
+                raise ConfigError(f"idx dataset config names {given!r} without {missing!r}")
+            if None not in paths:
+                pairs[split] = paths
+        if not pairs:
             raise ConfigError("idx dataset config names no files")
-        return train_set, test_set
+        loaded = {split: load_idx(*paths, split=split) for split, paths in pairs.items()}
+        return loaded.get("train"), loaded.get("test")
     raise ConfigError(f"unknown dataset kind {kind!r}; expected 'blobs' or 'idx'")
 
 
@@ -174,10 +189,6 @@ def _need(dataset, which):
     return dataset
 
 
-def _single_seed(args, section):
-    return _value(section, "seed", 0, _int, args.seed[-1] if args.seed else None)
-
-
 def _write_meta(out_path, command, payload):
     meta = {"artifact_version": campaign_mod.ARTIFACT_VERSION,
             "command": command, **payload}
@@ -185,6 +196,9 @@ def _write_meta(out_path, command, payload):
 
 
 def _parse_thresholds(text):
+    """The comma-separated --thresholds flag as floats; None if not given."""
+    if text is None:
+        return None
     try:
         values = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
@@ -200,8 +214,8 @@ def cmd_train(args):
     params = {"epochs": _value(tcfg, "epochs", 10, _int),
               "batch_size": _value(tcfg, "batch_size", 32, _int),
               "lr": _value(tcfg, "lr", 0.01, _float),
-              "optimizer": _value(tcfg, "optimizer", "adam", str),
-              "seed": _single_seed(args, tcfg)}
+              "optimizer": _value(tcfg, "optimizer", "adam", _str),
+              "seed": _value(tcfg, "seed", 0, _int, args.seed[-1] if args.seed else None)}
     model = build_model_from_config(mcfg)
     train_set, test_set = build_datasets_from_config(dcfg)
     log = train(model, _need(train_set, "train"), eval_set=test_set, **params)
@@ -218,51 +232,38 @@ def cmd_train(args):
 
 def cmd_attribute(args):
     cfg = load_config(args.config)
-    acfg = _section(cfg, "attribute", _ATTRIBUTE_KEYS)
-    dcfg = _section(cfg, "dataset", _DATASET_KEYS)
-    model = load_checkpoint(args.checkpoint)
-    train_set, test_set = build_datasets_from_config(dcfg)
+    config = _config(attr_mod.AttributionConfig, cfg, "attribute",
+                     {"target_kind": args.target, "steps": args.steps,
+                      "sample_count": args.samples, "baseline": args.baseline,
+                      "seed": args.seed[-1] if args.seed else None},
+                     target_kind="neuron_weight")
+    train_set, test_set = build_datasets_from_config(_section(cfg, "dataset", _DATASET_KEYS))
     dataset = _need(test_set if test_set is not None else train_set, "test")
-    target = _value(acfg, "target_kind", "neuron_weight", str, args.target)
-    config = attr_mod.AttributionConfig(
-        target_kind=target,
-        steps=_value(acfg, "steps", 32, _int, args.steps),
-        sample_count=_value(acfg, "sample_count", None, _int, args.samples),
-        baseline=_value(acfg, "baseline", "zeros", str, args.baseline),
-        seed=_single_seed(args, acfg))
+    model = load_checkpoint(args.checkpoint)
     amap = attr_mod.attribute_all(model, dataset, config)
     attr_mod.save_attribution(amap, args.out)
     _write_meta(args.out, "attribute", {
-        "config": {k: getattr(config, k) for k in _ATTRIBUTE_KEYS},
+        "config": dataclasses.asdict(config),
         "checkpoint": args.checkpoint,
         "model_checksum": amap.model_checksum})
-    print(f"attributed {len(amap.scores)} layers ({target}); wrote {args.out}")
+    print(f"attributed {len(amap.scores)} layers ({config.target_kind}); wrote {args.out}")
     return 0
 
 
 def cmd_campaign(args):
     cfg = load_config(args.config)
-    ccfg = _section(cfg, "campaign", _CAMPAIGN_KEYS)
-    dcfg = _section(cfg, "dataset", _DATASET_KEYS)
-    model = load_checkpoint(args.checkpoint)
-    train_set, test_set = build_datasets_from_config(dcfg)
+    config = _config(campaign_mod.CampaignConfig, cfg, "campaign",
+                     {"code": args.code, "thresholds": _parse_thresholds(args.thresholds),
+                      "sample_budget": args.budget, "seeds": args.seed,
+                      "uniform_mix": args.mix, "workers": args.workers},
+                     code="RBRNw")
+    train_set, test_set = build_datasets_from_config(_section(cfg, "dataset", _DATASET_KEYS))
     dataset = _need(test_set if test_set is not None else train_set, "test")
-    code = parse_code(_value(ccfg, "code", "RBRNw", str, args.code))
-    thresholds = (_parse_thresholds(args.thresholds) if args.thresholds is not None
-                  else _value(ccfg, "thresholds", campaign_mod.DEFAULT_THRESHOLDS,
-                              _items(_float)))
-    config = campaign_mod.CampaignConfig(
-        code=code, thresholds=thresholds,
-        sample_budget=_value(ccfg, "sample_budget", campaign_mod.DEFAULT_BUDGET, _int,
-                             args.budget),
-        seeds=_value(ccfg, "seeds", campaign_mod.DEFAULT_SEEDS, _items(_int), args.seed),
-        uniform_mix=_value(ccfg, "uniform_mix", 0.0, _float, args.mix),
-        workers=_value(ccfg, "workers", 1, _int, args.workers),
-        exhaustive=_value(ccfg, "exhaustive", False, _bool))
+    model = load_checkpoint(args.checkpoint)
     attributions = None
-    if code.needs_attributions and not config.exhaustive:
+    if config.code.needs_attributions and not config.exhaustive:
         if args.attribution is None:
-            raise ConfigError(f"code {code} requires --attribution")
+            raise ConfigError(f"code {config.code} requires --attribution")
         attributions = attr_mod.load_attribution(args.attribution)
     probe = dataset.images[:EVAL_BATCH]
     result = campaign_mod.run_campaign(model, dataset, config, attributions,
@@ -270,21 +271,19 @@ def cmd_campaign(args):
     stats = result.stats
     shown = [f"{t:.2f}:{p if p is None else round(p, 4)}"
              for t, p in zip(config.thresholds, stats.precision)][:4]
-    print(f"campaign {code}: {len(result.records)} records, baseline "
+    print(f"campaign {config.code}: {len(result.records)} records, baseline "
           f"{result.baseline_accuracy}, precision {' '.join(shown)} ...; wrote {args.out}")
     return 0
 
 
 def cmd_fat(args):
     cfg = load_config(args.config)
-    fcfg = _section(cfg, "fat", _FAT_KEYS)
+    config = _config(fat_mod.FatConfig, cfg, "fat",
+                     {"code": args.code, "uniform_mix": args.mix,
+                      "seed": args.seed[-1] if args.seed else None,
+                      "thresholds": _parse_thresholds(args.thresholds)})
     mcfg = _section(cfg, "model", _MODEL_KEYS)
     dcfg = _section(cfg, "dataset", _DATASET_KEYS)
-    flags = {"code": args.code, "uniform_mix": args.mix,
-             "seed": args.seed[-1] if args.seed else None,
-             "thresholds": None if args.thresholds is None else _parse_thresholds(args.thresholds)}
-    values = {k: _value(fcfg, k, None, _FAT_CONVERTERS[k], flags.get(k)) for k in _FAT_KEYS}
-    config = fat_mod.FatConfig(**{k: v for k, v in values.items() if v is not None})
     model = build_model_from_config(mcfg)
     train_set, test_set = build_datasets_from_config(dcfg)
     model, report = fat_mod.fat_train(model, _need(train_set, "train"),
@@ -321,13 +320,13 @@ def cmd_report(args):
     if thresholds is None:
         raise UsageError("no records files given")
     summary = campaign_mod.report(all_records, thresholds,
-                                  series_threshold=float(args.series_threshold))
+                                  series_threshold=args.series_threshold)
     prec_path, series_path = campaign_mod.write_report_csvs(summary, args.out)
     _write_meta(prec_path, "report", {
         "config": {"records": list(args.records),
-                   "series_threshold": float(args.series_threshold)}})
+                   "series_threshold": args.series_threshold}})
     for code, t, mean, std, n in summary.rows:
-        if t == float(args.series_threshold):
+        if t == args.series_threshold:
             mean_s = "null" if mean is None else f"{mean:.4f}"
             std_s = "null" if std is None else f"{std:.4f}"
             print(f"{code} precision@{t:.2f}: mean {mean_s} stddev {std_s} over {n} seeds")
@@ -387,7 +386,7 @@ def make_parser():
 
     p = sub.add_parser("report", help="summarize campaign records")
     p.add_argument("records", nargs="+", help="records CSV files")
-    p.add_argument("--series-threshold", default="0.05")
+    p.add_argument("--series-threshold", type=float, default=0.05)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_report)
     return parser

@@ -45,7 +45,7 @@ class FatConfig:
     fat_epochs: int = 5
     faults_per_round: int = 5
     consecutive_criticals_required: int = 3
-    thresholds: tuple = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     simulations_per_epoch: int = 3     # latency sims after each FAT epoch
     latency_threshold: float = 0.05
     lr: float = 0.01

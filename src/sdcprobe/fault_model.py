@@ -308,10 +308,6 @@ class FaultSampler:
         # bit_stage: float64 [32] shared CDF, or [n_elements, 32] per-element CDF
         self._bit_cdf = bit_stage
 
-    @property
-    def search_space_size(self):
-        return self.n_elements * 32
-
     def sample_at(self, ordinal: int) -> FaultSite:
         """The fault site for one draw ordinal; a pure function of
         (config.seed, ordinal)."""

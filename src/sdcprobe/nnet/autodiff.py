@@ -153,16 +153,11 @@ class ComputationGraph:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for lid in range(len(layers) - 1, stop - 1, -1):
                 grads[lid] = g
-                if outputs and lid == 0:
-                    break
                 if lid in self.faults:
                     g = g.copy()
                     g.reshape(g.shape[0], -1)[:, [f.element_index for f in self.faults[lid]]] = 0.0
                 layer = layers[lid]
-                if outputs:
-                    g = layer.backward(g, self.caches[lid], True, params=False)[0]
-                    continue
-                g, pgrads = layer.backward(g, self.caches[lid], lid > stop)
+                g, pgrads = layer.backward(g, self.caches[lid], lid > stop, params=not outputs)
                 for p, pg in zip(layer.params(), pgrads):
                     p.grad = pg
         return grads

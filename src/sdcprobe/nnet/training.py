@@ -46,10 +46,11 @@ class Adam:
     """Adam with m and v in flat float64 buffers, updated in place; every
     parameter must carry a gradient when step() runs."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros(sum(p.data.size for p in self.params), dtype=np.float64)
         self.v = np.zeros_like(self.m)

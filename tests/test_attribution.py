@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdcprobe import attribution
 from sdcprobe.attribution import (
     AttributionConfig,
     AttributionMap,
@@ -21,8 +22,7 @@ from sdcprobe.attribution import (
     load_attribution,
     make_baseline,
     save_attribution,
-    weight_attribution,
-    weight_attribution_signed,
+    weight_sums,
 )
 from sdcprobe.data import Dataset, synth_blobs
 from sdcprobe.errors import ConfigError, DataFormatError, UsageError
@@ -121,7 +121,7 @@ class TestConductanceCompleteness:
         assert d2 <= d1 + 1e-12
 
 
-def reference_components(model, images, baseline, steps, classes, batch_size=128):
+def reference_components(model, images, baseline, steps, classes, batch_size):
     """Conductance the plain way: at every step a recorded forward, a
     backward to every layer output, and a tangent pass that recomputes each
     layer's output from the model input."""
@@ -184,8 +184,9 @@ class TestConductanceEngine:
     @given(attribution_cases())
     def test_matches_reference_bit_for_bit(self, case):
         model, images, baseline, steps, classes, batch_size = case
-        got = conductance_components(model, images, baseline, steps,
-                                     classes=classes, batch_size=batch_size)
+        with pytest.MonkeyPatch.context() as mp:   # the chunk size is EVAL_BATCH
+            mp.setattr(attribution, "EVAL_BATCH", batch_size)
+            got = conductance_components(model, images, baseline, steps, classes=classes)
         want = reference_components(model, images, baseline, steps, classes, batch_size)
         assert sorted(got) == sorted(want)
         for lid in want:
@@ -223,14 +224,13 @@ class TestWeightAttribution:
     def test_scalar_linear_gradient_is_input(self):
         # L(x) = w·x with one weight: dL/dw = x = 3
         model = linear_model([[1.0]])
-        scores = weight_attribution(model, 1, np.array([[[[3.0]]]], dtype=np.float32))
-        np.testing.assert_array_equal(scores, [3.0])
+        sums = weight_sums(model, np.array([[[[3.0]]]], dtype=np.float32))
+        np.testing.assert_array_equal(sums[1], [3.0])
 
     def test_opposite_inputs_cancel_before_absolute_value(self):
         model = linear_model([[1.0]])
         x = np.array([3.0, -3.0], dtype=np.float32).reshape(2, 1, 1, 1)
-        scores = weight_attribution(model, 1, x)
-        np.testing.assert_array_equal(scores, [0.0])
+        np.testing.assert_array_equal(weight_sums(model, x)[1], [0.0])
 
     def test_matches_finite_difference_on_mlp(self):
         model = build_mlp((1, 1, 5), [6], classes=3, seed=8)
@@ -239,8 +239,9 @@ class TestWeightAttribution:
         from sdcprobe.nnet.training import predict
         classes = predict(model, images)[0]
 
+        sums = weight_sums(model, images, classes=classes)
         for lid in model.weight_layer_ids():
-            got = weight_attribution_signed(model, lid, images, classes=classes)
+            got = sums[lid]
             layer = model.layers[lid]
             w64 = layer.weight.data.astype(np.float64)
 
@@ -274,10 +275,9 @@ class TestWeightAttribution:
         cb = predict(model, b)[0]
         both = np.concatenate([a, b])
         cboth = np.concatenate([ca, cb])
+        sums = [weight_sums(model, x, classes=c) for x, c in ((a, ca), (b, cb), (both, cboth))]
         for lid in model.weight_layer_ids():
-            sa = weight_attribution_signed(model, lid, a, classes=ca)
-            sb = weight_attribution_signed(model, lid, b, classes=cb)
-            sab = weight_attribution_signed(model, lid, both, classes=cboth)
+            sa, sb, sab = (s[lid] for s in sums)
             # float32 gradient buffers bound the match at single precision;
             # a structurally wrong accumulator (abs before sum) misses by O(1)
             np.testing.assert_allclose(sab, sa + sb, rtol=1e-5, atol=1e-6)
@@ -297,15 +297,10 @@ class TestWeightAttribution:
         assert rows == [256, 44]
         assert sorted(amap.scores) == model.weight_layer_ids() == [0, 2, 5, 7]
         monkeypatch.undo()
-        classes = predict(model, ds.images)[0]
+        sums = weight_sums(model, ds.images)
         for lid in model.weight_layer_ids():
-            want = weight_attribution(model, lid, ds.images, classes)
+            want = np.abs(sums[lid]).astype(np.float32)
             assert amap.scores[lid].tobytes() == want.tobytes()
-
-    def test_weightless_layer_rejected(self):
-        model = build_mlp((1, 1, 4), [5], classes=2, seed=1)
-        with pytest.raises(UsageError):
-            weight_attribution(model, 0, np.ones((1, 1, 1, 4), dtype=np.float32))
 
 
 class TestAttributeAll:

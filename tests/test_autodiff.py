@@ -275,9 +275,9 @@ class TestGraphWalk:
         x = np.random.default_rng(5).normal(size=(4, 1, 6, 6)).astype(f32)
         asked = []
         for lid, layer in enumerate(model.layers):
-            def spy(g, cache, need_gx, _orig=layer.backward, _lid=lid):
+            def spy(g, cache, need_gx, params=True, _orig=layer.backward, _lid=lid):
                 asked.append((_lid, need_gx))
-                return _orig(g, cache, need_gx)
+                return _orig(g, cache, need_gx, params)
             layer.backward = spy
         g = ComputationGraph()
         logits, _ = model.forward_graph(g, x)

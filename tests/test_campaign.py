@@ -131,6 +131,7 @@ class TestConfigValidation:
         {"thresholds": (0.0, 1.5)},
         {"thresholds": ()},
         {"thresholds": (0.05, 0.051)},
+        {"thresholds": (0.05, 0.05)},
         {"sample_budget": -1},
         {"seeds": ()},
         {"seeds": (1, 1)},
@@ -141,6 +142,20 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             CampaignConfig(code="RBRNw", **kwargs)
+
+    @pytest.mark.parametrize("t", [0.006, 0.051, float("nan")])
+    def test_thresholds_off_the_percent_grid_rejected(self, t):
+        """A records column names its threshold in whole percents: 0.006
+        would be written as sdc_001 and reload as 0.01."""
+        with pytest.raises(ConfigError, match=f"whole percents in \\[0, 1\\], got {t}"):
+            CampaignConfig(code="RBRNw", thresholds=(0.0, t))
+
+    def test_whole_percent_thresholds_reload_as_themselves(self, tmp_path):
+        thresholds = (0.05, 0.07, 0.29, 0.57)
+        assert CampaignConfig(code="RBRNw", thresholds=thresholds).thresholds == thresholds
+        records = synthetic_records([0.07, 0.29, 0.57, 0.0699], thresholds)
+        save_records(records, thresholds, tmp_path / "r.csv")
+        assert load_records(tmp_path / "r.csv") == (records, thresholds)
 
 
 class TestRunCampaign:

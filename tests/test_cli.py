@@ -1,5 +1,6 @@
 """CLI tests: subcommand wiring, flag precedence, exit-code taxonomy."""
 
+import hashlib
 import json
 import struct
 import subprocess
@@ -203,6 +204,43 @@ class TestFat:
             (out_dir / "fat_report.meta.json").read_text())["model_checksum"]
 
 
+class TestMetaSidecars:
+    # sha256 of each .meta.json the pipeline below writes, recorded before the
+    # attribute, campaign and fat sections shared one reader
+    META_SHA256 = {
+        "m.meta.json": "116a7c6673c958d91a3dd75a54a2c73969c2fd5a362e6b14bc03482a0384818c",
+        "o.meta.json": "3bf13f8453eb7d1a216aca0bf9cc269b4acddd08e33040cad75b535312257586",
+        "w.meta.json": "e198f4919573387015ba42af6a13a18005bd5c8b4d5f770d5919c60b331ac55e",
+        "g.meta.json": "754c0ffdab3b534c0cd9f0216a6044e8888a469857003ed4e34f696b59100229",
+        "r.meta.json": "18cf12f198e2d730dd246ccfc33f75eee6fe6dab48792a112aa7eb60ed54fbc8",
+        "fat/fat_report.meta.json":
+            "6b528c0f355a86b38db73a3d94ddc46738b072f2283843952702a4dc56c467fa",
+    }
+
+    def test_meta_bytes_unchanged(self, tmp_path, monkeypatch):
+        """Values from flags, from the file and from the defaults, for every
+        command: the sidecars restate them byte for byte."""
+        monkeypatch.chdir(tmp_path)   # relative paths: the attribute meta names its checkpoint
+        write_config(tmp_path / "cfg.json",
+                     attribute={"target_kind": "neuron_output", "steps": 4, "sample_count": 20,
+                                "baseline": "dataset_mean", "seed": 2},
+                     campaign={"exhaustive": False}, fat={"attribution_sample_count": None})
+        base = ["--config", "cfg.json"]
+        assert main(["train", *base, "--seed", "4", "--out", "m.ckpt"]) == 0
+        assert main(["attribute", *base, "--checkpoint", "m.ckpt", "--out", "o.attr"]) == 0
+        assert main(["attribute", *base, "--checkpoint", "m.ckpt", "--target", "neuron_weight",
+                     "--samples", "15", "--seed", "9", "--out", "w.attr"]) == 0
+        assert main(["campaign", *base, "--checkpoint", "m.ckpt", "--code", "GBINo",
+                     "--attribution", "o.attr", "--out", "g.csv"]) == 0
+        assert main(["campaign", *base, "--checkpoint", "m.ckpt", "--seed", "3", "--seed", "4",
+                     "--thresholds", "0,0.05,0.1", "--mix", "0.25", "--budget", "6",
+                     "--workers", "2", "--out", "r.csv"]) == 0
+        assert main(["fat", *base, "--seed", "8", "--mix", "0.5", "--out-dir", "fat"]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.META_SHA256}
+        assert got == self.META_SHA256
+
+
 class TestReport:
     def make_records(self, workspace, tmp_path, code, name):
         out = str(tmp_path / name)
@@ -247,6 +285,14 @@ class TestReport:
         rc = main(["report", a, out, "--out", str(tmp_path / "sum")])
         assert rc == 2
         assert "refusing to mix" in capsys.readouterr().err
+
+    def test_non_numeric_series_threshold_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(tmp_path / "r.csv"), "--series-threshold", "abc",
+                  "--out", str(tmp_path / "sum")])
+        assert exc.value.code == 2
+        assert "--series-threshold: invalid float value: 'abc'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_records_exit_3(self, workspace, tmp_path):
         """A records CSV with the wrong header is a data error."""
@@ -362,6 +408,70 @@ class TestExitCodes:
                 "fat": ["--out-dir", str(out / "fat")]}[command]
         assert main([command, "--config", cfg] + args) == 2
         assert capsys.readouterr().err.startswith(f"error: config: config key {key!r} ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("campaign", "campaign", "sample_budget"),
+        ("attribute", "attribute", "steps"),
+    ])
+    def test_bad_value_is_reported_before_the_checkpoint_is_read(self, tmp_path, capsys,
+                                                                 command, section, key):
+        """Each config section is read before any file is loaded, so a
+        wrong-typed value is a config error even when the checkpoint is
+        missing."""
+        cfg = write_config(tmp_path / "cfg.json", **{section: {key: "x"}})
+        assert main([command, "--config", cfg, "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: config key {key!r} ")
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("thresholds, bad", [
+        ([0.0, 0.006], 0.006),
+        ([0.05, 0.051], 0.051),
+        ([0.05, 0.07, 0.29, 0.57], None),
+    ])
+    def test_thresholds_are_whole_percents(self, workspace, tmp_path, capsys, source,
+                                           thresholds, bad):
+        """A threshold off the whole-percent grid of the records columns is
+        refused before anything is written; one on it reloads as itself."""
+        out = tmp_path / "out"
+        out.mkdir()
+        if source == "file":
+            args = ["--config", write_config(tmp_path / "cfg.json",
+                                             campaign={"thresholds": thresholds})]
+        else:
+            args = ["--config", workspace["cfg"],
+                    "--thresholds", ",".join(map(str, thresholds))]
+        rc = main(["campaign", *args, "--checkpoint", workspace["ckpt"], "--code", "RBRNw",
+                   "--budget", "3", "--out", str(out / "r.csv")])
+        if bad is None:
+            assert rc == 0
+            assert load_records(out / "r.csv")[1] == tuple(thresholds)
+        else:
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: config: thresholds must be whole percents in [0, 1], got {bad}")
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("dataset, message", [
+        ({"test_images": "x"}, "names 'test_images' without 'test_labels'"),
+        ({"train_labels": "y"}, "names 'train_labels' without 'train_images'"),
+        ({"test_images": 0, "test_labels": "y"}, "config key 'test_images' has bad value 0"),
+        ({"train_images": "x", "train_labels": ["y"], "test_images": "x", "test_labels": "y"},
+         "config key 'train_labels'"),
+    ], ids=["images-only", "labels-only", "fd-number", "list-path"])
+    def test_idx_paths_come_in_pairs_of_strings(self, tmp_path, dataset, message):
+        """Checked before any file is opened; a path of 0 would otherwise be
+        read as the stdin file descriptor, so stdin is closed off here."""
+        cfg = write_config(tmp_path / "cfg.json", dataset={"kind": "idx", **dataset})
+        out = tmp_path / "out"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdcprobe.cli", "train", "--config", cfg,
+             "--out", str(out / "m.ckpt")],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config:") and message in proc.stderr
         assert list(out.iterdir()) == []
 
     def test_float_keys_accept_integers(self, workspace, tmp_path):

@@ -361,7 +361,7 @@ class TestSiteEnumeration:
     def test_search_space_size_matches(self):
         model = tiny_weight_model([[1.0, 2.0, 3.0]])
         sampler = build_sampler(SamplerConfig(code="RBRNw"), None, model)
-        assert sampler.search_space_size == 3 * 32
+        assert sampler.n_elements * 32 == len(enumerate_sites(model, "neuron_weight"))
 
 
 class TestFaultCsv:

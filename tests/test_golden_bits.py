@@ -220,8 +220,8 @@ def test_cnn_conductance_components(trained_cnn):
 
 
 def test_mlp_conductance_components(trained_fat_mlp):
-    """The FAT fixture MLP over its 150 test rows, two 128-row chunks, at
-    32 steps: its flatten and first linear layer come before any ReLU."""
+    """The FAT fixture MLP over its 150 test rows, one EVAL_BATCH chunk,
+    at 32 steps: its flatten and first linear layer come before any ReLU."""
     model, test_set, _ = trained_fat_mlp
     assert test_set.images.shape[0] == 150
     comps = conductance_components(model, test_set.images,
