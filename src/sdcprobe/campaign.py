@@ -1,9 +1,9 @@
 """Seeded injection campaigns: run, classify, persist, summarize.
 
 A campaign draws fault sites from a sampler in blocks, evaluates the model
-once per distinct site, and classifies each draw's outcome against a ladder
-of SDC thresholds (drop >= t on absolute accuracy vs the fault-free
-baseline).  Records are deterministic for a given config because every draw
+once per distinct site (once per model and dataset, across campaigns), and
+classifies each draw's outcome against a ladder of SDC thresholds (drop >=
+t on absolute accuracy vs the fault-free baseline).  Records are deterministic for a given config because every draw
 ordinal owns its RNG stream.  Only wallclock_ns varies between runs.
 
 Records persist as append-friendly CSV plus a .meta.json sidecar carrying
@@ -40,6 +40,19 @@ _FIXED_COLUMNS = ["experiment_code", "seed", "sample_ordinal", "layer_id",
 
 def threshold_column(t: float) -> str:
     return f"sdc_{round(t * 100):03d}"
+
+
+def check_thresholds(thresholds, error=ConfigError) -> tuple[float, ...]:
+    """The ladder as a tuple of floats.  Raises error(message) unless every
+    threshold is a whole percent in [0, 1], as a records column stores it,
+    and the ladder is strictly ascending."""
+    thresholds = tuple(float(t) for t in thresholds)
+    for t in thresholds:
+        if not 0.0 <= t <= 1.0 or round(t * 100) / 100 != t:
+            raise error(f"thresholds must be whole percents in [0, 1], got {t}")
+    if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+        raise error(f"thresholds must be strictly ascending, got {thresholds}")
+    return thresholds
 
 
 @dataclass(frozen=True)
@@ -81,15 +94,9 @@ class CampaignConfig:
     def __post_init__(self):
         if isinstance(self.code, str):
             self.code = parse_code(self.code)
-        self.thresholds = tuple(float(t) for t in self.thresholds)
+        self.thresholds = check_thresholds(self.thresholds)
         if not self.thresholds:
             raise ConfigError("thresholds must be nonempty")
-        # a records column stores its threshold as a whole percent
-        for t in self.thresholds:
-            if not 0.0 <= t <= 1.0 or round(t * 100) / 100 != t:
-                raise ConfigError(f"thresholds must be whole percents in [0, 1], got {t}")
-        if any(a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ConfigError("thresholds must be strictly ascending")
         if self.sample_budget < 0:
             raise ConfigError(f"sample_budget must be >= 0, got {self.sample_budget}")
         self.seeds = tuple(int(s) for s in self.seeds)
@@ -292,7 +299,9 @@ def _records_text(rows, thresholds):
 
 
 def save_records(records, thresholds, path):
-    """Atomic CSV write, rows sorted by (seed, ordinal)."""
+    """Atomic CSV write, rows sorted by (seed, ordinal).  A ladder that
+    check_thresholds refuses raises UsageError before anything is written."""
+    thresholds = check_thresholds(thresholds, UsageError)
     atomic_write(path, _records_text(sorted(records, key=InjectionRecord.sort_key),
                                      thresholds))
 
@@ -343,7 +352,7 @@ def load_records(path):
                 and len(digits) <= 3):
             raise DataFormatError(f"{path}: bad threshold column {name!r}")
         thresholds.append(int(digits) / 100)
-    thresholds = tuple(thresholds)
+    thresholds = check_thresholds(thresholds, lambda msg: DataFormatError(f"{path}: {msg}"))
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -402,24 +411,27 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     730-1080 in the calling thread (2-core Xeon, one BLAS thread).
 
     Each seed's pending ordinals are one contiguous range, drawn with one
-    `sampler.sample` call.  A site drawn again, at any seed, reuses the
-    (accuracy, poisoned) outcome of its first evaluation, so each distinct
-    site is evaluated once per call; there is still one record per draw,
-    and its wallclock_ns is the evaluation (or lookup) time plus its share
-    of the block draw.  If the block draw raises, the block is drawn again
-    one ordinal at a time, so the draws before the failing one still land.
+    `sampler.sample` call.  A site drawn again, at any seed or in an
+    earlier campaign or latency run on the same unchanged model and
+    dataset, reuses the (accuracy, poisoned) outcome of its first
+    evaluation, so each distinct site is evaluated once per model and
+    dataset; there is still one record per draw, and its wallclock_ns is
+    the evaluation (or lookup) time plus its share of the block draw.  If
+    the block draw raises, the block is drawn again one ordinal at a time,
+    so the draws before the failing one still land.
 
-    One clean pass fills a PrefixCache that gives the baseline and lets
-    every evaluation rerun only the layers from its fault onward.  With
-    out_csv set, rows are flushed in order to `<out_csv>.part` as they
-    complete, so an error at one draw leaves exactly the draws before it;
-    an existing part file from an interrupted run is picked up where it
-    stopped, provided its header sidecar shows the same config (workers
-    aside), model checksum, dataset hash and baseline, and its rows carry
-    this experiment code and baseline.  The finished part file is renamed
-    onto out_csv.  Records come back in canonical (seed, ordinal) order.
+    PrefixCache.shared gives the baseline, the outcome memo and the clean
+    activations every evaluation resumes from, rerunning only the layers
+    from its fault onward.  With out_csv set, rows are flushed in order to
+    `<out_csv>.part` as they complete, so an error at one draw leaves
+    exactly the draws before it; an existing part file from an interrupted
+    run is picked up where it stopped, provided its header sidecar shows
+    the same config (workers aside), model checksum, dataset hash and
+    baseline, and its rows carry this experiment code and baseline.  The
+    finished part file is renamed onto out_csv.  Records come back in
+    canonical (seed, ordinal) order.
     """
-    prefix = PrefixCache(model, dataset)
+    prefix = PrefixCache.shared(model, dataset)
     baseline, _ = prefix.baseline
 
     if config.exhaustive:
@@ -448,7 +460,7 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     resumed = Counter(r.seed for r in records)  # a clean prefix: ordinals 0..m-1
 
     work = model.copy()  # faults go into this replica, never the caller's model
-    outcomes = {}  # FaultSite -> (accuracy, poisoned), shared by every seed
+    outcomes = prefix.outcomes
     try:
         for seed, sampler, budget in plan:  # canonical order, so flushes stay sorted
             start = resumed[seed]
@@ -469,8 +481,7 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                 site = sites[i] if sites is not None else sampler.sample(1, k)[0]
                 outcome = outcomes.get(site)
                 if outcome is None:
-                    outcome = outcomes[site] = evaluate_with_fault(work, dataset, site,
-                                                                   prefix=prefix)
+                    outcome = evaluate_with_fault(work, dataset, site, prefix=prefix)
                 faulty, poisoned = outcome
                 share = draw_ns * (i + 1) // n - draw_ns * i // n
                 rec = make_record(code_str, seed, k, site, baseline, faulty, poisoned,

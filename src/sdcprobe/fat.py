@@ -10,9 +10,10 @@ faults stay registered on the model for every forward pass.
 The latency metric asks how many fault evaluations (draws) a sampler needs
 before hitting k critical faults in a row; importance-guided samplers find
 them sooner.  A run draws sites in growing blocks and runs the model once
-per distinct site.  "Critical" means clamped accuracy drop >= threshold,
-where drops below zero clamp to zero so threshold 0.0 is trivially met.
-Cycle counts are proxied by evaluations x test-set size.
+per distinct site; runs on the same model and dataset share those
+evaluations.  "Critical" means clamped accuracy drop >= threshold, where
+drops below zero clamp to zero so threshold 0.0 is trivially met.  Cycle
+counts are proxied by evaluations x test-set size.
 """
 
 from __future__ import annotations
@@ -127,14 +128,16 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     timed window, so wallclock_ns reflects the sampler's true cost.  Runs
     past budget_cap evaluations return censored instead of raising.  A
     prebuilt sampler can be passed for diagnostics with constructed site
-    sequences; the code's own sampler is built otherwise.  The clean pass
-    that gives the baseline also fills the PrefixCache every evaluation
-    resumes from.
+    sequences; the code's own sampler is built otherwise.  The baseline,
+    the clean activations every evaluation resumes from and the outcome
+    memo come from PrefixCache.shared.
 
     Sites are drawn in blocks of 32, 64, 128, ... ordinals, capped at the
     budget left; draws past the stopping ordinal are discarded unevaluated.
-    evaluations_needed counts draws: a site drawn again reuses its first
-    evaluation's accuracy, so the model runs once per distinct site.
+    evaluations_needed counts draws: a site drawn again, in this run or in
+    an earlier run or campaign on the same unchanged model and dataset,
+    reuses its first evaluation's accuracy, so the model runs once per
+    distinct site per model and dataset.
     """
     if isinstance(code, str):
         code = parse_code(code)
@@ -144,9 +147,9 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     if sampler is None:
         sampler = _sampler_for(model, dataset, code, seed, steps=attribution_steps,
                                sample_count=attribution_sample_count)
-    prefix = PrefixCache(model, dataset)
+    prefix = PrefixCache.shared(model, dataset)
     baseline, _ = prefix.baseline
-    accuracy = {}  # FaultSite -> faulty accuracy; a repeated site is not re-evaluated
+    outcomes = prefix.outcomes
     consecutive = 0
     evaluations = 0
     censored = True
@@ -154,11 +157,12 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     while censored and evaluations < budget_cap:
         n = min(block, budget_cap - evaluations)
         for site in sampler.sample(n, evaluations):
-            if site not in accuracy:
-                accuracy[site], _ = evaluate_with_fault(model, dataset, site, prefix=prefix)
+            outcome = outcomes.get(site)
+            if outcome is None:
+                outcome = evaluate_with_fault(model, dataset, site, prefix=prefix)
             evaluations += 1
             # clamp: improvements are not critical
-            drop = max(0.0, baseline - accuracy[site])
+            drop = max(0.0, baseline - outcome[0])
             consecutive = consecutive + 1 if drop >= threshold else 0
             if consecutive >= k:
                 censored = False
@@ -229,7 +233,7 @@ def fat_train(model, train_set, test_set, config: FatConfig):
     faults_per_round=0 reproduces it bit for bit.  Per-epoch latency
     simulations run on one clean snapshot per epoch with distinct seeds and
     never touch the training model; each run removes its faults bit-exactly,
-    so the runs of an epoch share the snapshot.
+    so the runs of an epoch share the snapshot and its outcome memo.
     """
     def fit(m, epochs, seed, **kwargs):
         return train(m, train_set, epochs=epochs, batch_size=config.batch_size,

@@ -14,18 +14,26 @@ chunks the dataset, so evaluate_with_fault(..., prefix=cache) reruns only
 the layers from the fault onward, on the same batches, and its results are
 bit-identical to the full recompute it performs without a cache.  Past
 PREFIX_CACHE_BYTES a chunk keeps only its input.
+
+An outcome is a pure function of (parameters, dataset, site), so the cache
+also memoizes it: evaluate_with_fault(..., prefix=cache) stores each
+(accuracy, poisoned) it computes in cache.outcomes.  PrefixCache.shared
+hands campaigns and latency runs one process-wide cache per model and
+dataset, so they evaluate each distinct site once per model and dataset,
+across calls.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
 from .fault_model import FaultSite
-from .nnet import ActivationFault, evaluate_detailed
+from .nnet import ActivationFault, evaluate_detailed, model_checksum
 from .nnet.layers import patch_outputs
 from .nnet.training import EVAL_BATCH, classify, score
 
@@ -104,22 +112,28 @@ PREFIX_CACHE_BYTES = 64 << 20
 
 
 class PrefixCache:
-    """Clean per-layer activations of one model on one dataset.
+    """Clean per-layer activations of one model on one dataset, and the
+    outcomes of the faults evaluated through it.
 
     Built by one clean forward pass per EVAL_BATCH chunk, which also gives
     the baseline.  Every chunk keeps its input; while the outputs fit in
     PREFIX_CACHE_BYTES it also keeps each layer's output, so chunks[c][L]
     is the input of layer L.  The arrays are made read-only, so evaluations
     only read them, and threads that each evaluate on their own Model.copy()
-    replica may share one cache without locks.
+    replica may share one cache without locks.  outcomes maps each FaultSite
+    evaluated through the cache to its (accuracy, poisoned).
 
     The cache is only valid for models identical to the one it was built
     from: replicas made by Model.copy() qualify, the same model after its
     parameters change does not.  check() refuses another dataset, another
     layer stack or other registered output faults; parameters are not
     compared, since hashing them on every evaluation would cost as much as
-    the layers the cache saves.
+    the layers the cache saves.  shared() compares them once per call.
     """
+
+    # (weak reference to the model, validity key, cache) of the last
+    # shared() call; the process holds at most this one shared cache
+    _slot = None
 
     def __init__(self, model, dataset):
         n = len(dataset.labels)
@@ -140,6 +154,32 @@ class PrefixCache:
             logits.append(out)
         # (accuracy, poisoned) of the clean model, as evaluate_detailed gives it
         self.baseline = score(*classify(logits), dataset.labels)
+        self.outcomes: dict[FaultSite, tuple[float, bool]] = {}
+
+    @classmethod
+    def shared(cls, model, dataset) -> PrefixCache:
+        """The process-wide cache for model on dataset.
+
+        Returns the previous call's cache, outcomes included, when it was
+        made for this model object and this dataset object and neither has
+        changed since: same model checksum, dataset hash, layer stack and
+        registered output faults.  Otherwise it builds a new cache and puts
+        it in the slot in place of the old one.  The slot holds the model
+        by weak reference and is emptied when the model is collected.
+        """
+        key = (model_checksum(model), dataset.sha256(), cls._model_signature(model))
+        if PrefixCache._slot is not None:
+            ref, slot_key, cache = PrefixCache._slot
+            if ref() is model and cache.dataset is dataset and slot_key == key:
+                return cache
+        cache = cls(model, dataset)
+        PrefixCache._slot = (weakref.ref(model, _release_slot), key, cache)
+        return cache
+
+    @staticmethod
+    def clear_shared():
+        """Empty the slot of shared(), releasing its cache."""
+        PrefixCache._slot = None
 
     @staticmethod
     def _model_signature(model):
@@ -174,23 +214,32 @@ class PrefixCache:
         return score(*classify(logits), self.dataset.labels)
 
 
+def _release_slot(ref):
+    """Weak-reference callback: the slot's model was collected."""
+    if PrefixCache._slot is not None and PrefixCache._slot[0] is ref:
+        PrefixCache._slot = None
+
+
 def evaluate_with_fault(model, dataset, site: FaultSite,
                         prefix: PrefixCache | None = None) -> tuple[float, bool]:
     """(accuracy, poisoned) on the dataset with one fault active.
 
     Without prefix this is the full-recompute reference.  With a
     PrefixCache that passes check() for this model and dataset, only the
-    layers from the faulted one onward run.  The fault is always removed
-    afterwards, even when evaluation raises.
+    layers from the faulted one onward run, and the outcome is stored in
+    prefix.outcomes once the evaluation succeeds.  The fault is always
+    removed afterwards, even when evaluation raises.
     """
     if prefix is None:
         return evaluate_with_fault_set(model, dataset, [site])
     prefix.check(model, dataset)
     handle = inject(model, site)
     try:
-        return prefix.evaluate(model, site)
+        outcome = prefix.evaluate(model, site)
     finally:
         remove(model, handle)
+    prefix.outcomes[site] = outcome
+    return outcome
 
 
 def inject_set(model, sites) -> list:

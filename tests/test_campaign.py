@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from sdcprobe import campaign as campaign_mod
+from sdcprobe import fat as fat_mod
+from sdcprobe.attribution import AttributionConfig, attribute_all
 from sdcprobe.campaign import (CampaignConfig, DEFAULT_SEEDS, DEFAULT_THRESHOLDS,
                                InjectionRecord, census_from_records, compute_recall,
                                compute_stats, exhaustive_census, load_records,
@@ -15,6 +17,7 @@ from sdcprobe.campaign import (CampaignConfig, DEFAULT_SEEDS, DEFAULT_THRESHOLDS
                                running_precision, save_records, write_report_csvs)
 from sdcprobe.data import Dataset
 from sdcprobe.errors import ConfigError, DataFormatError, DataIntegrityError, UsageError
+from sdcprobe.fat import measure_latency_to_critical
 from sdcprobe.fault_model import FaultSite, SamplerConfig, build_sampler
 from sdcprobe.injector import evaluate_with_fault
 from sdcprobe.nnet import Flatten, Linear, Model, model_checksum
@@ -260,6 +263,42 @@ class TestRunCampaign:
         assert [strip_clock(r) for r in result.records] == \
             [strip_clock(r) for r in reference]
 
+    def test_campaigns_and_latency_runs_on_one_model_share_outcomes(self, monkeypatch):
+        """GBINw, then RBRNw, then a latency run on one model: each distinct
+        site any of them draws is evaluated once in total, and every record
+        and the latency result equal runs on fresh copies of the model."""
+        model, data = identity_model(), class1_dataset()
+        attributions = attribute_all(model, data, AttributionConfig("neuron_weight"))
+        configs = [CampaignConfig(code=code, thresholds=THRESH5, sample_budget=100,
+                                  seeds=(1, 2)) for code in ("GBINw", "RBRNw")]
+
+        def runs(fresh):
+            m = model.copy if fresh else lambda: model
+            results = [run_campaign(m(), data, cfg, attributions) for cfg in configs]
+            latency = measure_latency_to_critical(m(), data, "RBRNw", 0.95, seed=3,
+                                                  budget_cap=100)
+            return results, {**vars(latency), "wallclock_ns": 0}
+
+        reference = runs(fresh=True)
+        evaluated = []
+
+        def counting(model, dataset, site, **kwargs):
+            evaluated.append(site)
+            return evaluate_with_fault(model, dataset, site, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "evaluate_with_fault", counting)
+        monkeypatch.setattr(fat_mod, "evaluate_with_fault", counting)
+        shared = runs(fresh=False)
+        assert shared[1] == reference[1]
+        sites = []
+        for got, want in zip(shared[0], reference[0]):
+            assert [strip_clock(r) for r in got.records] == [strip_clock(r) for r in want.records]
+            sites.append({r.site for r in got.records})
+        latency_sites = set(build_sampler(SamplerConfig(code="RBRNw", seed=3), None, model)
+                            .sample(100))
+        assert sites[0] & sites[1] and (sites[0] | sites[1]) & latency_sites
+        assert len(evaluated) == len(set(evaluated)) == len(sites[0] | sites[1] | latency_sites)
+
     def test_constructed_always_critical_sampler_gives_precision_one(self):
         """Flipping bit 30 of w[0,0] drives the class-0 logit to +inf, so
         every sample misclassifies: verified directly, then as a campaign
@@ -371,6 +410,25 @@ class TestPersistence:
         cells[-1] = "1" if cells[-1] == "0" else "0"
         path.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
         with pytest.raises(DataIntegrityError):
+            load_records(path)
+
+    def test_save_refuses_an_off_grid_threshold_before_writing(self, tmp_path):
+        """0.006 would be written as sdc_001, whose reloaded flags then
+        disagree with the stored accuracies."""
+        path = tmp_path / "records.csv"
+        with pytest.raises(UsageError, match="whole percents"):
+            save_records(synthetic_records([0.003], (0.006,)), (0.006,), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("columns", ["sdc_010,sdc_005", "sdc_005,sdc_005",
+                                         "sdc_005,sdc_150"])
+    def test_load_refuses_a_ladder_config_would_refuse(self, tmp_path, columns):
+        """Descending, duplicate and over-100% columns are not a ladder a
+        campaign can write."""
+        path = tmp_path / "records.csv"
+        save_records([], (0.05, 0.10), path)
+        path.write_text(path.read_text().replace("sdc_005,sdc_010", columns))
+        with pytest.raises(DataFormatError, match="thresholds must be"):
             load_records(path)
 
     def test_bad_header_rejected(self, tmp_path):

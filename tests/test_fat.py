@@ -10,7 +10,7 @@ from sdcprobe.data import synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError
 from sdcprobe.fat import (FatConfig, _weight_fault_reapplier, fat_train,
                           measure_latency_to_critical, save_fat_report)
-from sdcprobe.fault_model import FaultSite
+from sdcprobe.fault_model import FaultSite, parse_code
 from sdcprobe.injector import evaluate_with_fault, inject, remove
 from sdcprobe.nnet import (Flatten, Linear, Model, Sgd, build_mlp, evaluate_detailed,
                            model_checksum, train)
@@ -135,6 +135,31 @@ class TestLatencyMeasurement:
         assert sampler.drawn == 96
         assert len(evaluated) == len(set(evaluated))
         assert set(evaluated) == set(sequence[:43])
+
+    def test_runs_on_one_model_evaluate_each_distinct_site_once(self, monkeypatch):
+        """Runs at other seeds and thresholds on one model share outcomes:
+        each distinct site drawn by any of them is evaluated once in total,
+        and every result equals a run on a fresh copy of the model."""
+        model, data = identity_model(), class1_dataset()
+        runs = [(1, 0.95), (2, 0.95), (3, 0.05), (4, 0.5)]  # 0.95 is never reached
+        fresh = [measure_latency_to_critical(model.copy(), data, "RBRNw", t, k=2, seed=seed,
+                                             budget_cap=100) for seed, t in runs]
+        evaluated = []
+
+        def counting(model, dataset, site, **kwargs):
+            evaluated.append(site)
+            return evaluate_with_fault(model, dataset, site, **kwargs)
+
+        monkeypatch.setattr(fat_mod, "evaluate_with_fault", counting)
+        shared = [measure_latency_to_critical(model, data, "RBRNw", t, k=2, seed=seed,
+                                              budget_cap=100) for seed, t in runs]
+        drawn = [set(fat_mod._sampler_for(model, data, parse_code("RBRNw"), seed)
+                     .sample(r.evaluations_needed)) for (seed, _), r in zip(runs, shared)]
+        assert drawn[0] & drawn[1]
+        assert len(evaluated) == len(set(evaluated)) == len(set().union(*drawn))
+        assert len(evaluated) < sum(len(d) for d in drawn)
+        for a, b in zip(shared, fresh):
+            assert {**vars(a), "wallclock_ns": 0} == {**vars(b), "wallclock_ns": 0}
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):

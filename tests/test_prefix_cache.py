@@ -5,9 +5,11 @@ fault onward; without prefix it reruns the whole model.  Both must return
 the same (accuracy, poisoned) for every site, bit for bit.
 """
 
+import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -339,6 +341,89 @@ class TestMismatchedCache:
         empty = Dataset(dataset.images[:0], dataset.labels[:0], split="test")
         with pytest.raises(UsageError, match="empty"):
             PrefixCache(model, empty)
+
+
+def _campaign_outcomes(model, dataset):
+    """(site, accuracy, poisoned) of a short output-fault campaign, which
+    evaluates through the shared cache; each must equal a full recompute on
+    the model and dataset as they are now."""
+    cfg = CampaignConfig(code="RBRNo", thresholds=(0.0, 0.05), sample_budget=40, seeds=(1,))
+    result = run_campaign(model, dataset, cfg)
+    assert result.baseline_accuracy == evaluate_detailed(model, dataset)[0]
+    outcomes = [(r.site, r.faulty_accuracy, r.poisoned) for r in result.records]
+    for site, accuracy, poisoned in outcomes:
+        assert (accuracy, poisoned) == evaluate_with_fault(model, dataset, site), site
+    return outcomes
+
+
+def _weight_changed(model, dataset):
+    model.layers[model.weight_layer_ids()[0]].weight.data[0] *= -4.0
+    return model, dataset
+
+
+def _image_changed(model, dataset):
+    """Overwrite one correctly classified image with a correctly classified
+    image of another class, so the clean accuracy moves."""
+    right = model.apply(dataset.images).argmax(axis=1) == dataset.labels
+    i = int(np.flatnonzero(right)[0])
+    j = int(np.flatnonzero(right & (dataset.labels != dataset.labels[i]))[0])
+    dataset.images[i] = dataset.images[j]
+    return model, dataset
+
+
+def _output_fault_registered(model, dataset):
+    inject(model, FaultSite(1, "neuron_output", 0, 30))
+    return model, dataset
+
+
+def _second_model(model, dataset):
+    return model.copy(), dataset
+
+
+def _equal_dataset(model, dataset):
+    return model, Dataset(dataset.images.copy(), dataset.labels.copy(), split="test")
+
+
+class TestSharedCache:
+    @pytest.mark.parametrize("change, outcomes_move", [
+        (_weight_changed, True), (_image_changed, True), (_output_fault_registered, True),
+        (_second_model, False), (_equal_dataset, False)])
+    def test_a_changed_key_rebuilds_the_cache(self, mlp_case, change, outcomes_move):
+        """The shared cache is handed out again only for the same, unchanged
+        model and dataset objects; any change gives a new, empty cache
+        whose outcomes match a fresh evaluation."""
+        model, dataset, _ = mlp_case
+        model = model.copy()
+        dataset = Dataset(dataset.images.copy(), dataset.labels.copy(), split="test")
+        first = PrefixCache.shared(model, dataset)
+        before = _campaign_outcomes(model, dataset)
+        assert PrefixCache.shared(model, dataset) is first and first.outcomes
+        model, dataset = change(model, dataset)
+        second = PrefixCache.shared(model, dataset)
+        assert second is not first and not second.outcomes
+        after = _campaign_outcomes(model, dataset)
+        assert PrefixCache.shared(model, dataset) is second
+        assert (after != before) == outcomes_move
+
+    def test_the_slot_keeps_no_model_alive(self, mlp_case):
+        model, dataset, _ = mlp_case
+        replica = model.copy()
+        cache = weakref.ref(PrefixCache.shared(replica, dataset))
+        alive = weakref.ref(replica)
+        del replica
+        gc.collect()
+        assert alive() is None and cache() is None
+
+    def test_the_process_holds_one_cache(self, mlp_case):
+        model, dataset, _ = mlp_case
+        a, b = model.copy(), model.copy()
+        first = weakref.ref(PrefixCache.shared(a, dataset))
+        second = PrefixCache.shared(b, dataset)
+        gc.collect()
+        assert first() is None
+        assert PrefixCache.shared(b, dataset) is second
+        PrefixCache.clear_shared()
+        assert PrefixCache.shared(b, dataset) is not second
 
 
 class TestResumableApply:
