@@ -75,10 +75,23 @@ def flip_bit(value, bit_index: int) -> np.float32:
 
 def flip_bit_many(values, bit_index: int) -> np.ndarray:
     """flip_bit applied elementwise to a float32 array, preserving shape."""
+    return xor_bits(values, bit_mask(bit_index))
+
+
+def bit_mask(bit_index: int) -> np.uint32:
+    """The uint32 pattern with only bit_index set."""
     if not 0 <= bit_index <= 31:
         raise ValueError(f"bit_index {bit_index} out of range [0, 31]")
+    return np.uint32(1 << bit_index)
+
+
+def xor_bits(values, masks) -> np.ndarray:
+    """New float32 array: the patterns of values XORed with the uint32
+    masks, broadcast against each other.  values is never written.  A
+    [K, 1, E] stack of mask rows over an [N, E] batch gives K patched
+    copies of the batch in one pass."""
     u = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
-    return (u ^ np.uint32(1 << bit_index)).view(np.float32)
+    return np.bitwise_xor(u, masks).view(np.float32)
 
 
 def encode(value) -> BitVector32:

@@ -1,10 +1,12 @@
 """Seeded injection campaigns: run, classify, persist, summarize.
 
 A campaign draws fault sites from a sampler in blocks, evaluates the model
-once per distinct site (once per model and dataset, across campaigns), and
-classifies each draw's outcome against a ladder of SDC thresholds (drop >=
-t on absolute accuracy vs the fault-free baseline).  Records are deterministic for a given config because every draw
-ordinal owns its RNG stream.  Only wallclock_ns varies between runs.
+once per distinct site (once per model and dataset, across campaigns), in
+stacks of same-layer sites from one block, and classifies each draw's
+outcome against a ladder of SDC thresholds (drop >= t on absolute accuracy
+vs the fault-free baseline).  Records are deterministic for a given config
+because every draw ordinal owns its RNG stream.  Only wallclock_ns varies
+between runs.
 
 Records persist as append-friendly CSV plus a .meta.json sidecar carrying
 the full config, the model checksum and a hash of the dataset, enough to
@@ -404,21 +406,28 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     """Run the campaign and return all records plus pooled stats.
 
     The pending (seed, ordinal) draws run in canonical order in the calling
-    thread, on one private model replica; records do not depend on
-    `workers`, which is accepted and validated but starts no thread.  A
-    thread pool was measured and dropped: on 1500 6x6 images through the
-    acceptance CNN, 2 pool threads ran 460-590 evaluations/s against
-    730-1080 in the calling thread (2-core Xeon, one BLAS thread).
+    thread; records do not depend on `workers`, which is accepted and
+    validated but starts no thread.  A thread pool was measured and
+    dropped: on 1500 6x6 images through the acceptance CNN, 2 pool threads
+    ran 460-590 evaluations/s against 730-1080 in the calling thread
+    (2-core Xeon, one BLAS thread).  Evaluation never writes the model.
 
     Each seed's pending ordinals are one contiguous range, drawn with one
     `sampler.sample` call.  A site drawn again, at any seed or in an
     earlier campaign or latency run on the same unchanged model and
     dataset, reuses the (accuracy, poisoned) outcome of its first
     evaluation, so each distinct site is evaluated once per model and
-    dataset; there is still one record per draw, and its wallclock_ns is
-    the evaluation (or lookup) time plus its share of the block draw.  If
+    dataset.  A draw whose site has no outcome yet is evaluated in a stack
+    (evaluate_with_fault with ahead): with it, up to PrefixCache.stack_size
+    - 1 not-yet-evaluated sites of the same layer and kind from the rest of
+    its block, in draw order, share one pass, and the later draws of those
+    sites find their outcomes in the memo.  There is still one record per
+    draw.  Its wallclock_ns is the lookup time, plus the whole stack's
+    time on the draw that ran it, plus its share of the block draw.  If
     the block draw raises, the block is drawn again one ordinal at a time,
-    so the draws before the failing one still land.
+    and each of those draws is a stack of one, so the draws before the
+    failing one still land.  A drawn site that names no element of the
+    model is left out of the stacks and raises UsageError at its own draw.
 
     PrefixCache.shared gives the baseline, the outcome memo and the clean
     activations every evaluation resumes from, rerunning only the layers
@@ -459,7 +468,6 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
         records = list(sink.start(expected_order, code_str, baseline))
     resumed = Counter(r.seed for r in records)  # a clean prefix: ordinals 0..m-1
 
-    work = model.copy()  # faults go into this replica, never the caller's model
     outcomes = prefix.outcomes
     try:
         for seed, sampler, budget in plan:  # canonical order, so flushes stay sorted
@@ -481,7 +489,11 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                 site = sites[i] if sites is not None else sampler.sample(1, k)[0]
                 outcome = outcomes.get(site)
                 if outcome is None:
-                    outcome = evaluate_with_fault(work, dataset, site, prefix=prefix)
+                    # a generator, not a slice: the stack scan stops early, so a
+                    # miss copies no block
+                    ahead = (sites[j] for j in range(i + 1, n)) if sites is not None else ()
+                    outcome = evaluate_with_fault(model, dataset, site, prefix=prefix,
+                                                  ahead=ahead)
                 faulty, poisoned = outcome
                 share = draw_ns * (i + 1) // n - draw_ns * i // n
                 rec = make_record(code_str, seed, k, site, baseline, faulty, poisoned,

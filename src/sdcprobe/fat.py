@@ -137,7 +137,10 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     evaluations_needed counts draws: a site drawn again, in this run or in
     an earlier run or campaign on the same unchanged model and dataset,
     reuses its first evaluation's accuracy, so the model runs once per
-    distinct site per model and dataset.
+    distinct site per model and dataset.  Unlike a campaign, a run
+    evaluates each new site in a stack of one, in draw order: whether a
+    later draw is needed depends on this one's outcome, and a stacked pass
+    would evaluate draws past the stop.
     """
     if isinstance(code, str):
         code = parse_code(code)

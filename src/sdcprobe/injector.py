@@ -11,16 +11,27 @@ forward pass until removed.
 A fault at layer L cannot change anything upstream of L.  A PrefixCache
 keeps the clean activations of every layer, chunked exactly as evaluation
 chunks the dataset, so evaluate_with_fault(..., prefix=cache) reruns only
-the layers from the fault onward, on the same batches, and its results are
-bit-identical to the full recompute it performs without a cache.  Past
-PREFIX_CACHE_BYTES a chunk keeps only its input.
+the layers from the fault onward, on the same batches.  Past
+PREFIX_CACHE_BYTES a chunk keeps only its input, and the clean layers
+before the fault run first, once per chunk.
+
+It evaluates faults in stacks: up to K sites of one layer and one kind in
+one pass, with a leading variant axis of K rows.  A weight stack is K
+copies of the layer's weight, each with one bit XORed; an output stack is
+K copies of the layer's clean output, each with one column XORed.  The
+variant axis stays separate from the batch axis wherever a BLAS call sees
+it (Model.apply), so every variant makes exactly the calls its
+single-site pass makes, and each outcome is bit-identical, by
+construction, to the full recompute that evaluate_with_fault performs
+without a cache.  K is the number of variants whose float64 activations
+over one chunk fit STACK_BYTES.  No stacked pass writes the model.
 
 An outcome is a pure function of (parameters, dataset, site), so the cache
-also memoizes it: evaluate_with_fault(..., prefix=cache) stores each
-(accuracy, poisoned) it computes in cache.outcomes.  PrefixCache.shared
-hands campaigns and latency runs one process-wide cache per model and
-dataset, so they evaluate each distinct site once per model and dataset,
-across calls.
+also memoizes it: evaluate_with_fault(..., prefix=cache) stores the
+(accuracy, poisoned) of every site of its stack in cache.outcomes.
+PrefixCache.shared hands campaigns and latency runs one process-wide cache
+per model and dataset, so they evaluate each distinct site once per model
+and dataset, across calls.
 """
 
 from __future__ import annotations
@@ -31,10 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bitfloat import xor_bits
 from .errors import UsageError
 from .fault_model import FaultSite
 from .nnet import ActivationFault, evaluate_detailed, model_checksum
-from .nnet.layers import patch_outputs
 from .nnet.training import EVAL_BATCH, classify, score
 
 
@@ -46,22 +57,34 @@ class InjectionHandle:
     original_bit: int | None = None  # weight faults: the bit before injection
 
 
-def _check_layer(model, site):
-    if not 0 <= site.layer_id < len(model.layers):
-        raise UsageError(f"layer id {site.layer_id} out of range")
+def _site_error(model, site):
+    """Why the site names no element of the model, or None if it does."""
+    lid, element = site.layer_id, site.element_index
+    if not 0 <= lid < len(model.layers):
+        return f"layer id {lid} out of range"
+    if site.target_kind == "neuron_weight":
+        layer = model.layers[lid]
+        weight = getattr(layer, "weight", None)
+        if weight is None:
+            return f"layer {lid} ({layer.kind}) has no weights"
+        if not 0 <= element < weight.data.size:
+            return f"element {element} out of range for layer {lid} ({weight.data.size} weights)"
+    else:
+        size = math.prod(model.in_shapes[lid + 1])
+        if not 0 <= element < size:
+            return f"element {element} out of range for layer {lid} outputs ({size} elements)"
+    return None
+
+
+def _check_site(model, site):
+    error = _site_error(model, site)
+    if error is not None:
+        raise UsageError(error)
 
 
 def _weight_view(model, site):
-    _check_layer(model, site)
-    layer = model.layers[site.layer_id]
-    weight = getattr(layer, "weight", None)
-    if weight is None:
-        raise UsageError(f"layer {site.layer_id} ({layer.kind}) has no weights")
-    flat = weight.data.reshape(-1)
-    if not 0 <= site.element_index < flat.size:
-        raise UsageError(f"element {site.element_index} out of range for layer "
-                         f"{site.layer_id} ({flat.size} weights)")
-    return flat
+    _check_site(model, site)
+    return model.layers[site.layer_id].weight.data.reshape(-1)
 
 
 def pin_weight_bit(model, site: FaultSite, value: int):
@@ -82,11 +105,7 @@ def inject(model, site: FaultSite) -> InjectionHandle:
         bit = int(word) >> site.bit_index & 1
         pin_weight_bit(model, site, 1 - bit)
         return InjectionHandle(site, original_bit=bit)
-    _check_layer(model, site)
-    n_elems = math.prod(model.in_shapes[site.layer_id + 1])
-    if not 0 <= site.element_index < n_elems:
-        raise UsageError(f"element {site.element_index} out of range for layer "
-                         f"{site.layer_id} outputs ({n_elems} elements)")
+    _check_site(model, site)
     fault = ActivationFault(site.layer_id, site.element_index, site.bit_index)
     model.registered_output_faults.append(fault)
     return InjectionHandle(site, _fault=fault)
@@ -110,6 +129,13 @@ def remove(model, handle: InjectionHandle):
 # every layer, one chunk at a time.
 PREFIX_CACHE_BYTES = 64 << 20
 
+# Largest stacked pass, in bytes: K variants x 8 x ((rows of the largest
+# chunk) x (per-sample activations) + (largest weight)), in the float64 the
+# layers compute in.  The acceptance CNN (179 activations per sample, 256
+# weights in its largest layer) stacks 23 sites on 45 rows and 4 on 256; the
+# CLI's default CNN on 28x28 images stacks 1.
+STACK_BYTES = 3 << 19
+
 
 class PrefixCache:
     """Clean per-layer activations of one model on one dataset, and the
@@ -118,10 +144,11 @@ class PrefixCache:
     Built by one clean forward pass per EVAL_BATCH chunk, which also gives
     the baseline.  Every chunk keeps its input; while the outputs fit in
     PREFIX_CACHE_BYTES it also keeps each layer's output, so chunks[c][L]
-    is the input of layer L.  The arrays are made read-only, so evaluations
-    only read them, and threads that each evaluate on their own Model.copy()
-    replica may share one cache without locks.  outcomes maps each FaultSite
-    evaluated through the cache to its (accuracy, poisoned).
+    is the input of layer L.  The arrays are made read-only, and stacked
+    evaluations only read them and the model, so threads may share one
+    cache and one model without locks.  outcomes maps each FaultSite
+    evaluated through the cache to its (accuracy, poisoned).  stack_size
+    is the most sites one stacked pass evaluates (see STACK_BYTES).
 
     The cache is only valid for models identical to the one it was built
     from: replicas made by Model.copy() qualify, the same model after its
@@ -141,8 +168,12 @@ class PrefixCache:
             raise UsageError("cannot evaluate on an empty dataset")
         self.dataset = dataset
         self._signature = self._model_signature(model)
-        self.nbytes = 4 * n * sum(int(np.prod(s)) for s in model.output_shapes())
+        per_sample = sum(math.prod(s) for s in model.output_shapes())
+        self.nbytes = 4 * n * per_sample
         self.stores_activations = self.nbytes <= PREFIX_CACHE_BYTES
+        widest = max((model.layers[i].weight.data.size for i in model.weight_layer_ids()),
+                     default=0)
+        self.stack_size = max(1, STACK_BYTES // (8 * (min(n, EVAL_BATCH) * per_sample + widest)))
         self.chunks, logits = [], []
         for lo in range(0, n, EVAL_BATCH):
             x = dataset.images[lo:lo + EVAL_BATCH]
@@ -194,24 +225,45 @@ class PrefixCache:
             raise UsageError("prefix cache was built for a model with other layers "
                              "or other registered output faults")
 
-    def evaluate(self, model, site: FaultSite) -> tuple[float, bool]:
-        """(accuracy, poisoned) with the site already injected into model.
+    def evaluate_stack(self, model, sites) -> list[tuple[float, bool]]:
+        """(accuracy, poisoned) of each site, in order, from one pass over
+        the layers from the sites' layer L onward, one variant per site.
 
-        With activations stored, a weight fault at L resumes from the clean
-        input of L and an output fault at L at L+1, from the clean output of
-        L patched here: a pass starting after L never applies faults
-        registered on L.  Without them the pass starts at layer 0 and
-        applies the injected fault itself.
+        The sites share L and kind and must name elements of the model.  A
+        weight stack resumes from the clean input of L, with variant k's
+        weight XORed at site k; an output stack from the clean output of L,
+        already carrying the faults registered on L, with variant k's
+        column XORed.  Without stored activations the clean layers before
+        that start run first, once per chunk, as the cache build ran them.
         """
-        start, faults = 0, ()
-        if self.stores_activations:
-            start = site.layer_id
-            if site.target_kind == "neuron_output":
-                start += 1
-                faults = [ActivationFault(site.layer_id, site.element_index, site.bit_index)]
-        logits = [model.apply(patch_outputs(chunk[start], faults) if faults else chunk[start],
-                              start=start) for chunk in self.chunks]
-        return score(*classify(logits), self.dataset.labels)
+        lid, k = sites[0].layer_id, len(sites)
+        weights = masks = None
+        if sites[0].target_kind == "neuron_weight":
+            start, w = lid, model.layers[lid].weight.data
+            weights = xor_bits(w.reshape(1, -1), _stack_masks(sites, w.size)).reshape(k, *w.shape)
+        else:
+            start = lid + 1
+            masks = _stack_masks(sites, math.prod(model.in_shapes[start]))[:, None, :]
+        logits = []
+        for chunk in self.chunks:
+            x = chunk[start] if start < len(chunk) else model.apply(chunk[0], stop=start)
+            rows = len(x)
+            if masks is not None:
+                x = xor_bits(x.reshape(rows, -1), masks).reshape(k * rows, *x.shape[1:])
+            out = model.apply(x, start=start, variants=k, weights=weights)
+            logits.append(out.reshape(k, rows, -1))
+        preds, poisoned = classify(logits)
+        # hits / rows, the division np.mean makes: hit counts are exact
+        accuracy = (preds == self.dataset.labels).sum(axis=-1) / preds.shape[-1]
+        return list(zip(accuracy.tolist(), poisoned.any(axis=-1).tolist()))
+
+
+def _stack_masks(sites, size):
+    """[K, size] uint32 masks: row k holds site k's bit at its element."""
+    masks = np.zeros((len(sites), size), dtype=np.uint32)
+    for k, site in enumerate(sites):
+        masks[k, site.element_index] = 1 << site.bit_index
+    return masks
 
 
 def _release_slot(ref):
@@ -221,25 +273,37 @@ def _release_slot(ref):
 
 
 def evaluate_with_fault(model, dataset, site: FaultSite,
-                        prefix: PrefixCache | None = None) -> tuple[float, bool]:
+                        prefix: PrefixCache | None = None, ahead=()) -> tuple[float, bool]:
     """(accuracy, poisoned) on the dataset with one fault active.
 
-    Without prefix this is the full-recompute reference.  With a
-    PrefixCache that passes check() for this model and dataset, only the
-    layers from the faulted one onward run, and the outcome is stored in
-    prefix.outcomes once the evaluation succeeds.  The fault is always
-    removed afterwards, even when evaluation raises.
+    Without prefix this is the full-recompute reference: the fault is
+    injected into the model and always removed afterwards, even when
+    evaluation raises.  With a PrefixCache that passes check() for this
+    model and dataset, the site is evaluated in a stack
+    (PrefixCache.evaluate_stack) that it leads, filled up to
+    prefix.stack_size with the first sites of the iterable ahead, in
+    order, that share its layer and kind, name an element of the model and
+    are neither in prefix.outcomes nor already stacked; ahead is typically
+    the rest of a drawn block.  A site that names no element raises
+    UsageError; one in ahead is left out.  Every outcome of the stack is
+    stored in prefix.outcomes once the pass succeeds, and the model is
+    never written.
     """
     if prefix is None:
         return evaluate_with_fault_set(model, dataset, [site])
     prefix.check(model, dataset)
-    handle = inject(model, site)
-    try:
-        outcome = prefix.evaluate(model, site)
-    finally:
-        remove(model, handle)
-    prefix.outcomes[site] = outcome
-    return outcome
+    _check_site(model, site)
+    stack = {site: None}
+    for other in ahead:
+        if len(stack) >= prefix.stack_size:
+            break
+        if (other.layer_id == site.layer_id and other.target_kind == site.target_kind
+                and other not in stack and other not in prefix.outcomes
+                and _site_error(model, other) is None):
+            stack[other] = None
+    outcomes = prefix.evaluate_stack(model, list(stack))
+    prefix.outcomes.update(zip(stack, outcomes))
+    return outcomes[0]
 
 
 def inject_set(model, sites) -> list:

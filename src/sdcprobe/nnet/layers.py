@@ -2,14 +2,16 @@
 
 A Model is an ordered list of layers (conv2d / linear / relu / flatten)
 over float32 parameters.  Each layer has one forward(x) -> (y, cache);
-its apply(x) is that forward without the cache, and its
+its apply(x, variants) gives that forward's output, for x holding the
+batches of several model variants stacked along its rows, and its
 backward(g, cache, need_gx) returns the input gradient (if asked) and the
 parameter gradients.  Model.apply() runs the layers' apply for evaluation
 and campaigns; forward_graph() runs their forward and keeps the caches in
 a ComputationGraph, whose backward() serves training and attribution.
 Both honor activation faults (a bit flipped in one element of a layer's
-output, in every sample) through one helper, patch_outputs(), which the
-injector's prefix cache also uses.  backward(..., params=False) skips the
+output, in every sample) through one helper, patch_outputs(), a single
+XOR of a mask row (bitfloat.xor_bits, which the injector's fault stacks
+also use).  backward(..., params=False) skips the
 parameter gradients, for passes that want only the gradients of the layer
 outputs.  Each layer's jvp(x, t) maps the tangent t of its input x to the
 tangent of its output; Model.jvp() chains them over activations recorded
@@ -18,7 +20,11 @@ by a forward pass, which conductance uses.
 apply() is resumable: with start=L its input is the input of layer L (the
 output of layer L-1), and only layers L.. run.  Since a layer's arithmetic
 depends only on its input batch, resuming from a stored clean activation
-gives the same bits as the full pass over the same batch.
+gives the same bits as the full pass over the same batch.  It can stop
+early (stop=M) and run K variants of the model at once: K batches stacked
+along the rows, or K weights of layer start.  Weightless layers and
+Conv2d's per-sample gemm see the [K*N, ...] stack as one batch; Linear
+keeps a variant axis, so that each variant makes its own BLAS call.
 """
 
 from __future__ import annotations
@@ -31,10 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bitfloat import flip_bit_many
+from ..bitfloat import bit_mask, flip_bit_many, xor_bits
 from ..errors import ConfigError, UsageError
 from ..fileio import Reader, atomic_write
 from .autodiff import ComputationGraph, Tensor, _col2im, _f64, _grad, _im2col
+
+# flip_bit_many is no longer called here, but perfbench's tracer wraps it
+# at this lookup site, so it stays a name of the module
+__all__ = [
+    "ActivationFault", "Conv2d", "Flatten", "Linear", "Model", "Relu", "build_cnn",
+    "build_mlp", "flip_bit_many", "load_checkpoint", "model_checksum", "patch_outputs",
+    "save_checkpoint",
+]
 
 
 @dataclass(frozen=True)
@@ -47,16 +61,18 @@ class ActivationFault:
 
 def patch_outputs(x, faults):
     """Copy of one layer's output batch with every fault's bit flipped in
-    each sample; x itself is never written (it may be a flatten view or a
-    shared cached activation)."""
-    x = x.copy()
+    each sample, by one XOR with a per-layer mask row; x itself is never
+    written (it may be a flatten view or a shared cached activation).
+    Faults on one element combine by XOR, so a fault listed twice cancels,
+    as two flips of one bit do."""
     flat = x.reshape(x.shape[0], -1)
+    mask = np.zeros(flat.shape[1], dtype=np.uint32)
     for f in faults:
-        if not 0 <= f.element_index < flat.shape[1]:
+        if not 0 <= f.element_index < mask.size:
             raise UsageError(f"output fault element {f.element_index} out of range "
-                             f"[0, {flat.shape[1]}) at layer {f.layer_id}")
-        flat[:, f.element_index] = flip_bit_many(flat[:, f.element_index], f.bit_index)
-    return x
+                             f"[0, {mask.size}) at layer {f.layer_id}")
+        mask[f.element_index] ^= bit_mask(f.bit_index)
+    return xor_bits(flat, mask).reshape(x.shape)
 
 
 class _Weighted:
@@ -99,8 +115,20 @@ class Conv2d(_Weighted):
             y = y + _f64(self.bias.data)[None, :, None]
         return y.reshape(x.shape[0], o, oh, ow).astype(np.float32), (cols, x.shape)
 
-    def apply(self, x):
-        return self.forward(x)[0]
+    def apply(self, x, variants=1, weights=None):
+        """forward's output.  Every sample is its own gemm, so the batches
+        of several variants stacked along x's rows pass as one batch.  A
+        [K,O,C,kh,kw] stack of weights stands in for the layer's weight on
+        one batch x: sample n of variant k is the gemm forward makes, with
+        weights[k], and the K outputs come stacked, [K*N, O, OH, OW]."""
+        if weights is None:
+            return self.forward(x)[0]
+        k, o, _, kh, kw = weights.shape
+        cols, oh, ow = _im2col(x, kh, kw, self.stride)
+        y = np.matmul(_f64(weights.reshape(k, 1, o, -1)), cols)     # [K, N, O, OH*OW]
+        if self.bias is not None:
+            y = y + _f64(self.bias.data)[:, None]
+        return y.reshape(-1, o, oh, ow).astype(np.float32)
 
     def backward(self, g, cache, need_gx, params=True):
         cols, xshape = cache
@@ -146,8 +174,23 @@ class Linear(_Weighted):
             y += _f64(self.bias.data)
         return y.astype(np.float32), (x64, w64)
 
-    def apply(self, x):
-        return self.forward(x)[0]
+    def apply(self, x, variants=1, weights=None):
+        """forward's output, for x holding `variants` batches stacked along
+        its rows, [K*N, I], or for one batch x and a [K,O,I] stack of
+        weights standing in for the layer's weight.  The variant axis stays
+        separate: variant k is its own [N,I] @ [I,O] product, the BLAS call
+        forward makes.  Folding the K batches into one [K*N, I] product
+        rounds some float64 rows differently.  Returns the K outputs
+        stacked, [K*N, O]."""
+        if weights is None and variants == 1:
+            return self.forward(x)[0]
+        if weights is None:
+            y = _f64(x).reshape(variants, -1, x.shape[1]) @ _f64(self.weight.data).T
+        else:
+            y = _f64(x) @ _f64(weights).transpose(0, 2, 1)
+        if self.bias is not None:
+            y += _f64(self.bias.data)
+        return y.astype(np.float32).reshape(-1, y.shape[-1])
 
     def backward(self, g, cache, need_gx, params=True):
         x64, w64 = cache
@@ -177,7 +220,7 @@ class Relu:
     def forward(self, x):
         return np.maximum(x, 0), x
 
-    def apply(self, x):
+    def apply(self, x, variants=1):
         return self.forward(x)[0]
 
     def backward(self, g, x, need_gx, params=True):
@@ -202,7 +245,7 @@ class Flatten:
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def apply(self, x):
+    def apply(self, x, variants=1):
         return self.forward(x)[0]
 
     def backward(self, g, xshape, need_gx, params=True):
@@ -256,21 +299,38 @@ class Model:
             grouped.setdefault(f.layer_id, []).append(f)
         return grouped
 
-    def apply(self, x, output_faults=(), return_activations=False, start=0):
+    def apply(self, x, output_faults=(), return_activations=False, start=0, stop=None,
+              variants=1, weights=None):
         """Plain forward pass; returns logits [N, classes].
 
         With start=L, x is the input of layer L and only layers L.. run;
         faults on earlier layers are then the caller's business, and the
         activations returned (with return_activations) are those of layers
-        L.. only.
+        L.. only.  With stop=M, layers M.. do not run, and the result is
+        the input of layer M.
+
+        One pass can run K variants of the model, each on the same rows:
+        with variants=K, x holds K batches stacked along its rows; with
+        weights, a [K, *shape] stack of weights for layer start, x is one
+        batch and variant k runs layer start with weights[k].  The result
+        stacks the variants' outputs, [K*N, ...], and each variant's rows
+        are bit-identical to a pass of that variant alone, since every
+        layer makes per-variant (Linear) or per-sample (Conv2d) BLAS calls.
 
         Runs with numpy float warnings suppressed: injected faults are meant
         to push inf/NaN through the network, and evaluation must not warn or
         mask them.
         """
-        if not 0 <= start <= len(self.layers):
-            raise UsageError(f"start layer {start} out of range")
-        x, acts = self._forward(x, self._faults_by_layer(output_faults), start, None)
+        stop = len(self.layers) if stop is None else stop
+        if not 0 <= start <= stop <= len(self.layers):
+            raise UsageError(f"layer range {start}..{stop} out of range")
+        if weights is not None:
+            weight = getattr(self.layers[start], "weight", None) if start < stop else None
+            if weight is None or weights.shape[1:] != weight.data.shape:
+                raise UsageError(f"a weight stack of shape {weights.shape} does not fit "
+                                 f"layer {start}")
+        x, acts = self._forward(x, self._faults_by_layer(output_faults), start, stop, None,
+                                variants, weights)
         return (x, acts) if return_activations else x
 
     def forward_graph(self, g: ComputationGraph, x, output_faults=()):
@@ -279,23 +339,27 @@ class Model:
         then gives the gradients."""
         faults = self._faults_by_layer(output_faults)
         caches = []
-        logits, acts = self._forward(x, faults, 0, caches)
+        logits, acts = self._forward(x, faults, 0, len(self.layers), caches)
         g.record(self.layers, caches, logits.shape, faults)
         return logits, acts
 
-    def _forward(self, x, faults, start, caches):
-        """Layers start.. over x; with a caches list, each layer runs its
-        forward and its cache is appended, otherwise its apply runs."""
+    def _forward(self, x, faults, start, stop, caches, variants=1, weights=None):
+        """Layers start..stop-1 over x; with a caches list, each layer runs
+        its forward and its cache is appended, otherwise its apply runs,
+        with the weight stack on layer start and the variant count after."""
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             x = self._check_batch(x, start)
             acts = []
-            for lid in range(start, len(self.layers)):
+            for lid in range(start, stop):
                 layer = self.layers[lid]
-                if caches is None:
-                    x = layer.apply(x)
-                else:
+                if caches is not None:
                     x, cache = layer.forward(x)
                     caches.append(cache)
+                elif weights is not None and lid == start:
+                    x = layer.apply(x, weights=weights)
+                    variants = len(weights)
+                else:
+                    x = layer.apply(x, variants)
                 if lid in faults:
                     x = patch_outputs(x, faults[lid])
                 acts.append(x)

@@ -97,15 +97,16 @@ def make_optimizer(name, params, lr):
 
 def classify(logits):
     """(predicted class, poisoned flag) per row of a list of per-chunk
-    logits, taken in order.
+    logits, taken in order.  Chunks of shape [K, rows, classes] hold K
+    variants' logits and give [K, N] results.
 
     Rows whose logits contain NaN resolve to class 0 (the lowest index) and
     are flagged; argmax on finite logits breaks ties at the lowest index.
     Each row is classified on its own, so the chunking does not matter.
     """
-    logits = logits[0] if len(logits) == 1 else np.concatenate(logits)
-    bad = np.isnan(logits).any(axis=1)
-    p = np.argmax(logits, axis=1)
+    logits = logits[0] if len(logits) == 1 else np.concatenate(logits, axis=-2)
+    bad = np.isnan(logits).any(axis=-1)
+    p = np.argmax(logits, axis=-1)
     p[bad] = 0
     return p, bad
 

@@ -7,8 +7,6 @@ import threading
 import numpy as np
 import pytest
 
-from sdcprobe import campaign as campaign_mod
-from sdcprobe import fat as fat_mod
 from sdcprobe.attribution import AttributionConfig, attribute_all
 from sdcprobe.campaign import (CampaignConfig, DEFAULT_SEEDS, DEFAULT_THRESHOLDS,
                                InjectionRecord, census_from_records, compute_recall,
@@ -76,6 +74,22 @@ class _ThreadNotingSampler:
 
     def sample(self, n, start_ordinal=0):
         return [self.sample_at(k) for k in range(start_ordinal, start_ordinal + n)]
+
+
+class _BadSiteSampler:
+    """Weight sites that differ per seed; ordinal bad_at names a weight the
+    identity model does not have, and drawing it does not raise."""
+
+    bad = FaultSite(1, "neuron_weight", 99, 3)
+
+    def __init__(self, seed, bad_at=None):
+        self.seed = seed
+        self.bad_at = bad_at
+
+    def sample(self, n, start_ordinal=0):
+        return [self.bad if k == self.bad_at else
+                FaultSite(1, "neuron_weight", k % 4, (7 * k + self.seed) % 32)
+                for k in range(start_ordinal, start_ordinal + n)]
 
 
 class TestRecordClassification:
@@ -233,17 +247,33 @@ class TestRunCampaign:
         assert resumed.records[:13] == part
         assert load_records(str(out))[0] == resumed.records
 
-    def test_each_distinct_site_is_evaluated_once(self, monkeypatch):
+    def test_out_of_range_site_raises_at_its_own_draw(self, tmp_path, stacked_sites):
+        """A sampler yielding a weight the model lacks at seed 2, ordinal 5
+        raises UsageError at that draw.  The stack evaluated at ordinal 0
+        leaves that site out but takes the sites after it, so the part file
+        holds exactly the draws before it."""
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=8,
+                             seeds=(1, 2))
+        full = run_campaign(identity_model(), class1_dataset(), cfg,
+                            samplers={1: _BadSiteSampler(1), 2: _BadSiteSampler(2)})
+        stacked_sites.clear()
+        out = tmp_path / "run.csv"
+        with pytest.raises(UsageError, match="element 99 out of range for layer 1"):
+            run_campaign(identity_model(), class1_dataset(), cfg, out_csv=str(out),
+                         samplers={1: _BadSiteSampler(1), 2: _BadSiteSampler(2, bad_at=5)})
+        part, _ = load_records(str(out) + ".part")
+        assert [r.sort_key() for r in part] == \
+            [(1, k) for k in range(8)] + [(2, k) for k in range(5)]
+        assert [strip_clock(r) for r in part] == [strip_clock(r) for r in full.records[:13]]
+        seed2 = _BadSiteSampler(2, bad_at=5).sample(8)
+        assert _BadSiteSampler.bad not in stacked_sites
+        assert set(seed2[:5] + seed2[6:]) <= set(stacked_sites)
+
+    def test_each_distinct_site_is_evaluated_once(self, stacked_sites):
         """400 draws over 128 weight sites repeat many of them: each distinct
-        site is evaluated once, at any seed, and the records equal a
+        site enters a stack once, at any seed, and the records equal a
         memo-free loop that evaluates every draw on a fresh model copy."""
-        evaluated = []
-
-        def counting(model, dataset, site, **kwargs):
-            evaluated.append(site)
-            return evaluate_with_fault(model, dataset, site, **kwargs)
-
-        monkeypatch.setattr(campaign_mod, "evaluate_with_fault", counting)
+        evaluated = stacked_sites
         model, data = identity_model(), class1_dataset()
         cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=200,
                              seeds=(1, 2))
@@ -263,10 +293,11 @@ class TestRunCampaign:
         assert [strip_clock(r) for r in result.records] == \
             [strip_clock(r) for r in reference]
 
-    def test_campaigns_and_latency_runs_on_one_model_share_outcomes(self, monkeypatch):
+    def test_campaigns_and_latency_runs_on_one_model_share_outcomes(self, stacked_sites):
         """GBINw, then RBRNw, then a latency run on one model: each distinct
-        site any of them draws is evaluated once in total, and every record
-        and the latency result equal runs on fresh copies of the model."""
+        site any of them draws enters a stack once in total, and every
+        record and the latency result equal runs on fresh copies of the
+        model."""
         model, data = identity_model(), class1_dataset()
         attributions = attribute_all(model, data, AttributionConfig("neuron_weight"))
         configs = [CampaignConfig(code=code, thresholds=THRESH5, sample_budget=100,
@@ -280,14 +311,8 @@ class TestRunCampaign:
             return results, {**vars(latency), "wallclock_ns": 0}
 
         reference = runs(fresh=True)
-        evaluated = []
-
-        def counting(model, dataset, site, **kwargs):
-            evaluated.append(site)
-            return evaluate_with_fault(model, dataset, site, **kwargs)
-
-        monkeypatch.setattr(campaign_mod, "evaluate_with_fault", counting)
-        monkeypatch.setattr(fat_mod, "evaluate_with_fault", counting)
+        evaluated = stacked_sites
+        evaluated.clear()
         shared = runs(fresh=False)
         assert shared[1] == reference[1]
         sites = []

@@ -11,7 +11,7 @@ from sdcprobe.errors import ConfigError
 from sdcprobe.fat import (FatConfig, _weight_fault_reapplier, fat_train,
                           measure_latency_to_critical, save_fat_report)
 from sdcprobe.fault_model import FaultSite, parse_code
-from sdcprobe.injector import evaluate_with_fault, inject, remove
+from sdcprobe.injector import inject, remove
 from sdcprobe.nnet import (Flatten, Linear, Model, Sgd, build_mlp, evaluate_detailed,
                            model_checksum, train)
 from sdcprobe.nnet.training import train_step
@@ -105,7 +105,7 @@ class TestLatencyMeasurement:
                                     k=2, seed=1)
         assert model_checksum(model) == checksum
 
-    def test_nothing_past_the_stopping_ordinal_is_evaluated(self, monkeypatch):
+    def test_nothing_past_the_stopping_ordinal_is_evaluated(self, stacked_sites):
         """Ordinals 40-42 draw the critical site; the run stops at ordinal
         42, inside the second block (32..95).  Every distinct site of
         ordinals 0..42 is evaluated once, and none drawn after them."""
@@ -121,13 +121,7 @@ class TestLatencyMeasurement:
                 self.drawn = max(self.drawn, start_ordinal + n)
                 return sequence[start_ordinal:start_ordinal + n]
 
-        evaluated = []
-
-        def counting(model, dataset, site, **kwargs):
-            evaluated.append(site)
-            return evaluate_with_fault(model, dataset, site, **kwargs)
-
-        monkeypatch.setattr(fat_mod, "evaluate_with_fault", counting)
+        evaluated = stacked_sites
         sampler = Sequence()
         result = measure_latency_to_critical(identity_model(), class1_dataset(), "RBRNw",
                                              0.5, k=3, sampler=sampler)
@@ -136,7 +130,7 @@ class TestLatencyMeasurement:
         assert len(evaluated) == len(set(evaluated))
         assert set(evaluated) == set(sequence[:43])
 
-    def test_runs_on_one_model_evaluate_each_distinct_site_once(self, monkeypatch):
+    def test_runs_on_one_model_evaluate_each_distinct_site_once(self, stacked_sites):
         """Runs at other seeds and thresholds on one model share outcomes:
         each distinct site drawn by any of them is evaluated once in total,
         and every result equals a run on a fresh copy of the model."""
@@ -144,13 +138,8 @@ class TestLatencyMeasurement:
         runs = [(1, 0.95), (2, 0.95), (3, 0.05), (4, 0.5)]  # 0.95 is never reached
         fresh = [measure_latency_to_critical(model.copy(), data, "RBRNw", t, k=2, seed=seed,
                                              budget_cap=100) for seed, t in runs]
-        evaluated = []
-
-        def counting(model, dataset, site, **kwargs):
-            evaluated.append(site)
-            return evaluate_with_fault(model, dataset, site, **kwargs)
-
-        monkeypatch.setattr(fat_mod, "evaluate_with_fault", counting)
+        evaluated = stacked_sites
+        evaluated.clear()
         shared = [measure_latency_to_critical(model, data, "RBRNw", t, k=2, seed=seed,
                                               budget_cap=100) for seed, t in runs]
         drawn = [set(fat_mod._sampler_for(model, data, parse_code("RBRNw"), seed)

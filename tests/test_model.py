@@ -20,7 +20,8 @@ from sdcprobe.nnet import (
     model_checksum,
     save_checkpoint,
 )
-from sdcprobe.bitfloat import flip_bit
+from sdcprobe.bitfloat import flip_bit, flip_bit_many
+from sdcprobe.nnet.layers import patch_outputs
 
 
 def conv2d_naive(x, w, b=None, stride=1):
@@ -167,6 +168,31 @@ class TestActivationFaults:
         diff = (acts[1] != clean_acts[1]) | (np.signbit(acts[1]) != np.signbit(clean_acts[1]))
         assert set(np.nonzero(diff.any(axis=0))[0]) <= {0, 3}
 
+    def test_patch_is_one_xor_equal_to_flipping_each_fault(self):
+        """patch_outputs XORs one mask row into a copy: the same bits as
+        flipping every fault's column in turn, with faults on one element
+        combined (two bits flip, a repeated fault cancels)."""
+        x = np.random.default_rng(4).normal(size=(5, 2, 3)).astype(np.float32)
+        x[0, 0, 0] = np.nan
+        frozen = x.copy()
+        faults = [ActivationFault(2, 1, 30), ActivationFault(2, 4, 0), ActivationFault(2, 4, 31),
+                  ActivationFault(2, 5, 23), ActivationFault(2, 5, 23), ActivationFault(2, 0, 22)]
+        want = x.reshape(5, -1).copy()
+        for f in faults:
+            want[:, f.element_index] = flip_bit_many(want[:, f.element_index], f.bit_index)
+        got = patch_outputs(x, faults)
+        assert got.shape == x.shape
+        assert np.array_equal(got.reshape(5, -1).view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(got[:, 1, 2].view(np.uint32), x[:, 1, 2].view(np.uint32))
+        assert np.array_equal(x.view(np.uint32), frozen.view(np.uint32))
+
+    def test_patch_rejects_bad_element_and_bit(self):
+        x = np.ones((2, 6), dtype=np.float32)
+        with pytest.raises(UsageError, match="element 6 out of range"):
+            patch_outputs(x, [ActivationFault(0, 6, 0)])
+        with pytest.raises(ValueError, match="out of range \\[0, 31\\]"):
+            patch_outputs(x, [ActivationFault(0, 1, 32)])
+
     def test_fault_on_flatten_does_not_corrupt_previous_activation(self):
         model = build_cnn((1, 6, 6), (2, 2), kernel=3, hidden=4, classes=2, seed=1)
         x = np.abs(np.random.default_rng(2).normal(size=(2, 1, 6, 6))).astype(np.float32)
@@ -174,6 +200,99 @@ class TestActivationFaults:
         _, acts = model.apply(x, output_faults=[fault], return_activations=True)
         _, clean_acts = model.apply(x, return_activations=True)
         np.testing.assert_array_equal(acts[3], clean_acts[3])
+
+
+class TestStackedVariants:
+    """Model.apply runs K variants in one pass, each bit-identical to its
+    own pass, because every variant makes the BLAS calls of that pass."""
+
+    # (K, N, I, O) of Linear layers.  At (2, 1, 16, 3) and at the last,
+    # I=64, folding the K batches into one [K*N, I] product rounds most
+    # float64 results differently under OpenBLAS 0.3 (4 of 6 and 9424 of
+    # 11520), which is why the variant axis stays separate
+    SHAPES = [(1, 45, 16, 16), (3, 45, 16, 3), (24, 45, 16, 16), (4, 256, 36, 16),
+              (2, 1, 16, 3), (5, 7, 12, 16), (9, 300, 64, 10), (16, 45, 64, 16)]
+
+    @pytest.mark.parametrize("k, n, i, o", SHAPES)
+    def test_float64_stacked_matmuls_equal_per_slice_calls(self, k, n, i, o):
+        rng = np.random.default_rng(k * 1000 + n)
+        x = rng.normal(size=(k, n, i))
+        w = rng.normal(size=(o, i))
+        stack = rng.normal(size=(k, o, i))
+        per_slice = np.stack([x[v] @ w.T for v in range(k)])
+        assert np.array_equal((x @ w.T).view(np.uint64), per_slice.view(np.uint64))
+        per_weight = np.stack([x[0] @ stack[v].T for v in range(k)])
+        assert np.array_equal((x[0] @ stack.transpose(0, 2, 1)).view(np.uint64),
+                              per_weight.view(np.uint64))
+
+    @pytest.mark.parametrize("k, n, i, o", SHAPES)
+    def test_linear_variants_equal_per_variant_passes(self, k, n, i, o):
+        rng = np.random.default_rng(k + n)
+        layer = Linear(rng.normal(size=(o, i)), rng.normal(size=o))
+        x = rng.normal(size=(k * n, i)).astype(np.float32)
+        stack = rng.normal(size=(k, o, i)).astype(np.float32)
+        want = np.concatenate([layer.apply(x[v * n:(v + 1) * n]) for v in range(k)])
+        assert np.array_equal(layer.apply(x, k).view(np.uint32), want.view(np.uint32))
+        want = np.concatenate([Linear(stack[v], layer.bias.data).apply(x[:n])
+                               for v in range(k)])
+        got = layer.apply(x[:n], weights=stack)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_linear_variants_keep_the_per_variant_summation_order(self):
+        """Rows of 2^60, 1 and -2^60 give 0 or 1 depending on the order a
+        gemm sums them in, so float32 outputs show any change of order.
+        A folded [K*N, I] product changes it for about half the rows."""
+        k, n, i, o = 16, 45, 64, 16
+        rng = np.random.default_rng(0)
+        x = np.zeros((k * n, i), dtype=np.float32)
+        for row in x:
+            row[rng.choice(i, 3, replace=False)] = [2.0 ** 60, 1.0, -2.0 ** 60]
+        stack = np.ones((k, o, i), dtype=np.float32)
+        layer = Linear(stack[0])
+        want = np.concatenate([layer.apply(v) for v in np.split(x, k)])
+        assert 0 < np.count_nonzero(want) < want.size
+        assert np.array_equal(layer.apply(x, k).view(np.uint32), want.view(np.uint32))
+        got = layer.apply(x[:n], weights=stack)
+        assert np.array_equal(got.view(np.uint32), np.tile(want[:n], (k, 1)).view(np.uint32))
+
+    def test_conv_weight_stack_equals_per_variant_passes(self):
+        rng = np.random.default_rng(3)
+        layer = Conv2d(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4))
+        x = rng.normal(size=(45, 3, 6, 6)).astype(np.float32)
+        stack = rng.normal(size=(5, 4, 3, 3, 3)).astype(np.float32)
+        want = np.concatenate([Conv2d(w, layer.bias.data).apply(x) for w in stack])
+        got = layer.apply(x, weights=stack)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_model_variants_equal_per_variant_passes(self):
+        """Output variants stacked along the rows from layer 2, and weight
+        variants of layer 2, against one pass per variant."""
+        model = build_cnn((1, 6, 6), (3, 4), kernel=3, hidden=16, classes=3, seed=2)
+        x = np.random.default_rng(1).normal(size=(45, 1, 6, 6)).astype(np.float32)
+        h = model.apply(x, stop=2)
+        assert np.array_equal(h, model.apply(x, return_activations=True)[1][1])
+        variants = np.stack([h * (v + 1) for v in range(3)]).reshape(-1, *h.shape[1:])
+        want = np.concatenate([model.apply(v, start=2) for v in np.split(variants, 3)])
+        got = model.apply(variants, start=2, variants=3)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        w = model.layers[2].weight.data
+        stack = np.stack([w, -w, 2 * w])
+        want = []
+        for v in stack:
+            replica = model.copy()
+            replica.layers[2].weight.data[...] = v
+            want.append(replica.apply(h, start=2))
+        got = model.apply(h, start=2, weights=stack)
+        assert np.array_equal(got.view(np.uint32), np.concatenate(want).view(np.uint32))
+
+    def test_weight_stack_must_fit_the_start_layer(self):
+        model = build_mlp((1, 1, 4), [6], classes=2, seed=3)
+        x = np.ones((2, 4), dtype=np.float32)
+        with pytest.raises(UsageError, match="does not fit layer 1"):
+            model.apply(x, start=1, weights=np.ones((2, 6, 5), dtype=np.float32))
+        with pytest.raises(UsageError, match="does not fit layer 2"):
+            model.apply(np.ones((2, 6), dtype=np.float32), start=2,
+                        weights=np.ones((2, 6, 6), dtype=np.float32))
 
 
 class TestJvp:

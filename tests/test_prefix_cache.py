@@ -1,8 +1,9 @@
-"""Prefix-cached fault evaluation against the full recompute.
+"""Prefix-cached, stacked fault evaluation against the full recompute.
 
 evaluate_with_fault(..., prefix=cache) reruns only the layers from the
-fault onward; without prefix it reruns the whole model.  Both must return
-the same (accuracy, poisoned) for every site, bit for bit.
+fault onward, for a stack of same-layer sites at once; without prefix it
+reruns the whole model for one site.  Both must return the same
+(accuracy, poisoned) for every site, bit for bit.
 """
 
 import gc
@@ -100,6 +101,29 @@ def _over_budget(model, dataset):
     return cache
 
 
+@st.composite
+def stacks(draw, model, most):
+    """1..most distinct sites of one layer and kind, as a stack holds them;
+    bits lean on 0, 23, 30 and 31."""
+    kind = draw(st.sampled_from(["neuron_weight", "neuron_output"]))
+    sizes = _layer_sizes(model, kind)
+    lid = draw(st.sampled_from(sorted(sizes)))
+    bits = st.one_of(st.sampled_from([0, 23, 30, 31]), st.integers(0, 31))
+    site = st.builds(FaultSite, st.just(lid), st.just(kind),
+                     st.integers(0, sizes[lid] - 1), bits)
+    return draw(st.lists(site, min_size=1, max_size=most, unique=True))
+
+
+def _assert_stack_same(model, dataset, cache, stack):
+    """One stacked pass gives every site's full-recompute outcome and
+    leaves the model as it was."""
+    before = model_checksum(model)
+    got = cache.evaluate_stack(model, stack)
+    assert model_checksum(model) == before
+    assert got == [evaluate_with_fault(model, dataset, site) for site in stack], stack
+    return got
+
+
 def _assert_same(model, dataset, cache, site):
     before = model_checksum(model)
     full = evaluate_with_fault(model, dataset, site)
@@ -177,6 +201,144 @@ class TestMatchesFullRecompute:
             for a in chunk:
                 with pytest.raises(ValueError):
                     a.reshape(-1)[0] = 1.0
+
+
+@pytest.fixture(scope="module")
+def cnn_over(cnn_case):
+    model, dataset, _ = cnn_case
+    return model, dataset, _over_budget(model, dataset)
+
+
+@pytest.fixture(scope="module")
+def mlp_over(mlp_case):
+    model, dataset, _ = mlp_case
+    return model, dataset, _over_budget(model, dataset)
+
+
+CASES = ["cnn_case", "mlp_case", "cnn_over", "mlp_over"]
+
+
+class TestStackedEvaluation:
+    def test_stack_size_follows_the_byte_budget(self, cnn_case, mlp_case, cnn_over):
+        """K variants of float64 activations over the largest chunk, and of
+        the largest weight, fit STACK_BYTES: 4 for the CNN's 179 and 12 for
+        the MLP's 63 activations per sample on 256 rows, over budget or
+        not."""
+        for (model, _, cache), k in ((cnn_case, 4), (mlp_case, 12), (cnn_over, 4)):
+            activations = EVAL_BATCH * sum(int(np.prod(s)) for s in model.output_shapes())
+            widest = max(model.layers[i].weight.data.size for i in model.weight_layer_ids())
+            assert cache.stack_size == k == injector.STACK_BYTES // (8 * (activations + widest))
+
+    def test_a_wide_weight_on_few_rows_stacks_alone(self):
+        """Five rows through a 2048x2048 layer: one copy of the weight in
+        float64 is 32 MiB, so no stack holds two."""
+        model = build_mlp((1, 1, 2048), [], 2048, seed=0)
+        images = np.ones((5, 1, 1, 2048), dtype=np.float32)
+        cache = PrefixCache(model, Dataset(images, np.zeros(5, dtype=np.int64), split="test"))
+        assert cache.stack_size == 1
+
+    @pytest.mark.parametrize("case", CASES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_stacks(self, request, case, data):
+        model, dataset, cache = request.getfixturevalue(case)
+        _assert_stack_same(model, dataset, cache, data.draw(stacks(model, cache.stack_size)))
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("kind", ["neuron_weight", "neuron_output"])
+    def test_first_and_last_layers_in_stacks_of_every_size(self, request, case, kind):
+        """Bits 0, 23, 30 and 31 of the first and last element of the first
+        and last layer, in stacks of 1..K sites."""
+        model, dataset, cache = request.getfixturevalue(case)
+        sizes = _layer_sizes(model, kind)
+        for lid in (min(sizes), max(sizes)):
+            sites = [FaultSite(lid, kind, e, b) for e in (0, sizes[lid] - 1)
+                     for b in (0, 23, 30, 31)]
+            for k in range(1, cache.stack_size + 1):
+                _assert_stack_same(model, dataset, cache, sites[:k])
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_mixed_blocks_through_evaluate_with_fault(self, cnn_case, data):
+        """Blocks of mixed kinds and layers, with repeats, evaluated the way
+        a campaign does it, with the rest of the block ahead and a stack
+        size of 1..K: every outcome equals the full recompute, and each
+        distinct site enters one stack once."""
+        model, dataset, full = cnn_case
+        block = data.draw(st.lists(st.sampled_from(data.draw(
+            st.lists(sites(model), min_size=1, max_size=12))), min_size=1, max_size=24))
+        cache = PrefixCache(model, dataset)
+        cache.stack_size = data.draw(st.integers(1, full.stack_size))
+        stacked = []
+        evaluate_stack = cache.evaluate_stack
+        cache.evaluate_stack = lambda m, stack: stacked.extend(stack) or evaluate_stack(m, stack)
+        for i, site in enumerate(block):
+            outcome = cache.outcomes.get(site)
+            if outcome is None:
+                outcome = evaluate_with_fault(model, dataset, site, prefix=cache,
+                                              ahead=block[i + 1:])
+            assert outcome == evaluate_with_fault(model, dataset, site), site
+        assert sorted(stacked, key=repr) == sorted(set(block), key=repr)
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_poisoned_and_non_finite_stacks(self, mlp_case, cnn_case, over):
+        """The NaN weight of test_poisoned_weight_site stacked with clean
+        flips of its layer, and exponent flips of every first-conv output
+        element in stacks of K."""
+        model, dataset, _ = mlp_case
+        replica = model.copy()
+        replica.layers[1].weight.data[0, 0] = 1.5
+        cache = _over_budget(replica, dataset) if over else PrefixCache(replica, dataset)
+        stack = [FaultSite(1, "neuron_weight", 0, 30), FaultSite(1, "neuron_weight", 0, 3),
+                 FaultSite(1, "neuron_weight", 5, 31), FaultSite(1, "neuron_weight", 7, 30)]
+        outcomes = _assert_stack_same(replica, dataset, cache, stack)
+        assert outcomes[0][1] and not outcomes[1][1]
+        model, dataset, _ = cnn_case
+        cache = _over_budget(model, dataset) if over else PrefixCache(model, dataset)
+        sites = [FaultSite(0, "neuron_output", e, 30)
+                 for e in range(_layer_sizes(model, "neuron_output")[0])]
+        k = cache.stack_size
+        outcomes = [o for lo in range(0, len(sites), k)
+                    for o in _assert_stack_same(model, dataset, cache, sites[lo:lo + k])]
+        assert any(poisoned for _, poisoned in outcomes)
+        assert not all(poisoned for _, poisoned in outcomes)
+
+    @pytest.mark.parametrize("over", [False, True])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_model_with_a_registered_output_fault(self, cnn_case, over, data):
+        """The fault already on the model is in every variant, and a stack
+        on its layer may hold it again (which cancels it) beside others."""
+        model, dataset, _ = cnn_case
+        replica = model.copy()
+        handle = inject(replica, FaultSite(2, "neuron_output", 5, 29))
+        cache = _over_budget(replica, dataset) if over else PrefixCache(replica, dataset)
+        _assert_stack_same(replica, dataset, cache, [
+            FaultSite(2, "neuron_output", 5, 29), FaultSite(2, "neuron_output", 6, 30),
+            FaultSite(2, "neuron_output", 5, 31)][:cache.stack_size])
+        _assert_stack_same(replica, dataset, cache,
+                           data.draw(stacks(replica, cache.stack_size)))
+        remove(replica, handle)
+
+    def test_a_bad_site_ahead_is_left_out(self, mlp_case):
+        """Sites ahead that name no element, or sit on another layer or
+        kind, or already have an outcome, stay out of the stack; the stack
+        fills with the first fitting ones, in order."""
+        model, dataset, _ = mlp_case
+        cache = PrefixCache(model, dataset)
+        cache.stack_size = 3
+        site = FaultSite(1, "neuron_weight", 0, 3)
+        known = FaultSite(1, "neuron_weight", 1, 3)
+        evaluate_with_fault(model, dataset, known, prefix=cache)
+        ahead = [FaultSite(1, "neuron_weight", 10**6, 3), FaultSite(3, "neuron_weight", 0, 3),
+                 FaultSite(1, "neuron_output", 0, 3), known, site,
+                 FaultSite(1, "neuron_weight", 2, 3), FaultSite(1, "neuron_weight", 3, 3),
+                 FaultSite(1, "neuron_weight", 4, 3)]
+        outcome = evaluate_with_fault(model, dataset, site, prefix=cache, ahead=ahead)
+        assert outcome == evaluate_with_fault(model, dataset, site)
+        assert list(cache.outcomes) == [known, site] + ahead[5:7]
+        with pytest.raises(UsageError, match="out of range"):
+            evaluate_with_fault(model, dataset, ahead[0], prefix=cache)
 
 
 class TestByteBudget:
