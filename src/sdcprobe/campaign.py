@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
@@ -76,11 +77,16 @@ class InjectionRecord:
 
 def make_record(code, seed, ordinal, site, baseline, faulty, poisoned,
                 wallclock_ns, thresholds) -> InjectionRecord:
-    drop = float(baseline) - float(faulty)
-    flags = tuple(bool(drop >= t) for t in thresholds)
+    drop, flags = _classify(float(baseline), float(faulty), thresholds)
     return InjectionRecord(str(code), seed, ordinal, site, float(baseline),
                            float(faulty), drop, bool(poisoned),
                            int(wallclock_ns), flags)
+
+
+def _classify(baseline, faulty, thresholds):
+    """(accuracy_drop, sdc_flags) of a faulty accuracy against the baseline."""
+    drop = baseline - faulty
+    return drop, tuple(bool(drop >= t) for t in thresholds)
 
 
 @dataclass
@@ -197,13 +203,18 @@ def compute_recall(records, thresholds, census) -> list:
 class _RecordSink:
     """Serialized, in-order record writer with a resumable .part file.
 
-    Rows are flushed to `<path>.part` strictly in (seed, ordinal) order, so
-    a crash leaves a clean prefix.  Before the first row, the campaign's
-    meta (config, model checksum, dataset hash, baseline) goes to the
-    part's header sidecar `<path>.part.meta.json`; a part file is resumed
-    only by a campaign with the same meta.  The finished part file is the
-    records file save_records would write, so `finalize` renames it into
-    place atomically and writes the meta sidecar.
+    The campaign appends finished rows (records lines) to `pending`, at
+    most one block of them; write() appends them to `<path>.part` in one
+    write and flushes it.  run_campaign writes before each stack
+    evaluation, at each block end, and on an error before close().  Rows
+    arrive strictly in (seed, ordinal) order, so the part file is always a
+    clean prefix of the campaign, even after a hard kill, which loses at
+    most the rows pending since the last write.  Before the first row, the
+    campaign's meta (config, model checksum, dataset hash, baseline) goes
+    to the part's header sidecar `<path>.part.meta.json`; a part file is
+    resumed only by a campaign with the same meta.  The finished part file
+    is the records file save_records would write, so `finalize` renames it
+    into place atomically and writes the meta sidecar.
     """
 
     def __init__(self, path, thresholds, meta):
@@ -212,6 +223,7 @@ class _RecordSink:
         self.header = self.part + ".meta.json"
         self.thresholds = tuple(thresholds)
         self.meta = meta
+        self.pending = []
         self._fh = None
 
     def start(self, expected_order, code, baseline):
@@ -267,13 +279,17 @@ class _RecordSink:
                 self._fh.write(_records_text([], self.thresholds))
                 self._fh.flush()
 
-    def append(self, record):
-        self._open()
-        self._fh.write(_format_row(record) + "\n")
-        self._fh.flush()
+    def write(self):
+        """Write and flush the pending rows, if any."""
+        if self.pending:
+            self._open()
+            self._fh.write("".join(self.pending))
+            self._fh.flush()
+            self.pending.clear()
 
     def finalize(self):
-        self._open()  # a campaign that flushed no row still gets its header line
+        self.write()
+        self._open()  # a campaign that wrote no row still gets its header line
         self.close()
         os.replace(self.part, self.path)
         write_meta_sidecar(self.path, self.meta)
@@ -286,18 +302,34 @@ class _RecordSink:
 
 
 def _format_row(r: InjectionRecord) -> str:
-    cells = [r.experiment_code, str(r.seed), str(r.sample_ordinal),
-             str(r.site.layer_id), r.site.target_kind, str(r.site.element_index),
-             str(r.site.bit_index), repr(r.baseline_accuracy),
-             repr(r.faulty_accuracy), repr(r.accuracy_drop),
-             str(int(r.poisoned)), str(r.wallclock_ns)]
-    cells += [str(int(f)) for f in r.sdc_flags]
-    return ",".join(cells)
+    return _row(r.experiment_code, r.seed, r.sample_ordinal, _site_cells(r.site),
+                _outcome_cells(r.baseline_accuracy, r.faulty_accuracy, r.accuracy_drop,
+                               r.poisoned, r.sdc_flags),
+                r.wallclock_ns)
+
+
+def _row(code, seed, ordinal, site_cells, outcome_cells, wallclock_ns) -> str:
+    """One records line, newline included, in the column order of
+    _FIXED_COLUMNS and the threshold columns.  run_campaign memoizes
+    site_cells per site and outcome_cells per (accuracy, poisoned)."""
+    head, flags = outcome_cells
+    return f"{code},{seed},{ordinal},{site_cells},{head},{wallclock_ns}{flags}\n"
+
+
+def _site_cells(site) -> str:
+    return f"{site.layer_id},{site.target_kind},{site.element_index},{site.bit_index}"
+
+
+def _outcome_cells(baseline, faulty, drop, poisoned, flags) -> tuple[str, str]:
+    """The cells baseline_acc .. poisoned, and the flag cells, each with its
+    leading comma; the wallclock cell goes between them."""
+    return (f"{baseline!r},{faulty!r},{drop!r},{int(poisoned)}",
+            "".join(f",{int(f)}" for f in flags))
 
 
 def _records_text(rows, thresholds):
     header = ",".join(_FIXED_COLUMNS + [threshold_column(t) for t in thresholds])
-    return "".join(line + "\n" for line in [header] + [_format_row(r) for r in rows])
+    return "".join([header + "\n"] + [_format_row(r) for r in rows])
 
 
 def save_records(records, thresholds, path):
@@ -420,25 +452,34 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     dataset.  A draw whose site has no outcome yet is evaluated in a stack
     (evaluate_with_fault with ahead): with it, up to PrefixCache.stack_size
     - 1 not-yet-evaluated sites of the same layer and kind from the rest of
-    its block, in draw order, share one pass, and the later draws of those
-    sites find their outcomes in the memo.  There is still one record per
-    draw.  Its wallclock_ns is the lookup time, plus the whole stack's
-    time on the draw that ran it, plus its share of the block draw.  If
-    the block draw raises, the block is drawn again one ordinal at a time,
-    and each of those draws is a stack of one, so the draws before the
-    failing one still land.  A drawn site that names no element of the
-    model is left out of the stacks and raises UsageError at its own draw.
+    its block, in draw order, share one pass (the scan for them reads only
+    that layer and kind's positions, from a per-block index), and the
+    later draws of those sites find their outcomes in the memo.  There is
+    still one record per draw.  Its wallclock_ns is the lookup time, plus
+    the whole stack's time (and the write of the rows before it) on the
+    draw that ran it, plus its share of the block draw.  If the block draw
+    raises, the block is drawn again one ordinal at a time, and each of
+    those draws is a stack of one, so the draws before the failing one
+    still land.  A drawn site that names no element of the model is left
+    out of the stacks and raises UsageError at its own draw.
 
     PrefixCache.shared gives the baseline, the outcome memo and the clean
     activations every evaluation resumes from, rerunning only the layers
-    from its fault onward.  With out_csv set, rows are flushed in order to
-    `<out_csv>.part` as they complete, so an error at one draw leaves
-    exactly the draws before it; an existing part file from an interrupted
-    run is picked up where it stopped, provided its header sidecar shows
-    the same config (workers aside), model checksum, dataset hash and
-    baseline, and its rows carry this experiment code and baseline.  The
-    finished part file is renamed onto out_csv.  Records come back in
-    canonical (seed, ordinal) order.
+    from its fault onward.  With out_csv set, rows go to `<out_csv>.part`
+    in order, in one write before each stack evaluation and one at the end
+    of each block, and an error writes the finished rows first, so it
+    leaves exactly the draws before the failing one.  A hard kill may drop
+    the rows finished since the last write but leaves a clean prefix.  An
+    existing part file from an interrupted run is picked up where it
+    stopped, provided its header sidecar shows the same config (workers
+    aside), model checksum, dataset hash and baseline, and its rows carry
+    this experiment code and baseline.  The finished part file is renamed
+    onto out_csv.  Records come back in canonical (seed, ordinal) order.
+
+    The seeds' samplers share one build_sampler call (FaultSampler.with_seed).
+    A record and its row are put together from parts memoized per
+    distinct (accuracy, poisoned) outcome and per site, so only the seed,
+    ordinal and wallclock cells are formatted per draw.
     """
     prefix = PrefixCache.shared(model, dataset)
     baseline, _ = prefix.baseline
@@ -447,16 +488,15 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
         sites = enumerate_sites(model, config.code.target_kind)
         plan = [(config.seeds[0], _ExhaustiveSampler(sites), len(sites))]
     else:
-        plan = []
-        for seed in sorted(config.seeds):
-            if samplers is not None:
-                sampler = samplers[seed]
-            else:
-                sampler = build_sampler(
-                    SamplerConfig(code=config.code, uniform_mix=config.uniform_mix,
-                                  seed=seed),
-                    attributions, model, probe_images=probe_images)
-            plan.append((seed, sampler, config.sample_budget))
+        seeds = sorted(config.seeds)
+        if samplers is None:
+            # one build: every seed's sampler shares its tables
+            built = build_sampler(
+                SamplerConfig(code=config.code, uniform_mix=config.uniform_mix,
+                              seed=seeds[0]),
+                attributions, model, probe_images=probe_images)
+            samplers = {seed: built.with_seed(seed) for seed in seeds}
+        plan = [(seed, samplers[seed], config.sample_budget) for seed in seeds]
 
     code_str = str(config.code)
     expected_order = [(seed, k) for seed, _, budget in plan for k in range(budget)]
@@ -469,8 +509,11 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     resumed = Counter(r.seed for r in records)  # a clean prefix: ordinals 0..m-1
 
     outcomes = prefix.outcomes
+    # per distinct (accuracy, poisoned): (faulty, poisoned, drop, flags, outcome
+    # cells); per site: (that entry, site cells)
+    by_outcome, by_site = {}, {}
     try:
-        for seed, sampler, budget in plan:  # canonical order, so flushes stay sorted
+        for seed, sampler, budget in plan:  # canonical order, so writes stay sorted
             start = resumed[seed]
             n = budget - start
             if n <= 0:
@@ -480,36 +523,63 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                 sites = sampler.sample(n, start)
             except Exception:
                 # redraw one ordinal at a time below, so the draws before a
-                # failing ordinal are evaluated and flushed before it raises
+                # failing ordinal are evaluated and written before it raises
                 sites = None
             draw_ns = time.perf_counter_ns() - t0
+            positions = _stack_positions(sites) if sites is not None else None
             for i in range(n):
                 k = start + i
                 t0 = time.perf_counter_ns()
                 site = sites[i] if sites is not None else sampler.sample(1, k)[0]
-                outcome = outcomes.get(site)
-                if outcome is None:
-                    # a generator, not a slice: the stack scan stops early, so a
-                    # miss copies no block
-                    ahead = (sites[j] for j in range(i + 1, n)) if sites is not None else ()
-                    outcome = evaluate_with_fault(model, dataset, site, prefix=prefix,
-                                                  ahead=ahead)
-                faulty, poisoned = outcome
+                entry = by_site.get(site)
+                if entry is None:
+                    outcome = outcomes.get(site)
+                    if outcome is None:
+                        if sink is not None:
+                            sink.write()
+                        ahead = ()
+                        if positions is not None:  # this layer and kind, after i
+                            same = positions[site.layer_id, site.target_kind]
+                            ahead = map(sites.__getitem__, same[bisect_right(same, i):])
+                        outcome = evaluate_with_fault(model, dataset, site, prefix=prefix,
+                                                      ahead=ahead)
+                    cells = by_outcome.get(outcome)
+                    if cells is None:
+                        faulty, poisoned = float(outcome[0]), bool(outcome[1])
+                        drop, flags = _classify(baseline, faulty, config.thresholds)
+                        cells = by_outcome[outcome] = (
+                            faulty, poisoned, drop, flags,
+                            _outcome_cells(baseline, faulty, drop, poisoned, flags))
+                    entry = by_site[site] = (cells, _site_cells(site))
+                (faulty, poisoned, drop, flags, outcome_cells), site_cells = entry
                 share = draw_ns * (i + 1) // n - draw_ns * i // n
-                rec = make_record(code_str, seed, k, site, baseline, faulty, poisoned,
-                                  time.perf_counter_ns() - t0 + share, config.thresholds)
-                records.append(rec)
+                ns = time.perf_counter_ns() - t0 + share
+                records.append(InjectionRecord(code_str, seed, k, site, baseline, faulty,
+                                               drop, poisoned, ns, flags))
                 if sink is not None:
-                    sink.append(rec)
+                    sink.pending.append(_row(code_str, seed, k, site_cells, outcome_cells, ns))
+            if sink is not None:
+                sink.write()
     except BaseException:
         if sink is not None:
-            sink.close()  # part file keeps the flushed prefix for resume
+            try:
+                sink.write()  # the finished draws before the failing one
+            finally:
+                sink.close()  # the part file keeps a clean prefix for resume
         raise
 
     if sink is not None:
         sink.finalize()
     stats = compute_stats(records, config.thresholds)
     return CampaignResult(config, records, stats, baseline)
+
+
+def _stack_positions(sites) -> dict:
+    """Positions in a block of the sites of each (layer, kind), ascending."""
+    positions = {}
+    for j, site in enumerate(sites):
+        positions.setdefault((site.layer_id, site.target_kind), []).append(j)
+    return positions
 
 
 def exhaustive_census(model, dataset, target_kind, thresholds, seed=0) -> dict:

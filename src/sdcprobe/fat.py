@@ -211,8 +211,8 @@ def _weight_fault_reapplier(model, handles):
         return None
 
     def reapply():
-        # pin_weight_bit resolves the weight buffer fresh on every call,
-        # since optimizer steps replace it
+        # Sgd and Adam write p.data in place, so the pinned buffer is the
+        # one the next forward pass reads
         for site, faulted in pins:
             pin_weight_bit(model, site, faulted)
     return reapply

@@ -18,11 +18,12 @@ uniforms bit for bit, and every stage of the draw runs on the whole block.
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import io
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -307,6 +308,14 @@ class FaultSampler:
         self._alias_prob, self._alias_alias = build_alias_table(self.neuron_probs)
         # bit_stage: float64 [32] shared CDF, or [n_elements, 32] per-element CDF
         self._bit_cdf = bit_stage
+
+    def with_seed(self, seed: int) -> FaultSampler:
+        """The sampler of the same code, tables and uniform mix under
+        another seed; it shares this one's alias table and bit stage, so
+        it draws what build_sampler would build for that seed."""
+        sampler = copy.copy(self)
+        sampler.config = replace(self.config, seed=seed)
+        return sampler
 
     def sample_at(self, ordinal: int) -> FaultSite:
         """The fault site for one draw ordinal; a pure function of

@@ -3,22 +3,24 @@
 import hashlib
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdcprobe.attribution import AttributionConfig, attribute_all
 from sdcprobe.campaign import (CampaignConfig, DEFAULT_SEEDS, DEFAULT_THRESHOLDS,
-                               InjectionRecord, census_from_records, compute_recall,
-                               compute_stats, exhaustive_census, load_records,
-                               make_record, meta_path_for, report, run_campaign,
-                               running_precision, save_records, write_report_csvs)
-from sdcprobe.data import Dataset
+                               InjectionRecord, _RecordSink, census_from_records,
+                               compute_recall, compute_stats, exhaustive_census,
+                               load_records, make_record, meta_path_for, report,
+                               run_campaign, running_precision, save_records,
+                               write_report_csvs)
+from sdcprobe.data import Dataset, synth_blobs
 from sdcprobe.errors import ConfigError, DataFormatError, DataIntegrityError, UsageError
 from sdcprobe.fat import measure_latency_to_critical
 from sdcprobe.fault_model import FaultSite, SamplerConfig, build_sampler
-from sdcprobe.injector import evaluate_with_fault
-from sdcprobe.nnet import Flatten, Linear, Model, model_checksum
+from sdcprobe.injector import PrefixCache, evaluate_with_fault
+from sdcprobe.nnet import Flatten, Linear, Model, build_cnn, model_checksum
 
 THRESH5 = (0.0, 0.05, 0.10, 0.25, 0.50)
 
@@ -646,6 +648,88 @@ class TestPartHeader:
             self.resume(out, identity_model(), class1_dataset())
 
 
+class TestWrites:
+    """Rows reach the part file in one write per stack and per block, and
+    an error writes the finished rows first."""
+
+    CFG = dict(code="RBRNw", thresholds=THRESH5, sample_budget=120, seeds=(5, 2))
+
+    @staticmethod
+    def cnn_and_data():
+        data = synth_blobs(classes=3, samples_per_class=15, dims=36, spread=0.35, seed=5,
+                           image_shape=(1, 6, 6), center_scale=0.5)
+        return build_cnn((1, 6, 6), [3, 4], 3, 16, 3, seed=1), data
+
+    def test_one_write_per_stack_and_block(self, tmp_path, monkeypatch):
+        stacks, writes = [], []
+        evaluate_stack, write = PrefixCache.evaluate_stack, _RecordSink.write
+
+        def counting_stack(cache, model, sites):
+            stacks.append(list(sites))
+            return evaluate_stack(cache, model, sites)
+
+        def counting_write(sink):
+            writes.append(len(sink.pending))
+            write(sink)
+
+        monkeypatch.setattr(PrefixCache, "evaluate_stack", counting_stack)
+        monkeypatch.setattr(_RecordSink, "write", counting_write)
+        model, data = self.cnn_and_data()
+        out = tmp_path / "run.csv"
+        result = run_campaign(model, data, CampaignConfig(**self.CFG), out_csv=str(out))
+        draws = len(result.records)
+        assert draws == 240 and sum(writes) == draws
+        nonempty = sum(1 for n in writes if n)
+        assert nonempty <= len(stacks) + len(self.CFG["seeds"])
+        assert nonempty < draws
+        assert load_records(out)[0] == result.records
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 5])
+    def test_error_in_a_stack_leaves_the_draws_before_it(self, tmp_path, monkeypatch,
+                                                         fail_at):
+        """An error in the fail_at-th stacked evaluation leaves a part file
+        with exactly the draws before the draw that ran it, and resuming
+        gives the records of an uninterrupted run.  Those rows are already
+        written when the stack starts, as a hard kill there would find them."""
+        model, data = self.cnn_and_data()
+        cfg = CampaignConfig(**self.CFG)
+        out = tmp_path / "run.csv"
+        part_path = tmp_path / "run.csv.part"
+        stacks, seen_at_failure = [], []
+        evaluate_stack = PrefixCache.evaluate_stack
+
+        def stack(cache, model, sites):
+            stacks.append(list(sites))
+            if len(stacks) == fail_at and fail:
+                seen_at_failure.append(part_path.read_bytes() if part_path.exists() else b"")
+                raise RuntimeError(f"stack {fail_at} failed")
+            return evaluate_stack(cache, model, sites)
+
+        monkeypatch.setattr(PrefixCache, "evaluate_stack", stack)
+        fail = False
+        full = run_campaign(model, data, cfg)
+        assert len(stacks) > fail_at
+        done = {site for sites in stacks[:fail_at - 1] for site in sites}
+        failing = next(i for i, r in enumerate(full.records) if r.site not in done)
+
+        PrefixCache.clear_shared()
+        stacks.clear()
+        fail = True
+        with pytest.raises(RuntimeError, match=f"stack {fail_at} failed"):
+            run_campaign(model, data, cfg, out_csv=str(out))
+        assert part_path.exists() == (failing > 0)  # no row, no part file yet
+        assert seen_at_failure == [part_path.read_bytes() if failing else b""]
+        part = load_records(part_path)[0] if failing else []
+        assert [strip_clock(r) for r in part] == \
+            [strip_clock(r) for r in full.records[:failing]]
+
+        fail = False
+        resumed = run_campaign(model, data, cfg, out_csv=str(out))
+        assert [strip_clock(r) for r in resumed.records] == \
+            [strip_clock(r) for r in full.records]
+        assert resumed.records[:failing] == part
+
+
 class TestReport:
     def five_seed_records(self, drops_by_seed, code="RBRNw"):
         records = []
@@ -704,7 +788,7 @@ class TestReport:
                 records.extend(synthetic_records(drops, seed=seed, code=code))
         summary = report(records, THRESH5, series_threshold=0.1)
         paths = write_report_csvs(summary, tmp_path / "out")
-        assert [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths] == [
+        assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths] == [
             "58604566f21d5c8a49cf83a483c155d5bd5559f09303f5ba12173ded6fef5208",
             "ae9b34064a6b4d5c01531762bcc4d656976d7b49fe37f3e9858c6cdf875b41d8"]
 
@@ -712,11 +796,11 @@ class TestReport:
         records = self.five_seed_records({1: [0.1, 0.0], 2: [0.1, 0.1]})
         summary = report(records, THRESH5, series_threshold=0.05)
         prec_path, series_path = write_report_csvs(summary, tmp_path / "out")
-        prec_lines = open(prec_path).read().splitlines()
+        prec_lines = Path(prec_path).read_text().splitlines()
         assert prec_lines[0] == "experiment_code,threshold,mean_precision,stddev_precision,n_seeds"
         assert len(prec_lines) == 1 + len(THRESH5)
         stddevs = [float(l.split(",")[3]) for l in prec_lines[1:]]
         assert all(s >= 0 for s in stddevs)
-        series_lines = open(series_path).read().splitlines()
+        series_lines = Path(series_path).read_text().splitlines()
         assert series_lines[0] == "experiment_code,sample_count,running_precision"
         assert len(series_lines) == 3

@@ -5,6 +5,7 @@ import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestTrain:
         """train produces a loadable checkpoint plus a rerunnable meta sidecar."""
         model = load_checkpoint(workspace["ckpt"])
         assert model.input_shape == (1, 1, 6)
-        meta = json.loads(open(meta_path_for(workspace["ckpt"])).read())
+        meta = json.loads(Path(meta_path_for(workspace["ckpt"])).read_text())
         assert meta["command"] == "train"
         assert meta["model_checksum"] == model_checksum(model)
         assert set(meta["config"]) == {"model", "dataset", "train"}
@@ -80,14 +81,14 @@ class TestTrain:
         """Training twice from one config yields byte-identical checkpoints."""
         out = str(tmp_path / "again.ckpt")
         assert main(["train", "--config", workspace["cfg"], "--out", out]) == 0
-        assert open(out, "rb").read() == open(workspace["ckpt"], "rb").read()
+        assert Path(out).read_bytes() == Path(workspace["ckpt"]).read_bytes()
 
     def test_seed_flag_overrides_config(self, workspace, tmp_path):
         """--seed beats the train.seed value in the config file."""
         out = str(tmp_path / "reseeded.ckpt")
         assert main(["train", "--config", workspace["cfg"], "--seed", "99",
                      "--out", out]) == 0
-        assert open(out, "rb").read() != open(workspace["ckpt"], "rb").read()
+        assert Path(out).read_bytes() != Path(workspace["ckpt"]).read_bytes()
 
 
 class TestAttribute:
@@ -180,7 +181,7 @@ class TestCampaign:
         assert main(["campaign", "--config", workspace["cfg"],
                      "--checkpoint", workspace["ckpt"], "--code", "RBRNw",
                      "--budget", "4", "--seed", "1", "--out", out]) == 0
-        meta = json.loads(open(meta_path_for(out)).read())
+        meta = json.loads(Path(meta_path_for(out)).read_text())
         assert meta["config"]["experiment_code"] == "RBRNw"
         assert meta["config"]["sample_budget"] == 4
         assert meta["config"]["seeds"] == [1]
@@ -259,7 +260,7 @@ class TestReport:
         prefix = str(tmp_path / "sum")
         assert main(["report", a, b, "--series-threshold", "0.05",
                      "--out", prefix]) == 0
-        lines = open(f"{prefix}_precision.csv").read().splitlines()
+        lines = Path(f"{prefix}_precision.csv").read_text().splitlines()
         assert lines[0] == "experiment_code,threshold,mean_precision,stddev_precision,n_seeds"
         codes = {line.split(",")[0] for line in lines[1:]}
         assert codes == {"RBRNw", "GBINw"}
@@ -270,7 +271,7 @@ class TestReport:
                 assert float(std) >= 0.0
             if mean != "null":
                 assert 0.0 <= float(mean) <= 1.0
-        series = open(f"{prefix}_series.csv").read().splitlines()
+        series = Path(f"{prefix}_series.csv").read_text().splitlines()
         assert series[0] == "experiment_code,sample_count,running_precision"
         assert len(series) > 1
 
@@ -479,7 +480,7 @@ class TestExitCodes:
         out = tmp_path / "r.csv"
         assert main(["campaign", "--config", cfg, "--checkpoint", workspace["ckpt"],
                      "--code", "RBRNw", "--out", str(out)]) == 0
-        meta = json.loads(open(meta_path_for(out)).read())
+        meta = json.loads(Path(meta_path_for(out)).read_text())
         assert meta["config"]["uniform_mix"] == 0.0
 
     def test_bad_idx_magic_exits_3(self, workspace, tmp_path):
@@ -508,7 +509,7 @@ class TestExitCodes:
 
     def test_non_ascii_attribution_checksum_exits_3(self, workspace, tmp_path, capsys):
         """A checksum byte outside ASCII is a format error, not a crash."""
-        blob = bytearray(open(workspace["attr"], "rb").read())
+        blob = bytearray(Path(workspace["attr"]).read_bytes())
         blob[16] = 0xE9  # first byte of the checksum text
         bad = tmp_path / "bad.attr"
         bad.write_bytes(bytes(blob))
@@ -544,7 +545,7 @@ class TestExitCodes:
                 "--budget", "6", "--seed", "1", "--out", str(out)]
         assert main(args + ["--checkpoint", workspace["ckpt"]]) == 0
         lines = out.read_text().splitlines()
-        meta = json.loads(open(meta_path_for(out)).read())
+        meta = json.loads(Path(meta_path_for(out)).read_text())
         out.unlink()
         # what a run interrupted after three draws leaves behind
         (tmp_path / "r.csv.part").write_text("\n".join(lines[:4]) + "\n")

@@ -471,3 +471,38 @@ class TestBlockDrawMatchesReference:
         drawn = {int(s.offsets[s.layer_ids.index(site.layer_id)]) + site.element_index
                  for site in s.sample(3000)}
         assert zero and not drawn & zero
+
+
+class TestWithSeed:
+    """A sampler moved to another seed by with_seed shares its tables and
+    draws exactly what a fresh build for that seed draws."""
+
+    model = build_mlp((1, 1, 4), [5], 3, seed=1)
+
+    def build(self, code, mix, seed):
+        attr = None
+        if code[2] == "I":
+            kind = fault_model.TARGET_CODES[code[4]]
+            lids, counts = fault_model._element_pool(self.model, kind)
+            rng = np.random.default_rng(7)
+            attr = attribution_for(self.model, kind,
+                                   {lid: rng.uniform(0.0, 1.0, count)
+                                    for lid, count in zip(lids, counts)})
+        return build_sampler(SamplerConfig(code=code, uniform_mix=mix, seed=seed),
+                             attr, self.model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(code=st.sampled_from(["GBINw", "RBRNo", "EBINo", "LBRNw"]),
+           mix=st.sampled_from([0.0, 0.3]), built_seed=st.integers(0, 2**40),
+           seed=st.integers(0, 2**40), n=st.integers(1, 40), start=st.integers(0, 2**34))
+    def test_shared_tables_draw_what_a_fresh_build_draws(self, code, mix, built_seed,
+                                                         seed, n, start):
+        built = self.build(code, mix, built_seed)
+        moved = built.with_seed(seed)
+        assert moved.sample(n, start) == self.build(code, mix, seed).sample(n, start)
+        assert moved._alias_prob is built._alias_prob and moved._bit_cdf is built._bit_cdf
+        assert (built.config.seed, moved.config.seed) == (built_seed, seed)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            self.build("LBRNw", 0.0, 1).with_seed(-1)

@@ -19,7 +19,8 @@ import pytest
 
 from sdcprobe.attribution import (AttributionConfig, attribute_all,
                                   conductance_components, make_baseline)
-from sdcprobe.campaign import CampaignConfig, run_campaign
+from sdcprobe.campaign import (DEFAULT_THRESHOLDS, CampaignConfig, _records_text,
+                               run_campaign)
 from sdcprobe.data import synth_blobs, train_test_split
 from sdcprobe.fat import FatConfig, fat_train, measure_latency_to_critical
 from sdcprobe.nnet import (ActivationFault, build_cnn, build_mlp, model_checksum,
@@ -254,6 +255,21 @@ def test_cnn_campaign_records(trained_cnn, code, mix):
     result = run_campaign(model, test_set, config, amap,
                           probe_images=test_set.images[:EVAL_BATCH])
     assert _records_sha(result.records) == GOLDEN["cnn_campaign_records"][(code, mix)]
+
+
+def test_cnn_campaign_csv_bytes(trained_cnn, tmp_path):
+    """The records file a campaign writes, wallclock cells included, is
+    byte for byte the text of the records it returns, on the default
+    19-threshold ladder, with poisoned draws and repeated sites."""
+    model, test_set, _ = trained_cnn
+    config = CampaignConfig(code="RBRNo", sample_budget=300, seeds=(3, 8))
+    out = tmp_path / "records.csv"
+    result = run_campaign(model, test_set, config, out_csv=str(out))
+    assert config.thresholds == DEFAULT_THRESHOLDS and len(DEFAULT_THRESHOLDS) == 19
+    assert any(r.poisoned for r in result.records)
+    assert len({r.site for r in result.records}) < len(result.records)
+    assert out.read_bytes() == _records_text(result.records,
+                                             DEFAULT_THRESHOLDS).encode("utf-8")
 
 
 def test_fat_mlp_latency_runs(trained_fat_mlp):
