@@ -38,13 +38,14 @@ from .nnet.autodiff import picked_logit_sum
 from .nnet.training import EVAL_BATCH, predict
 
 TARGET_KINDS = ("neuron_output", "neuron_weight")
+BASELINE_KINDS = ("zeros", "dataset_mean")
 ATTRIBUTION_MAGIC = b"ISAT"
 ATTRIBUTION_VERSION = 1
 
 
 @dataclass
 class Baseline:
-    kind: str                 # zeros | dataset_mean
+    kind: str                 # one of BASELINE_KINDS
     tensor: np.ndarray        # per-sample model input shape
 
     def __post_init__(self):
@@ -58,7 +59,7 @@ def make_baseline(kind, model, dataset=None) -> Baseline:
         if dataset is None:
             raise ConfigError("dataset_mean baseline needs a dataset")
         return Baseline("dataset_mean", dataset.images.mean(axis=0))
-    raise ConfigError(f"unknown baseline kind {kind!r}")
+    raise ConfigError(f"baseline must be one of {BASELINE_KINDS}, got {kind!r}")
 
 
 @dataclass
@@ -76,6 +77,10 @@ class AttributionConfig:
             raise ConfigError("steps must be >= 1")
         if self.sample_count is not None and self.sample_count < 1:
             raise ConfigError(f"sample_count must be >= 1 or null, got {self.sample_count}")
+        if self.baseline not in BASELINE_KINDS:
+            raise ConfigError(f"baseline must be one of {BASELINE_KINDS}, got {self.baseline!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -35,6 +35,9 @@ WEIGHT_FLOOR = 1e-30
 
 BIT_SCHEMES = ("gradient", "exponential", "linear", "uniform")
 
+_STATIC_WEIGHTS = {"exponential": 2.0 ** np.arange(32.0), "linear": np.arange(1.0, 33.0),
+                   "uniform": np.ones(32)}
+
 _MANT_POW = 2.0 ** (np.arange(23, dtype=np.float64) - 23.0)  # 2^(k-23)
 _EXP_POW = 2.0 ** np.arange(8, dtype=np.float64)             # 2^j
 
@@ -187,18 +190,15 @@ def bit_gradients_many(values) -> np.ndarray:
 
 
 def bit_weights(scheme: str, value=None) -> np.ndarray:
-    """Positive per-bit sampling weights under one of the four schemes.
+    """Positive per-bit sampling weights under one of the four schemes;
+    bit_weights_many of the one value, which only the gradient scheme reads.
 
     gradient     |d(decode)/d(bit_i)| at ``value``, floored at WEIGHT_FLOOR
     exponential  2^i
     linear       i + 1
     uniform      1
     """
-    if scheme == "gradient":
-        if value is None:
-            raise ValueError("gradient scheme needs the element value")
-        return np.maximum(np.abs(bit_gradients(value)), WEIGHT_FLOOR)
-    return _static_bit_weights(scheme)
+    return bit_weights_many(scheme, [np.nan if value is None else value])[0]
 
 
 def bit_weights_many(scheme: str, values) -> np.ndarray:
@@ -206,14 +206,6 @@ def bit_weights_many(scheme: str, values) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.float32)
     if scheme == "gradient":
         return np.maximum(np.abs(bit_gradients_many(values)), WEIGHT_FLOOR)
-    return np.broadcast_to(_static_bit_weights(scheme), (len(values), 32)).copy()
-
-
-def _static_bit_weights(scheme: str) -> np.ndarray:
-    if scheme == "exponential":
-        return 2.0 ** np.arange(32, dtype=np.float64)
-    if scheme == "linear":
-        return np.arange(32, dtype=np.float64) + 1.0
-    if scheme == "uniform":
-        return np.ones(32, dtype=np.float64)
-    raise ValueError(f"unknown bit weight scheme {scheme!r}; expected one of {BIT_SCHEMES}")
+    if scheme not in _STATIC_WEIGHTS:
+        raise ValueError(f"unknown bit weight scheme {scheme!r}; expected one of {BIT_SCHEMES}")
+    return np.tile(_STATIC_WEIGHTS[scheme], (len(values), 1))

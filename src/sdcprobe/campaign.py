@@ -334,8 +334,14 @@ def _records_text(rows, thresholds):
 
 def save_records(records, thresholds, path):
     """Atomic CSV write, rows sorted by (seed, ordinal).  A ladder that
-    check_thresholds refuses raises UsageError before anything is written."""
+    check_thresholds refuses, or a record not classified on it (whose file
+    load_records would refuse), raises UsageError before anything is written."""
     thresholds = check_thresholds(thresholds, UsageError)
+    for r in records:
+        if (r.accuracy_drop, r.sdc_flags) != _classify(r.baseline_accuracy, r.faulty_accuracy,
+                                                        thresholds):
+            raise UsageError(f"record (seed {r.seed}, ordinal {r.sample_ordinal}) was not "
+                             f"classified on the ladder {thresholds}")
     atomic_write(path, _records_text(sorted(records, key=InjectionRecord.sort_key),
                                      thresholds))
 
@@ -455,13 +461,13 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     its block, in draw order, share one pass (the scan for them reads only
     that layer and kind's positions, from a per-block index), and the
     later draws of those sites find their outcomes in the memo.  There is
-    still one record per draw.  Its wallclock_ns is the lookup time, plus
-    the whole stack's time (and the write of the rows before it) on the
-    draw that ran it, plus its share of the block draw.  If the block draw
-    raises, the block is drawn again one ordinal at a time, and each of
-    those draws is a stack of one, so the draws before the failing one
-    still land.  A drawn site that names no element of the model is left
-    out of the stacks and raises UsageError at its own draw.
+    still one record per draw.  Its wallclock_ns is the time since the
+    previous record of this call (since the draws began, for the first),
+    so the block draw and a stack count on the draw that ran them.  If the
+    block draw raises, the block is drawn again one ordinal at a time, and
+    each of those draws is a stack of one, so the draws before the failing
+    one still land.  A drawn site that names no element of the model is
+    left out of the stacks and raises UsageError at its own draw.
 
     PrefixCache.shared gives the baseline, the outcome memo and the clean
     activations every evaluation resumes from, rerunning only the layers
@@ -512,24 +518,22 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     # per distinct (accuracy, poisoned): (faulty, poisoned, drop, flags, outcome
     # cells); per site: (that entry, site cells)
     by_outcome, by_site = {}, {}
+    last = time.perf_counter_ns()  # each record's wallclock_ns runs from the one before
     try:
         for seed, sampler, budget in plan:  # canonical order, so writes stay sorted
             start = resumed[seed]
             n = budget - start
             if n <= 0:
                 continue
-            t0 = time.perf_counter_ns()
             try:
                 sites = sampler.sample(n, start)
             except Exception:
                 # redraw one ordinal at a time below, so the draws before a
                 # failing ordinal are evaluated and written before it raises
                 sites = None
-            draw_ns = time.perf_counter_ns() - t0
             positions = _stack_positions(sites) if sites is not None else None
             for i in range(n):
                 k = start + i
-                t0 = time.perf_counter_ns()
                 site = sites[i] if sites is not None else sampler.sample(1, k)[0]
                 entry = by_site.get(site)
                 if entry is None:
@@ -545,15 +549,15 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                                                       ahead=ahead)
                     cells = by_outcome.get(outcome)
                     if cells is None:
-                        faulty, poisoned = float(outcome[0]), bool(outcome[1])
+                        faulty, poisoned = outcome
                         drop, flags = _classify(baseline, faulty, config.thresholds)
                         cells = by_outcome[outcome] = (
                             faulty, poisoned, drop, flags,
                             _outcome_cells(baseline, faulty, drop, poisoned, flags))
                     entry = by_site[site] = (cells, _site_cells(site))
                 (faulty, poisoned, drop, flags, outcome_cells), site_cells = entry
-                share = draw_ns * (i + 1) // n - draw_ns * i // n
-                ns = time.perf_counter_ns() - t0 + share
+                now = time.perf_counter_ns()
+                ns, last = now - last, now
                 records.append(InjectionRecord(code_str, seed, k, site, baseline, faulty,
                                                drop, poisoned, ns, flags))
                 if sink is not None:

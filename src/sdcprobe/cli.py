@@ -361,7 +361,7 @@ def make_parser():
     p.add_argument("--target", choices=list(attr_mod.TARGET_KINDS), default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--baseline", choices=["zeros", "dataset_mean"], default=None)
+    p.add_argument("--baseline", choices=list(attr_mod.BASELINE_KINDS), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attribute)
 

@@ -95,8 +95,9 @@ def synth_blobs(classes, samples_per_class, dims, spread, seed,
     without it samples land in a (1, 1, dims) image.  center_scale
     multiplies the centers, which bounds activation magnitudes.
     """
-    if classes < 2:
-        raise UsageError("synth_blobs needs at least 2 classes")
+    if classes < 2 or seed < 0:
+        raise UsageError(f"synth_blobs needs at least 2 classes and a seed >= 0; got "
+                         f"{classes} and {seed}")
     if image_shape is None:
         image_shape = (1, 1, dims)
     if int(np.prod(image_shape)) != dims:

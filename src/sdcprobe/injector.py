@@ -20,11 +20,12 @@ one pass, with a leading variant axis of K rows.  A weight stack is K
 copies of the layer's weight, each with one bit XORed; an output stack is
 K copies of the layer's clean output, each with one column XORed.  The
 variant axis stays separate from the batch axis wherever a BLAS call sees
-it (Model.apply), so every variant makes exactly the calls its
-single-site pass makes, and each outcome is bit-identical, by
-construction, to the full recompute that evaluate_with_fault performs
-without a cache.  K is the number of variants whose float64 activations
-over one chunk fit STACK_BYTES.  No stacked pass writes the model.
+it (Model.apply), and a single pass runs the same code with K = 1, so
+every variant makes exactly the calls its single-site pass makes, and each
+outcome is bit-identical, by construction, to the full recompute that
+evaluate_with_fault performs without a cache.  K is the number of
+variants whose float64 activations over one chunk fit STACK_BYTES.  No
+stacked pass writes the model.
 
 An outcome is a pure function of (parameters, dataset, site), so the cache
 also memoizes it: evaluate_with_fault(..., prefix=cache) stores the
@@ -252,10 +253,7 @@ class PrefixCache:
                 x = xor_bits(x.reshape(rows, -1), masks).reshape(k * rows, *x.shape[1:])
             out = model.apply(x, start=start, variants=k, weights=weights)
             logits.append(out.reshape(k, rows, -1))
-        preds, poisoned = classify(logits)
-        # hits / rows, the division np.mean makes: hit counts are exact
-        accuracy = (preds == self.dataset.labels).sum(axis=-1) / preds.shape[-1]
-        return list(zip(accuracy.tolist(), poisoned.any(axis=-1).tolist()))
+        return list(zip(*score(*classify(logits), self.dataset.labels)))
 
 
 def _stack_masks(sites, size):

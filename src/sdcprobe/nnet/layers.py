@@ -24,7 +24,8 @@ gives the same bits as the full pass over the same batch.  It can stop
 early (stop=M) and run K variants of the model at once: K batches stacked
 along the rows, or K weights of layer start.  Weightless layers and
 Conv2d's per-sample gemm see the [K*N, ...] stack as one batch; Linear
-keeps a variant axis, so that each variant makes its own BLAS call.
+keeps a variant axis, so that each variant makes its own BLAS call.  A
+single pass is the K = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -107,28 +108,26 @@ class Conv2d(_Weighted):
             raise ConfigError(f"conv2d weight {self.weight.data.shape} incompatible with input {in_shape}")
         return (o, (h - kh) // self.stride + 1, (w - kw) // self.stride + 1)
 
-    def forward(self, x):
-        o, _, kh, kw = self.weight.data.shape
+    def _gemm(self, x, weights=None, bias=True):
+        """(outputs, backward cache) of x: one gemm per sample, and per
+        variant of a [K,O,C,kh,kw] stack of weights, stacked [K*N, O, OH, OW]."""
+        w = self.weight.data if weights is None else weights
+        o, _, kh, kw = w.shape[-4:]
         cols, oh, ow = _im2col(x, kh, kw, self.stride)
-        y = np.matmul(_f64(self.weight.data.reshape(o, -1)), cols)
-        if self.bias is not None:
-            y = y + _f64(self.bias.data)[None, :, None]
-        return y.reshape(x.shape[0], o, oh, ow).astype(np.float32), (cols, x.shape)
+        # a stack's weights get a length-1 axis that broadcasts over the samples
+        y = np.matmul(_f64(w.reshape(w.shape[:-4] + (1, o, -1))), cols)  # [(K,) N, O, OH*OW]
+        if bias and self.bias is not None:
+            y += _f64(self.bias.data)[:, None]
+        return y.reshape(-1, o, oh, ow).astype(np.float32), (cols, x.shape)
+
+    def forward(self, x):
+        return self._gemm(x)
 
     def apply(self, x, variants=1, weights=None):
         """forward's output.  Every sample is its own gemm, so the batches
-        of several variants stacked along x's rows pass as one batch.  A
-        [K,O,C,kh,kw] stack of weights stands in for the layer's weight on
-        one batch x: sample n of variant k is the gemm forward makes, with
-        weights[k], and the K outputs come stacked, [K*N, O, OH, OW]."""
-        if weights is None:
-            return self.forward(x)[0]
-        k, o, _, kh, kw = weights.shape
-        cols, oh, ow = _im2col(x, kh, kw, self.stride)
-        y = np.matmul(_f64(weights.reshape(k, 1, o, -1)), cols)     # [K, N, O, OH*OW]
-        if self.bias is not None:
-            y = y + _f64(self.bias.data)[:, None]
-        return y.reshape(-1, o, oh, ow).astype(np.float32)
+        of several variants stacked along x's rows pass as one batch, and a
+        stack of weights runs one batch x through each (see _gemm)."""
+        return self._gemm(x, weights)[0]
 
     def backward(self, g, cache, need_gx, params=True):
         cols, xshape = cache
@@ -148,10 +147,7 @@ class Conv2d(_Weighted):
         return gx, pgrads
 
     def jvp(self, x, t):
-        o, _, kh, kw = self.weight.data.shape
-        cols, oh, ow = _im2col(t, kh, kw, self.stride)
-        ty = np.matmul(_f64(self.weight.data.reshape(o, -1)), cols)
-        return ty.reshape(t.shape[0], o, oh, ow).astype(np.float32)
+        return self._gemm(t, bias=False)[0]
 
 
 class Linear(_Weighted):
@@ -182,12 +178,8 @@ class Linear(_Weighted):
         forward makes.  Folding the K batches into one [K*N, I] product
         rounds some float64 rows differently.  Returns the K outputs
         stacked, [K*N, O]."""
-        if weights is None and variants == 1:
-            return self.forward(x)[0]
-        if weights is None:
-            y = _f64(x).reshape(variants, -1, x.shape[1]) @ _f64(self.weight.data).T
-        else:
-            y = _f64(x) @ _f64(weights).transpose(0, 2, 1)
+        w = self.weight.data if weights is None else weights
+        y = _f64(x).reshape(variants, -1, x.shape[1]) @ _f64(w).swapaxes(-1, -2)
         if self.bias is not None:
             y += _f64(self.bias.data)
         return y.astype(np.float32).reshape(-1, y.shape[-1])
@@ -416,6 +408,8 @@ def _uniform_init(rng, shape, fan_in):
 
 def build_mlp(input_shape, hidden, classes, seed):
     """flatten -> [linear -> relu]* -> linear, fan-in uniform init, zero bias."""
+    if seed < 0:
+        raise UsageError(f"model seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     dims = [int(np.prod(input_shape))] + list(hidden) + [classes]
     layers: list = [Flatten()]
@@ -429,6 +423,8 @@ def build_mlp(input_shape, hidden, classes, seed):
 
 def build_cnn(input_shape, conv_channels, kernel, hidden, classes, seed):
     """conv-relu-conv-relu-flatten-linear-relu-linear."""
+    if seed < 0:
+        raise UsageError(f"model seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     c, h, w = input_shape
     c1, c2 = conv_channels

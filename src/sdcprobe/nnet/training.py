@@ -121,8 +121,10 @@ def predict(model, images, output_faults=()):
 
 
 def score(preds, poisoned, labels):
-    """(accuracy, any_poisoned) of per-sample predictions."""
-    return float(np.mean(preds == labels)), bool(poisoned.any())
+    """(accuracy, any_poisoned) of per-sample predictions, over the last
+    axis; accuracy is hits / rows, the division np.mean makes, made directly."""
+    hits = (preds == labels).sum(axis=-1)
+    return (hits / preds.shape[-1]).tolist(), poisoned.any(axis=-1).tolist()
 
 
 def evaluate_detailed(model, dataset, output_faults=()):
@@ -175,9 +177,9 @@ def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
     """
     if len(train_set.labels) == 0:
         raise UsageError("cannot train on an empty dataset")
-    if epochs < 0 or batch_size < 1 or lr <= 0:
-        raise UsageError(f"training needs epochs >= 0, batch_size >= 1 and lr > 0; got "
-                         f"{epochs}, {batch_size} and {lr}")
+    if epochs < 0 or batch_size < 1 or lr <= 0 or seed < 0:
+        raise UsageError(f"training needs epochs >= 0, batch_size >= 1, lr > 0 and seed >= 0; "
+                         f"got {epochs}, {batch_size}, {lr} and {seed}")
     if on_nonfinite not in ("raise", "skip"):
         raise UsageError(f"on_nonfinite must be 'raise' or 'skip', got {on_nonfinite!r}")
     classes = model.output_shapes()[-1][0]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from sdcprobe.campaign import (CampaignConfig, DEFAULT_SEEDS, DEFAULT_THRESHOLDS
                                compute_recall, compute_stats, exhaustive_census,
                                load_records, make_record, meta_path_for, report,
                                run_campaign, running_precision, save_records,
-                               write_report_csvs)
+                               threshold_column, write_report_csvs)
 from sdcprobe.data import Dataset, synth_blobs
 from sdcprobe.errors import ConfigError, DataFormatError, DataIntegrityError, UsageError
 from sdcprobe.fat import measure_latency_to_critical
@@ -447,6 +448,28 @@ class TestPersistence:
             save_records(synthetic_records([0.003], (0.006,)), (0.006,), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("ladder, error", [
+        ((0.0, 0.05), "expected 14 cells, got 15"),   # one flag too many per row
+        ((0.0, 0.5, 0.6), "do not match"),            # three flags, classified elsewhere
+    ])
+    def test_save_refuses_records_of_another_ladder_before_writing(self, tmp_path,
+                                                                   ladder, error):
+        """Records classified on (0.0, 0.05, 0.1) and saved with another
+        ladder would give a file that load_records refuses."""
+        records = synthetic_records([0.07, 0.2], (0.0, 0.05, 0.1))
+        path = tmp_path / "records.csv"
+        with pytest.raises(UsageError, match="classified on the ladder"):
+            save_records(records, ladder, path)
+        assert not path.exists()
+        # the same rows under that ladder's header: the file load refuses
+        save_records(records, (0.0, 0.05, 0.1), path)
+        header, *rows = path.read_text().splitlines()
+        header = header.replace("sdc_000,sdc_005,sdc_010",
+                                ",".join(threshold_column(t) for t in ladder))
+        path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises((DataFormatError, DataIntegrityError), match=error):
+            load_records(path)
+
     @pytest.mark.parametrize("columns", ["sdc_010,sdc_005", "sdc_005,sdc_005",
                                          "sdc_005,sdc_150"])
     def test_load_refuses_a_ladder_config_would_refuse(self, tmp_path, columns):
@@ -548,6 +571,31 @@ class TestPersistence:
         assert resumed.records[:3] == full.records[:3]
         assert not part.exists()
         assert not (tmp_path / "resumed.csv.part.meta.json").exists()
+
+    def test_wallclock_is_the_time_since_the_previous_record(self, tmp_path):
+        """Every wallclock_ns is >= 0 and the records' times sum to at most
+        the time around run_campaign; the rows a resumed run adds do too,
+        and the rows it resumes keep theirs."""
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=12,
+                             seeds=(1, 2))
+
+        def timed_run(name):
+            t0 = time.perf_counter_ns()
+            result = run_campaign(identity_model(), class1_dataset(), cfg,
+                                  out_csv=str(tmp_path / name))
+            return result.records, time.perf_counter_ns() - t0
+
+        full, elapsed = timed_run("full.csv")
+        clocks = [r.wallclock_ns for r in full]
+        assert len(clocks) == 24 and min(clocks) >= 0 and sum(clocks) <= elapsed
+        lines = (tmp_path / "full.csv").read_text().splitlines()
+        (tmp_path / "resumed.csv.part").write_text("\n".join(lines[:6]) + "\n")
+        (tmp_path / "resumed.csv.part.meta.json").write_text(
+            (tmp_path / "full.meta.json").read_text())
+        resumed, elapsed = timed_run("resumed.csv")
+        assert resumed[:5] == full[:5]
+        clocks = [r.wallclock_ns for r in resumed[5:]]
+        assert len(clocks) == 19 and min(clocks) >= 0 and sum(clocks) <= elapsed
 
     def test_non_prefix_part_rejected(self, tmp_path):
         cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=4,

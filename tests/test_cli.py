@@ -364,6 +364,11 @@ class TestExitCodes:
         ("attribute", {"attribute": {"sample_count": -3}}, []),
         ("attribute", {"attribute": {"sample_count": 0}}, []),
         ("attribute", {}, ["--samples", "-2", "--target", "neuron_output"]),
+        ("train", {}, ["--seed", "-1"]),
+        ("train", {"model": {"seed": -2}}, []),
+        ("train", {"dataset": {"seed": -2}}, []),
+        ("attribute", {}, ["--seed", "-1", "--samples", "5"]),
+        ("attribute", {"attribute": {"baseline": "ones"}}, []),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys,
                                                           command, overrides, flags):
@@ -380,6 +385,21 @@ class TestExitCodes:
         assert main([command, "--config", cfg] + args + flags) == 2
         assert capsys.readouterr().err.startswith("error: config:")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"attribute": {"baseline": "ones"}}, []),
+        ({}, ["--seed", "-1", "--samples", "5"]),
+    ])
+    def test_bad_attribute_config_exits_2_before_the_checkpoint_loads(
+            self, tmp_path, capsys, overrides, flags):
+        """The attribute config is checked when it is built, before the
+        dataset and the checkpoint load: a missing checkpoint does not
+        turn it into a runtime error."""
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        rc = main(["attribute", "--config", cfg, "--checkpoint", str(tmp_path / "none.ckpt"),
+                   "--out", str(tmp_path / "a.attr")] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: config:")
 
     @pytest.mark.parametrize("command, overrides, key", [
         ("campaign", {"campaign": {"exhaustive": "false"}}, "exhaustive"),

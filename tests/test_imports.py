@@ -1,8 +1,12 @@
-"""Every module-level import in the package is used by its own module.
+"""Every module-level import in the package is used by its own module, and
+every module-level private name is read somewhere in the package.
 
 An import that only a deleted caller needed, or that stays alive only so
 that something outside the module can reach the name through it, fails
-here.  Names a package lists in ``__all__`` count as used.
+here.  Names a package lists in ``__all__`` count as used.  So fails a
+private function, class or constant (``_name``, dunders aside) that no
+module of the package reads any more, such as a helper whose last caller
+was folded into another path; tests do not count as readers.
 """
 
 import ast
@@ -33,6 +37,39 @@ def unused_imports(path):
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
 
 
+def _bound_names(target):
+    return [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def dead_private_names(paths):
+    """Module-level private names defined in paths that no module in paths
+    reads: as a name, as an attribute or through an import."""
+    defined, read = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [n for t in node.targets for n in _bound_names(t)]
+            elif isinstance(node, ast.AnnAssign):
+                names = _bound_names(node.target)
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{path.stem}.{name}"] = (name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{where} (line {line})" for where, (name, line) in defined.items()
+                  if name not in read)
+
+
 def test_modules_found():
     assert PACKAGE / "cli.py" in MODULES and PACKAGE / "nnet" / "autodiff.py" in MODULES
 
@@ -50,3 +87,23 @@ def test_the_scan_sees_an_unused_import(tmp_path):
                       "__all__ = ['c']\n"
                       "def f():\n    return os.sep\n")
     assert unused_imports(module) == ["b (line 3)", "js (line 2)"]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names(MODULES) == []
+
+
+def test_the_scan_sees_a_dead_private_name(tmp_path):
+    (tmp_path / "a.py").write_text("import numpy as np\n"
+                                   "_USED, (_PAIR, _DEAD_PAIR) = 1, (2, 3)\n"
+                                   "_DEAD: int = 4\n"
+                                   "__version__ = '1'\n"
+                                   "def _helper():\n    return _USED + _PAIR\n"
+                                   "def _orphan():\n    return np.pi\n"
+                                   "class _Imported:\n    pass\n"
+                                   "class _Read:\n    pass\n")
+    (tmp_path / "b.py").write_text("from . import a\n"
+                                   "from .a import _Imported\n"
+                                   "def f():\n    return a._helper(), a._Read, _Imported\n")
+    assert dead_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a._DEAD (line 3)", "a._DEAD_PAIR (line 2)", "a._orphan (line 7)"]
