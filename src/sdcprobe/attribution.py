@@ -111,11 +111,7 @@ def conductance_components(model, images, baseline: Baseline, steps, classes=Non
 
     Returns dict layer_id -> float64 [N, element_count].  ``classes`` fixes
     the scalarized output per sample; default is the clean-run prediction.
-    A model with registered output faults is refused: its backward sees the
-    faulted outputs as constants, which the tangents do not.
     """
-    if model.registered_output_faults:
-        raise UsageError("conductance needs a model without registered output faults")
     images = np.asarray(images, dtype=np.float32)
     if baseline.tensor.shape != model.input_shape:
         raise ConfigError(f"baseline shape {baseline.tensor.shape} != input {model.input_shape}")

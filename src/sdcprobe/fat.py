@@ -5,7 +5,7 @@ configured sampler, then keeps training with those faults active so the
 network learns to route around them.  Weight faults persist: after every
 optimizer step the faulted bit is set back to its faulted value, and
 removal at the end restores the bit the weight had at injection.  Output
-faults stay registered on the model for every forward pass.
+faults are passed to every forward pass of training and its evaluations.
 
 The latency metric asks how many fault evaluations (draws) a sampler needs
 before hitting k critical faults in a row; importance-guided samplers find
@@ -27,8 +27,8 @@ from .campaign import DEFAULT_THRESHOLDS, json_fields
 from .errors import ConfigError
 from .fault_model import SamplerConfig, build_sampler, parse_code
 from .fileio import atomic_write
-from .injector import (PrefixCache, evaluate_with_fault, evaluate_with_fault_set,
-                       inject_set, pin_weight_bit, remove)
+from .injector import (PrefixCache, _split_sites, evaluate_with_fault,
+                       evaluate_with_fault_set, inject_set, pin_weight_bit, remove)
 from .nnet import evaluate_detailed, train
 from .nnet.training import EVAL_BATCH
 
@@ -205,26 +205,22 @@ def _weight_fault_reapplier(model, handles):
     """Closure that pins every injected weight-fault bit to its faulted
     value; run after each step so the faults persist through optimizer
     updates, whatever the update did to that bit."""
-    pins = [(h.site, 1 - h.original_bit) for h in handles
-            if h.site.target_kind == "neuron_weight"]
-    if not pins:
+    if not handles:
         return None
 
     def reapply():
         # Sgd and Adam write p.data in place, so the pinned buffer is the
         # one the next forward pass reads
-        for site, faulted in pins:
-            pin_weight_bit(model, site, faulted)
+        for h in handles:
+            pin_weight_bit(model, h.site, 1 - h.original_bit)
     return reapply
 
 
 def _clean_snapshot(model, handles):
     """Copy of the model with the given injected faults undone on the copy."""
     snapshot = model.copy()
-    snapshot.registered_output_faults = []
     for h in handles:
-        if h.site.target_kind == "neuron_weight":
-            pin_weight_bit(snapshot, h.site, h.original_bit)
+        pin_weight_bit(snapshot, h.site, h.original_bit)
     return snapshot
 
 
@@ -256,19 +252,19 @@ def fat_train(model, train_set, test_set, config: FatConfig):
     baseline_accuracy, _ = evaluate_detailed(twin, test_set)
 
     trained_sites, adversary_sites = [], []
-    handles = []
     if config.faults_per_round > 0:
         trained_sites = draw(config.code)
         adversary_sites = draw(config.adversary_code)
-        handles = inject_set(model, trained_sites)
+    weight_sites, output_faults = _split_sites(model, trained_sites)
+    handles = inject_set(model, weight_sites)
 
     reapply = _weight_fault_reapplier(model, handles)
     fat_log = []
     latency: dict = {}
     try:
         for epoch in range(config.fat_epochs):
-            fat_log.extend(fit(model, 1, config.seed + 1 + epoch,
-                               on_nonfinite="skip", post_step=reapply))
+            fat_log.extend(fit(model, 1, config.seed + 1 + epoch, on_nonfinite="skip",
+                               post_step=reapply, output_faults=output_faults))
             snapshot = _clean_snapshot(model, handles)
             for sim in range(config.simulations_per_epoch):
                 sim_seed = config.seed + 1000 * (epoch + 1) + sim

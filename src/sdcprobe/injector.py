@@ -4,9 +4,9 @@ Weight faults set one bit of a stored parameter to the complement of its
 original value, in place, and removal sets it back, so the model is
 restored bit for bit even when the flip lands on a NaN pattern.  Both
 steps go through pin_weight_bit, which fault-aware training also uses to
-hold a fault through optimizer updates.  Output faults register on the
-model and corrupt the targeted activation element of every sample on every
-forward pass until removed.
+hold a fault through optimizer updates.  Output faults are never model
+state: evaluate_with_fault_set passes them to the forward passes as
+output_faults=, which flip the element in every sample; inject refuses them.
 
 A fault at layer L cannot change anything upstream of L.  A PrefixCache
 keeps the clean activations of every layer, chunked exactly as evaluation
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,8 @@ from .nnet.training import EVAL_BATCH, classify, score
 @dataclass
 class InjectionHandle:
     site: FaultSite
+    original_bit: int  # the bit before injection
     active: bool = True
-    _fault: ActivationFault | None = field(default=None, repr=False)
-    original_bit: int | None = None  # weight faults: the bit before injection
 
 
 def _site_error(model, site):
@@ -83,6 +82,17 @@ def _check_site(model, site):
         raise UsageError(error)
 
 
+def _split_sites(model, sites):
+    """(weight sites, output faults) of the distinct sites, each checked to
+    name an element of the model; a site listed twice counts once."""
+    sites = list(dict.fromkeys(sites))
+    for site in sites:
+        _check_site(model, site)
+    return ([s for s in sites if s.target_kind == "neuron_weight"],
+            [ActivationFault(s.layer_id, s.element_index, s.bit_index)
+             for s in sites if s.target_kind != "neuron_weight"])
+
+
 def _weight_view(model, site):
     _check_site(model, site)
     return model.layers[site.layer_id].weight.data.reshape(-1)
@@ -100,26 +110,21 @@ def pin_weight_bit(model, site: FaultSite, value: int):
 
 
 def inject(model, site: FaultSite) -> InjectionHandle:
-    """Activate one fault site on the model; returns the handle that undoes it."""
-    if site.target_kind == "neuron_weight":
-        word = _weight_view(model, site).view(np.uint32)[site.element_index]
-        bit = int(word) >> site.bit_index & 1
-        pin_weight_bit(model, site, 1 - bit)
-        return InjectionHandle(site, original_bit=bit)
-    _check_site(model, site)
-    fault = ActivationFault(site.layer_id, site.element_index, site.bit_index)
-    model.registered_output_faults.append(fault)
-    return InjectionHandle(site, _fault=fault)
+    """Flip one weight site's bit in place; returns the handle that undoes it."""
+    if site.target_kind != "neuron_weight":
+        raise UsageError("an output fault is not injected into the model: pass it to a "
+                         "forward pass as output_faults= or use evaluate_with_fault_set")
+    word = _weight_view(model, site).view(np.uint32)[site.element_index]
+    bit = int(word) >> site.bit_index & 1
+    pin_weight_bit(model, site, 1 - bit)
+    return InjectionHandle(site, bit)
 
 
 def remove(model, handle: InjectionHandle):
-    """Deactivate the fault; the model is restored bit-exactly."""
+    """Undo an injected weight fault; the model is restored bit-exactly."""
     if not handle.active:
         raise UsageError("injection handle was already removed")
-    if handle._fault is not None:
-        model.registered_output_faults.remove(handle._fault)
-    else:
-        pin_weight_bit(model, handle.site, handle.original_bit)
+    pin_weight_bit(model, handle.site, handle.original_bit)
     handle.active = False
 
 
@@ -153,10 +158,10 @@ class PrefixCache:
 
     The cache is only valid for models identical to the one it was built
     from: replicas made by Model.copy() qualify, the same model after its
-    parameters change does not.  check() refuses another dataset, another
-    layer stack or other registered output faults; parameters are not
-    compared, since hashing them on every evaluation would cost as much as
-    the layers the cache saves.  shared() compares them once per call.
+    parameters change does not.  check() refuses another dataset or another
+    layer stack; parameters are not compared, since hashing them on every
+    evaluation would cost as much as the layers the cache saves.  shared()
+    compares them once per call.
     """
 
     # (weak reference to the model, validity key, cache) of the last
@@ -194,10 +199,10 @@ class PrefixCache:
 
         Returns the previous call's cache, outcomes included, when it was
         made for this model object and this dataset object and neither has
-        changed since: same model checksum, dataset hash, layer stack and
-        registered output faults.  Otherwise it builds a new cache and puts
-        it in the slot in place of the old one.  The slot holds the model
-        by weak reference and is emptied when the model is collected.
+        changed since: same model checksum, dataset hash and layer stack.
+        Otherwise it builds a new cache and puts it in the slot in place of
+        the old one.  The slot holds the model by weak reference and is
+        emptied when the model is collected.
         """
         key = (model_checksum(model), dataset.sha256(), cls._model_signature(model))
         if PrefixCache._slot is not None:
@@ -215,16 +220,14 @@ class PrefixCache:
 
     @staticmethod
     def _model_signature(model):
-        return (model.input_shape, tuple(layer.kind for layer in model.layers),
-                tuple(model.registered_output_faults))
+        return model.input_shape, tuple(layer.kind for layer in model.layers)
 
     def check(self, model, dataset):
         """Raise UsageError unless this cache can serve model on dataset."""
         if dataset is not self.dataset:
             raise UsageError("prefix cache was built for a different dataset")
         if self._model_signature(model) != self._signature:
-            raise UsageError("prefix cache was built for a model with other layers "
-                             "or other registered output faults")
+            raise UsageError("prefix cache was built for a model with other layers")
 
     def evaluate_stack(self, model, sites) -> list[tuple[float, bool]]:
         """(accuracy, poisoned) of each site, in order, from one pass over
@@ -233,9 +236,9 @@ class PrefixCache:
         The sites share L and kind and must name elements of the model.  A
         weight stack resumes from the clean input of L, with variant k's
         weight XORed at site k; an output stack from the clean output of L,
-        already carrying the faults registered on L, with variant k's
-        column XORed.  Without stored activations the clean layers before
-        that start run first, once per chunk, as the cache build ran them.
+        with variant k's column XORed.  Without stored activations the
+        clean layers before that start run first, once per chunk, as the
+        cache build ran them.
         """
         lid, k = sites[0].layer_id, len(sites)
         weights = masks = None
@@ -274,11 +277,11 @@ def evaluate_with_fault(model, dataset, site: FaultSite,
                         prefix: PrefixCache | None = None, ahead=()) -> tuple[float, bool]:
     """(accuracy, poisoned) on the dataset with one fault active.
 
-    Without prefix this is the full-recompute reference: the fault is
-    injected into the model and always removed afterwards, even when
-    evaluation raises.  With a PrefixCache that passes check() for this
-    model and dataset, the site is evaluated in a stack
-    (PrefixCache.evaluate_stack) that it leads, filled up to
+    Without prefix this is the full-recompute reference,
+    evaluate_with_fault_set of the one site, which removes an injected
+    weight fault even when evaluation raises.  With a PrefixCache that
+    passes check() for this model and dataset, the site is evaluated in a
+    stack (PrefixCache.evaluate_stack) that it leads, filled up to
     prefix.stack_size with the first sites of the iterable ahead, in
     order, that share its layer and kind, name an element of the model and
     are neither in prefix.outcomes nor already stacked; ahead is typically
@@ -305,8 +308,8 @@ def evaluate_with_fault(model, dataset, site: FaultSite,
 
 
 def inject_set(model, sites) -> list:
-    """Activate a set of faults together; duplicates are dropped first,
-    since injecting the same site twice would flip its bit back."""
+    """Inject a set of weight faults together; duplicates are dropped
+    first, since injecting the same site twice would flip its bit back."""
     handles = []
     try:
         for site in dict.fromkeys(sites):
@@ -319,10 +322,12 @@ def inject_set(model, sites) -> list:
 
 
 def evaluate_with_fault_set(model, dataset, sites) -> tuple[float, bool]:
-    """(accuracy, poisoned) with every site in the set active at once."""
-    handles = inject_set(model, sites)
+    """(accuracy, poisoned) with every distinct site in the set active at
+    once: weight faults injected, then removed; output faults passed on."""
+    weight_sites, output_faults = _split_sites(model, sites)
+    handles = inject_set(model, weight_sites)
     try:
-        return evaluate_detailed(model, dataset)
+        return evaluate_detailed(model, dataset, output_faults)
     finally:
         for h in reversed(handles):
             remove(model, h)

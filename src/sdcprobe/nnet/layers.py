@@ -257,8 +257,6 @@ class Model:
     def __init__(self, layers, input_shape):
         self.layers = list(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
-        # injected activation faults, applied on every forward until removed
-        self.registered_output_faults: list[ActivationFault] = []
         # walking the shapes validates the composition eagerly; in_shapes[L]
         # is the per-sample input shape of layer L, in_shapes[-1] the logits'
         shapes = [self.input_shape]
@@ -285,9 +283,11 @@ class Model:
         return x
 
     def _faults_by_layer(self, output_faults):
-        """The given output faults plus the registered ones, by layer id."""
+        """The output faults by layer id; a layer id the model lacks raises."""
         grouped: dict[int, list[ActivationFault]] = {}
-        for f in tuple(output_faults) + tuple(self.registered_output_faults):
+        for f in output_faults:
+            if not 0 <= f.layer_id < len(self.layers):
+                raise UsageError(f"output fault layer id {f.layer_id} out of range")
             grouped.setdefault(f.layer_id, []).append(f)
         return grouped
 
@@ -382,7 +382,7 @@ class Model:
         return tans
 
     def copy(self):
-        """Independent copy: no parameter array or fault list is shared."""
+        """Independent copy: no parameter array is shared."""
         return copy.deepcopy(self)
 
 

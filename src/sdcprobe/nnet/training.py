@@ -138,7 +138,7 @@ def evaluate(model, dataset):
     return evaluate_detailed(model, dataset)[0]
 
 
-def train_step(model, xb, yb, optimizer, guarded=False):
+def train_step(model, xb, yb, optimizer, guarded=False, output_faults=()):
     """One forward/backward/update step; returns (batch loss, stepped).
 
     Each backward writes fresh gradients, so a step sees only its own
@@ -148,7 +148,7 @@ def train_step(model, xb, yb, optimizer, guarded=False):
     not corrupt the parameters or the optimizer state.
     """
     g = ComputationGraph()
-    logits, _ = model.forward_graph(g, xb)
+    logits, _ = model.forward_graph(g, xb, output_faults)
     loss, glogits = softmax_cross_entropy(logits, yb)
     g.backward(glogits)
     loss = float(loss)
@@ -161,7 +161,7 @@ def train_step(model, xb, yb, optimizer, guarded=False):
 
 
 def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
-          seed=0, eval_set=None, on_nonfinite="raise", post_step=None):
+          seed=0, eval_set=None, on_nonfinite="raise", post_step=None, output_faults=()):
     """Train in place; returns per-epoch accuracy on eval_set (or train_set).
 
     Deterministic given seed: init is the caller's, shuffle order comes from
@@ -173,7 +173,8 @@ def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
     faults active, where the faulted parameter values themselves may be
     non-finite, so the end-of-epoch parameter check only runs in raise
     mode.  post_step, when given, runs after every applied optimizer step
-    (e.g. to re-apply persistent weight faults).
+    (e.g. to re-apply persistent weight faults).  output_faults are applied
+    in every forward pass, the per-epoch evaluation included.
     """
     if len(train_set.labels) == 0:
         raise UsageError("cannot train on an empty dataset")
@@ -196,7 +197,7 @@ def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
             xb, yb = train_set.images[idx], train_set.labels[idx]
-            loss, stepped = train_step(model, xb, yb, opt, guarded=skip)
+            loss, stepped = train_step(model, xb, yb, opt, skip, output_faults)
             if not skip and not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} at epoch {epoch} batch {lo // batch_size}")
@@ -213,5 +214,6 @@ def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
             for p in model.parameters():
                 if not np.isfinite(p.data).all():
                     raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
-        log.append(evaluate(model, eval_set if eval_set is not None else train_set))
+        log.append(evaluate_detailed(model, eval_set if eval_set is not None else train_set,
+                                     output_faults)[0])
     return log

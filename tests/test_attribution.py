@@ -26,8 +26,8 @@ from sdcprobe.attribution import (
 )
 from sdcprobe.data import Dataset, synth_blobs
 from sdcprobe.errors import ConfigError, DataFormatError, UsageError
-from sdcprobe.nnet import (ActivationFault, ComputationGraph, Flatten, Linear, Model, Relu,
-                           build_cnn, build_mlp, model_checksum)
+from sdcprobe.nnet import (ComputationGraph, Flatten, Linear, Model, Relu, build_cnn,
+                           build_mlp, model_checksum)
 from sdcprobe.nnet.autodiff import picked_logit_sum
 from sdcprobe.nnet.training import predict
 
@@ -206,18 +206,6 @@ class TestConductanceEngine:
             p.grad = None
         conductance_components(model, images, zeros_baseline(model), steps=3)
         assert all(p.grad is None for p in params)
-
-    def test_registered_output_faults_refused(self):
-        """The gradient would come from the faulted pass and the tangents
-        from the clean one: two different models."""
-        model = build_mlp((1, 1, 6), [4], classes=2, seed=0)
-        model.registered_output_faults.append(ActivationFault(1, 0, 30))
-        ds = synth_blobs(2, 5, 6, 0.3, seed=5)
-        with pytest.raises(UsageError, match="output faults"):
-            conductance_components(model, ds.images, zeros_baseline(model), steps=2)
-        with pytest.raises(UsageError, match="output faults"):
-            attribute_all(model, ds, AttributionConfig("neuron_output", steps=2))
-        attribute_all(model, ds, AttributionConfig("neuron_weight"))  # not affected
 
 
 class TestWeightAttribution:

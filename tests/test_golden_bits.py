@@ -124,17 +124,16 @@ def mlp_sgd_b8():
 
 
 def skip_with_output_faults():
-    """Batch-1 Adam in skip mode with two registered output faults: one on
-    the hidden layer (its gradient column is zeroed on every step) and one
-    on the logits that makes some batches' loss non-finite."""
+    """Batch-1 Adam in skip mode with two output faults: one on the hidden
+    layer (its gradient column is zeroed on every step) and one on the
+    logits that makes some batches' loss non-finite."""
     train_set, test_set = _fat_fixture()
     model = build_mlp((1, 1, 12), [16], 3, seed=4)
-    model.registered_output_faults += [ActivationFault(1, 12, 30),
-                                       ActivationFault(3, 0, 30)]
     applied = []
     log = train(model, train_set, epochs=2, batch_size=1, lr=0.01, optimizer="adam",
                 seed=4, eval_set=test_set, on_nonfinite="skip",
-                post_step=lambda: applied.append(1))
+                post_step=lambda: applied.append(1),
+                output_faults=[ActivationFault(1, 12, 30), ActivationFault(3, 0, 30)])
     return model_checksum(model), log, len(applied)
 
 

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from sdcprobe.data import Dataset
+from sdcprobe.data import Dataset, synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError, UsageError
+from sdcprobe.fat import FatConfig, fat_train
 from sdcprobe.fault_model import FaultSite
-from sdcprobe.injector import evaluate_with_fault, inject, remove
-from sdcprobe.nnet import (Flatten, Linear, Model, Relu, build_mlp, evaluate_detailed,
-                           model_checksum)
+from sdcprobe.injector import (evaluate_with_fault, evaluate_with_fault_set, inject,
+                               inject_set, remove)
+from sdcprobe.nnet import (ActivationFault, Flatten, Linear, Model, Relu, build_cnn,
+                           build_mlp, evaluate_detailed, model_checksum, train)
+
+# every attribute a Model holds: its layers and their shapes, no fault
+MODEL_STATE = {"layers", "input_shape", "in_shapes"}
 
 
 def identity_model():
@@ -91,16 +96,19 @@ class TestWeightInjection:
 
 
 class TestOutputInjection:
+    """Output faults are arguments of a forward pass, never model state."""
+
     def test_active_on_every_forward_until_removed(self):
+        """Active on every forward pass it is passed to; gone from the
+        first one it is left out of."""
         model = identity_model()
         x = np.array([[[[2.0, 1.0]]]], dtype=np.float32)
         clean = model.apply(x)
-        handle = inject(model, FaultSite(1, "neuron_output", 0, 31))
-        first = model.apply(x)
-        second = model.apply(x)
+        faults = [ActivationFault(1, 0, 31)]
+        first = model.apply(x, output_faults=faults)
+        second = model.apply(x, output_faults=faults)
         assert first[0, 0] == -2.0
         np.testing.assert_array_equal(first, second)
-        remove(model, handle)
         np.testing.assert_array_equal(model.apply(x), clean)
 
     def test_each_sample_hit_at_its_own_row(self):
@@ -108,24 +116,46 @@ class TestOutputInjection:
         sample in the batch."""
         model = identity_model()
         x = np.array([[[[2.0, 1.0]]], [[[1.0, 3.0]]]], dtype=np.float32)
-        handle = inject(model, FaultSite(1, "neuron_output", 1, 31))
-        out = model.apply(x)
+        out = model.apply(x, output_faults=[ActivationFault(1, 1, 31)])
         np.testing.assert_array_equal(out[:, 1], [-1.0, -3.0])
         np.testing.assert_array_equal(out[:, 0], [2.0, 1.0])
-        remove(model, handle)
 
     def test_weights_untouched_by_output_fault(self):
+        """Sign-flipping output 0 of the identity head sends class-0
+        samples to class 1, as the weight flip of the oracle test does."""
         model = identity_model()
         baseline = model_checksum(model)
-        handle = inject(model, FaultSite(1, "neuron_output", 0, 30))
-        model.apply(np.ones((3, 1, 1, 2), dtype=np.float32))
+        site = FaultSite(1, "neuron_output", 0, 31)
+        assert evaluate_with_fault_set(model, two_class_dataset(), [site]) == (0.5, False)
+        assert evaluate_with_fault(model, two_class_dataset(), site) == (0.5, False)
         assert model_checksum(model) == baseline
-        remove(model, handle)
 
     def test_output_element_bounds_checked(self):
         model = identity_model()
-        with pytest.raises(UsageError):
-            inject(model, FaultSite(1, "neuron_output", 2, 0))
+        with pytest.raises(UsageError, match="out of range"):
+            evaluate_with_fault_set(model, two_class_dataset(),
+                                    [FaultSite(1, "neuron_output", 2, 0)])
+
+    def test_inject_refuses_an_output_site(self):
+        model = identity_model()
+        baseline = model_checksum(model)
+        with pytest.raises(UsageError, match="output_faults=.*evaluate_with_fault_set"):
+            inject(model, FaultSite(1, "neuron_output", 0, 30))
+        with pytest.raises(UsageError, match="output_faults="):
+            inject_set(model, [FaultSite(1, "neuron_weight", 0, 30),
+                               FaultSite(1, "neuron_output", 0, 30)])
+        assert model_checksum(model) == baseline
+        assert set(vars(model)) == MODEL_STATE
+
+    @pytest.mark.parametrize("kind", ["neuron_weight", "neuron_output"])
+    def test_a_site_listed_twice_counts_once(self, kind):
+        """Two flips of one bit would cancel; the set drops the repeat."""
+        model = identity_model()
+        data = two_class_dataset()
+        site = FaultSite(1, kind, 0, 31)
+        once = evaluate_with_fault_set(model, data, [site])
+        assert once != evaluate_detailed(model, data)
+        assert evaluate_with_fault_set(model, data, [site, site]) == once
 
 
 class TestEvaluateWithFault:
@@ -149,7 +179,7 @@ class TestEvaluateWithFault:
             evaluate_with_fault(model, data, FaultSite(1, "neuron_weight", 3, bit))
             evaluate_with_fault(model, data, FaultSite(2, "neuron_output", 1, bit))
         assert model_checksum(model) == baseline
-        assert model.registered_output_faults == []
+        assert set(vars(model)) == MODEL_STATE
 
     def test_removed_even_when_evaluation_raises(self):
         model = identity_model()
@@ -196,3 +226,51 @@ class TestEvaluateWithFault:
         acc, poisoned = evaluate_with_fault(model, data, FaultSite(1, "neuron_weight", 0, 0))
         assert acc == base_acc
         assert not poisoned
+
+
+class TestModelHoldsNoFaultState:
+    """A Model holds its layers and shapes, and nothing an evaluation or
+    fault-aware training leaves behind: output faults are only ever
+    arguments, and injected weight bits are restored."""
+
+    def test_fresh_model(self):
+        assert set(vars(identity_model())) == MODEL_STATE
+        assert set(vars(build_cnn((1, 6, 6), [2, 3], 3, 4, 3, seed=0))) == MODEL_STATE
+
+    def test_after_evaluating_a_set_of_both_kinds(self):
+        model = build_mlp((1, 1, 4), [6], 2, seed=1)
+        images = np.random.default_rng(0).normal(size=(8, 1, 1, 4)).astype(np.float32)
+        data = Dataset(images, np.zeros(8, dtype=np.int64), split="test")
+        baseline = model_checksum(model)
+        evaluate_with_fault_set(model, data, [
+            FaultSite(1, "neuron_weight", 3, 30), FaultSite(2, "neuron_output", 1, 30),
+            FaultSite(3, "neuron_weight", 0, 31), FaultSite(1, "neuron_output", 4, 31)])
+        assert set(vars(model)) == MODEL_STATE
+        assert model_checksum(model) == baseline
+
+    def test_after_output_fault_aware_training(self):
+        """GBINo fault-aware training equals training with the drawn sites
+        passed as output faults; the RBRNw adversary set, evaluated by
+        injecting weight bits, leaves every bit as it was."""
+        data = synth_blobs(3, 40, dims=6, spread=0.3, seed=2)
+        train_set, test_set = train_test_split(data, test_fraction=0.25)
+        config = FatConfig(code="GBINo", adversary_code="RBRNw", warmup_epochs=1,
+                           fat_epochs=2, faults_per_round=3, simulations_per_epoch=0,
+                           lr=0.05, batch_size=8, optimizer="sgd", seed=3)
+        model, report = fat_train(build_mlp((1, 1, 6), [8], 3, seed=4), train_set,
+                                  test_set, config)
+        assert set(vars(model)) == MODEL_STATE
+
+        faults = [ActivationFault(s.layer_id, s.element_index, s.bit_index)
+                  for s in report.trained_fault_sites]
+        assert len(faults) == 3
+        twin = build_mlp((1, 1, 6), [8], 3, seed=4)
+        fit = dict(batch_size=config.batch_size, lr=config.lr, optimizer=config.optimizer,
+                   eval_set=test_set)
+        train(twin, train_set, epochs=config.warmup_epochs, seed=config.seed, **fit)
+        log = []
+        for epoch in range(config.fat_epochs):
+            log += train(twin, train_set, epochs=1, seed=config.seed + 1 + epoch,
+                         on_nonfinite="skip", output_faults=faults, **fit)
+        assert model_checksum(model) == model_checksum(twin)
+        assert report.fat_log == log

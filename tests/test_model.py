@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from sdcprobe.data import Dataset
 from sdcprobe.errors import ConfigError, DataFormatError, UsageError
 from sdcprobe.nnet import (
     ActivationFault,
@@ -16,6 +17,7 @@ from sdcprobe.nnet import (
     Relu,
     build_cnn,
     build_mlp,
+    evaluate_detailed,
     load_checkpoint,
     model_checksum,
     save_checkpoint,
@@ -192,6 +194,25 @@ class TestActivationFaults:
             patch_outputs(x, [ActivationFault(0, 6, 0)])
         with pytest.raises(ValueError, match="out of range \\[0, 31\\]"):
             patch_outputs(x, [ActivationFault(0, 1, 32)])
+
+    @pytest.mark.parametrize("layer_id", [-1, 4, 99])
+    def test_fault_on_a_missing_layer_refused(self, layer_id):
+        """A fault on no layer of the model raises in every forward path
+        instead of leaving the logits clean; one before a resumed pass's
+        start layer is still the caller's business."""
+        model = build_mlp((1, 1, 4), [5], 2, seed=1)
+        x = np.ones((3, 1, 1, 4), dtype=np.float32)
+        faults = [ActivationFault(1, 0, 30), ActivationFault(layer_id, 0, 30)]
+        with pytest.raises(UsageError, match=f"layer id {layer_id} out of range"):
+            model.apply(x, output_faults=faults)
+        with pytest.raises(UsageError, match="out of range"):
+            model.forward_graph(ComputationGraph(), x, output_faults=faults)
+        with pytest.raises(UsageError, match="out of range"):
+            evaluate_detailed(model, Dataset(x, np.zeros(3, dtype=np.int64), split="test"),
+                              output_faults=faults)
+        acts = model.apply(x, return_activations=True)[1]
+        np.testing.assert_array_equal(
+            model.apply(acts[1], start=2, output_faults=faults[:1]), model.apply(x))
 
     def test_fault_on_flatten_does_not_corrupt_previous_activation(self):
         model = build_cnn((1, 6, 6), (2, 2), kernel=3, hidden=4, classes=2, seed=1)

@@ -182,17 +182,18 @@ class TestMatchesFullRecompute:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_model_with_a_registered_output_fault(self, cnn_case, data):
-        """A fault already on the model is part of the cached activations
-        and of every resumed pass, including a site on the same layer."""
+    def test_model_with_a_pinned_weight_fault(self, cnn_case, data):
+        """A weight fault already on the model is part of the cached
+        activations and of every resumed pass, including a site on the same
+        layer and the same site again, which flips the bit back."""
         model, dataset, _ = cnn_case
         replica = model.copy()
-        handle = inject(replica, FaultSite(2, "neuron_output", 5, 29))
+        handle = inject(replica, FaultSite(2, "neuron_weight", 5, 29))
         cache = PrefixCache(replica, dataset)
         assert cache.baseline == evaluate_detailed(replica, dataset)
         _assert_same(replica, dataset, cache, data.draw(sites(replica)))
-        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_output", 5, 29))
-        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_output", 6, 30))
+        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 5, 29))
+        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 6, 30))
         remove(replica, handle)
 
     def test_cache_is_read_only(self, cnn_case):
@@ -306,16 +307,17 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("over", [False, True])
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_model_with_a_registered_output_fault(self, cnn_case, over, data):
-        """The fault already on the model is in every variant, and a stack
-        on its layer may hold it again (which cancels it) beside others."""
+    def test_model_with_a_pinned_weight_fault(self, cnn_case, over, data):
+        """The weight fault already on the model is in every variant, and a
+        stack on its layer may hold it again (which cancels it) beside
+        others."""
         model, dataset, _ = cnn_case
         replica = model.copy()
-        handle = inject(replica, FaultSite(2, "neuron_output", 5, 29))
+        handle = inject(replica, FaultSite(2, "neuron_weight", 5, 29))
         cache = _over_budget(replica, dataset) if over else PrefixCache(replica, dataset)
         _assert_stack_same(replica, dataset, cache, [
-            FaultSite(2, "neuron_output", 5, 29), FaultSite(2, "neuron_output", 6, 30),
-            FaultSite(2, "neuron_output", 5, 31)][:cache.stack_size])
+            FaultSite(2, "neuron_weight", 5, 29), FaultSite(2, "neuron_weight", 6, 30),
+            FaultSite(2, "neuron_weight", 5, 31)][:cache.stack_size])
         _assert_stack_same(replica, dataset, cache,
                            data.draw(stacks(replica, cache.stack_size)))
         remove(replica, handle)
@@ -397,17 +399,18 @@ class TestByteBudget:
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_over_budget_model_with_a_registered_output_fault(self, cnn_case, data):
-        """A pass from the inputs applies the fault already on the model and
-        the injected one, including a site on the same layer."""
+    def test_over_budget_model_with_a_pinned_weight_fault(self, cnn_case, data):
+        """A pass from the inputs runs with the weight fault already on the
+        model and the evaluated one, including a site on the same layer and
+        the same site again."""
         model, dataset, _ = cnn_case
         replica = model.copy()
-        handle = inject(replica, FaultSite(2, "neuron_output", 5, 29))
+        handle = inject(replica, FaultSite(2, "neuron_weight", 5, 29))
         cache = _over_budget(replica, dataset)
         assert cache.baseline == evaluate_detailed(replica, dataset)
         _assert_same(replica, dataset, cache, data.draw(sites(replica)))
-        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_output", 5, 29))
-        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_output", 6, 30))
+        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 5, 29))
+        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 6, 30))
         remove(replica, handle)
 
     def test_over_budget_build_holds_one_chunk_of_activations(self, mlp_case):
@@ -469,14 +472,6 @@ class TestMismatchedCache:
             evaluate_with_fault(model, other, FaultSite(1, "neuron_weight", 0, 3),
                                 prefix=cache)
 
-    def test_model_with_other_registered_faults_refused(self, mlp_case):
-        model, dataset, cache = mlp_case
-        replica = model.copy()
-        inject(replica, FaultSite(0, "neuron_output", 0, 30))
-        with pytest.raises(UsageError, match="registered output faults"):
-            evaluate_with_fault(replica, dataset, FaultSite(1, "neuron_weight", 0, 3),
-                                prefix=cache)
-
     def test_model_with_other_layers_refused(self, mlp_case):
         _, dataset, cache = mlp_case
         other = build_mlp((1, 1, 12), [16], 3, seed=2)
@@ -496,7 +491,7 @@ class TestMismatchedCache:
             evaluate_with_fault(model, other, FaultSite(1, "neuron_weight", 0, 3),
                                 prefix=cache)
         assert model_checksum(model) == before
-        assert model.registered_output_faults == []
+        assert set(vars(model)) == {"layers", "input_shape", "in_shapes"}
 
     def test_empty_dataset_refused(self, mlp_case):
         model, dataset, _ = mlp_case
@@ -533,8 +528,8 @@ def _image_changed(model, dataset):
     return model, dataset
 
 
-def _output_fault_registered(model, dataset):
-    inject(model, FaultSite(1, "neuron_output", 0, 30))
+def _weight_fault_injected(model, dataset):
+    inject(model, FaultSite(1, "neuron_weight", 0, 30))
     return model, dataset
 
 
@@ -548,7 +543,7 @@ def _equal_dataset(model, dataset):
 
 class TestSharedCache:
     @pytest.mark.parametrize("change, outcomes_move", [
-        (_weight_changed, True), (_image_changed, True), (_output_fault_registered, True),
+        (_weight_changed, True), (_image_changed, True), (_weight_fault_injected, True),
         (_second_model, False), (_equal_dataset, False)])
     def test_a_changed_key_rebuilds_the_cache(self, mlp_case, change, outcomes_move):
         """The shared cache is handed out again only for the same, unchanged
