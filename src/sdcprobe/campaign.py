@@ -18,16 +18,16 @@ from __future__ import annotations
 import json
 import os
 import time
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DataIntegrityError, UsageError
 from .fault_model import (ExperimentCode, FaultSite, SamplerConfig, build_sampler,
                           enumerate_sites, parse_code)
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 from .injector import PrefixCache, evaluate_with_fault
 from .nnet import model_checksum
 
@@ -311,7 +311,7 @@ def _format_row(r: InjectionRecord) -> str:
 def _row(code, seed, ordinal, site_cells, outcome_cells, wallclock_ns) -> str:
     """One records line, newline included, in the column order of
     _FIXED_COLUMNS and the threshold columns.  run_campaign memoizes
-    site_cells per site and outcome_cells per (accuracy, poisoned)."""
+    outcome_cells per (accuracy, poisoned)."""
     head, flags = outcome_cells
     return f"{code},{seed},{ordinal},{site_cells},{head},{wallclock_ns}{flags}\n"
 
@@ -375,11 +375,7 @@ def load_records(path):
     means the file was edited and is rejected with DataIntegrityError.  Any
     other defect of the file raises DataFormatError.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty records file")
     names = lines[0].split(",")
@@ -420,8 +416,8 @@ def load_records(path):
 class _ExhaustiveSampler:
     """Replays the full site enumeration in order; the 100%-budget mode."""
 
-    def __init__(self, sites):
-        self.sites = sites
+    def __init__(self, model, code: ExperimentCode):
+        self.sites = enumerate_sites(model, code.target_kind)
 
     def sample(self, n, start_ordinal=0):
         return self.sites[start_ordinal:start_ordinal + n]
@@ -456,11 +452,10 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     dataset, reuses the (accuracy, poisoned) outcome of its first
     evaluation, so each distinct site is evaluated once per model and
     dataset.  A draw whose site has no outcome yet is evaluated in a stack
-    (evaluate_with_fault with ahead): with it, up to PrefixCache.stack_size
-    - 1 not-yet-evaluated sites of the same layer and kind from the rest of
-    its block, in draw order, share one pass (the scan for them reads only
-    that layer and kind's positions, from a per-block index), and the
-    later draws of those sites find their outcomes in the memo.  There is
+    (evaluate_with_fault with the rest of its block as ahead): with it, up
+    to PrefixCache.stack_size - 1 not-yet-evaluated sites of the same layer
+    and kind from the rest of its block, in draw order, share one pass, and
+    the later draws of those sites find their outcomes in the memo.  There is
     still one record per draw.  Its wallclock_ns is the time since the
     previous record of this call (since the draws began, for the first),
     so the block draw and a stack count on the draw that ran them.  If the
@@ -483,16 +478,15 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     onto out_csv.  Records come back in canonical (seed, ordinal) order.
 
     The seeds' samplers share one build_sampler call (FaultSampler.with_seed).
-    A record and its row are put together from parts memoized per
-    distinct (accuracy, poisoned) outcome and per site, so only the seed,
-    ordinal and wallclock cells are formatted per draw.
+    A record and its row share the parts memoized per distinct (accuracy,
+    poisoned) outcome; a draw's site cells are formatted only for its row.
     """
     prefix = PrefixCache.shared(model, dataset)
     baseline, _ = prefix.baseline
 
     if config.exhaustive:
-        sites = enumerate_sites(model, config.code.target_kind)
-        plan = [(config.seeds[0], _ExhaustiveSampler(sites), len(sites))]
+        sampler = _ExhaustiveSampler(model, config.code)
+        plan = [(config.seeds[0], sampler, len(sampler.sites))]
     else:
         seeds = sorted(config.seeds)
         if samplers is None:
@@ -515,9 +509,8 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     resumed = Counter(r.seed for r in records)  # a clean prefix: ordinals 0..m-1
 
     outcomes = prefix.outcomes
-    # per distinct (accuracy, poisoned): (faulty, poisoned, drop, flags, outcome
-    # cells); per site: (that entry, site cells)
-    by_outcome, by_site = {}, {}
+    # per distinct (accuracy, poisoned): (faulty, poisoned, drop, flags, outcome cells)
+    by_outcome = {}
     last = time.perf_counter_ns()  # each record's wallclock_ns runs from the one before
     try:
         for seed, sampler, budget in plan:  # canonical order, so writes stay sorted
@@ -531,37 +524,31 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                 # redraw one ordinal at a time below, so the draws before a
                 # failing ordinal are evaluated and written before it raises
                 sites = None
-            positions = _stack_positions(sites) if sites is not None else None
             for i in range(n):
                 k = start + i
                 site = sites[i] if sites is not None else sampler.sample(1, k)[0]
-                entry = by_site.get(site)
-                if entry is None:
-                    outcome = outcomes.get(site)
-                    if outcome is None:
-                        if sink is not None:
-                            sink.write()
-                        ahead = ()
-                        if positions is not None:  # this layer and kind, after i
-                            same = positions[site.layer_id, site.target_kind]
-                            ahead = map(sites.__getitem__, same[bisect_right(same, i):])
-                        outcome = evaluate_with_fault(model, dataset, site, prefix=prefix,
-                                                      ahead=ahead)
-                    cells = by_outcome.get(outcome)
-                    if cells is None:
-                        faulty, poisoned = outcome
-                        drop, flags = _classify(baseline, faulty, config.thresholds)
-                        cells = by_outcome[outcome] = (
-                            faulty, poisoned, drop, flags,
-                            _outcome_cells(baseline, faulty, drop, poisoned, flags))
-                    entry = by_site[site] = (cells, _site_cells(site))
-                (faulty, poisoned, drop, flags, outcome_cells), site_cells = entry
+                outcome = outcomes.get(site)
+                if outcome is None:
+                    if sink is not None:
+                        sink.write()
+                    ahead = islice(sites, i + 1, None) if sites is not None else ()
+                    outcome = evaluate_with_fault(model, dataset, site, prefix=prefix,
+                                                  ahead=ahead)
+                cells = by_outcome.get(outcome)
+                if cells is None:
+                    faulty, poisoned = outcome
+                    drop, flags = _classify(baseline, faulty, config.thresholds)
+                    cells = by_outcome[outcome] = (
+                        faulty, poisoned, drop, flags,
+                        _outcome_cells(baseline, faulty, drop, poisoned, flags))
+                faulty, poisoned, drop, flags, outcome_cells = cells
                 now = time.perf_counter_ns()
                 ns, last = now - last, now
                 records.append(InjectionRecord(code_str, seed, k, site, baseline, faulty,
                                                drop, poisoned, ns, flags))
                 if sink is not None:
-                    sink.pending.append(_row(code_str, seed, k, site_cells, outcome_cells, ns))
+                    sink.pending.append(_row(code_str, seed, k, _site_cells(site),
+                                             outcome_cells, ns))
             if sink is not None:
                 sink.write()
     except BaseException:
@@ -576,14 +563,6 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
         sink.finalize()
     stats = compute_stats(records, config.thresholds)
     return CampaignResult(config, records, stats, baseline)
-
-
-def _stack_positions(sites) -> dict:
-    """Positions in a block of the sites of each (layer, kind), ascending."""
-    positions = {}
-    for j, site in enumerate(sites):
-        positions.setdefault((site.layer_id, site.target_kind), []).append(j)
-    return positions
 
 
 def exhaustive_census(model, dataset, target_kind, thresholds, seed=0) -> dict:

@@ -63,7 +63,7 @@ class FatConfig:
         if isinstance(self.adversary_code, str):
             self.adversary_code = parse_code(self.adversary_code)
         for name in ("warmup_epochs", "fat_epochs", "consecutive_criticals_required",
-                     "batch_size"):
+                     "batch_size", "attribution_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.faults_per_round < 0:
@@ -74,6 +74,10 @@ class FatConfig:
             raise ConfigError("lr must be positive")
         if self.attribution_sample_count is not None and self.attribution_sample_count < 1:
             raise ConfigError("attribution_sample_count must be >= 1 or null")
+        if not 0.0 <= self.uniform_mix <= 1.0:
+            raise ConfigError(f"uniform_mix must be in [0, 1], got {self.uniform_mix}")
+        if not 0.0 <= self.latency_threshold <= 1.0:  # NaN fails it too
+            raise ConfigError(f"latency_threshold must be in [0, 1], got {self.latency_threshold}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -146,6 +150,8 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
         code = parse_code(code)
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if not 0.0 <= threshold <= 1.0:  # NaN fails it too
+        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
     t0 = time.perf_counter_ns()
     if sampler is None:
         sampler = _sampler_for(model, dataset, code, seed, steps=attribution_steps,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import functools
 import io
 import logging
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ import numpy as np
 from . import bitfloat
 from .attribution import eligible_layers
 from .errors import ConfigError, DataFormatError, UsageError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 from .nnet import model_checksum
 
 log = logging.getLogger(__name__)
@@ -168,16 +167,13 @@ def _int_words(value):
     return words
 
 
-@functools.lru_cache(maxsize=16)
 def _hash_consts(init, mult, count):
     """The data-independent hash constants of `count` successive hashes, as
-    read-only (xor, multiply) columns: call i xors with h_i and multiplies
-    by h_i+1."""
+    (xor, multiply) columns: call i xors with h_i and multiplies by h_i+1."""
     h = [init]
     for _ in range(count):
         h.append((h[-1] * mult) & _M32)
     h = np.array(h, dtype=np.uint32)[:, None]
-    h.flags.writeable = False
     return h[:-1], h[1:]
 
 
@@ -327,6 +323,8 @@ class FaultSampler:
         the same as sample_at gives, drawn as one vectorized block."""
         if n < 1:
             raise UsageError(f"sample needs n >= 1, got {n}")
+        if start_ordinal < 0:
+            raise UsageError(f"sample needs start_ordinal >= 0, got {start_ordinal}")
         u = _stream_uniforms(self.config.seed, start_ordinal, n)
         # uniform-mix branch: a uniform (element, bit) pick
         mixed = u[:, 0] < self.config.uniform_mix
@@ -450,17 +448,16 @@ def save_fault_csv(sites, path):
 
 
 def load_fault_csv(path) -> list[FaultSite]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FAULT_CSV_HEADER:
-            raise DataFormatError(f"{path}: expected header {FAULT_CSV_HEADER}, got {header}")
-        sites = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                sites.append(FaultSite(int(row[0]), row[1], int(row[2]), int(row[3])))
-            except (ValueError, UsageError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != FAULT_CSV_HEADER:
+        raise DataFormatError(f"{path}: expected header {FAULT_CSV_HEADER}, got {header}")
+    sites = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 4:
+            raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        try:
+            sites.append(FaultSite(int(row[0]), row[1], int(row[2]), int(row[3])))
+        except (ValueError, UsageError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     return sites

@@ -1,5 +1,6 @@
 """File helpers shared by every module that persists or parses artifacts:
-atomic writes, and one bounds-checked reader for the binary formats."""
+atomic writes, one reader for the text formats and one bounds-checked
+reader for the binary formats."""
 
 from __future__ import annotations
 
@@ -24,6 +25,16 @@ def atomic_write(path, data: str | bytes):
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def read_text(path) -> str:
+    """The whole file as UTF-8 text, newlines untranslated; bytes that are
+    not UTF-8 raise DataFormatError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 class Reader:

@@ -284,8 +284,8 @@ def evaluate_with_fault(model, dataset, site: FaultSite,
     stack (PrefixCache.evaluate_stack) that it leads, filled up to
     prefix.stack_size with the first sites of the iterable ahead, in
     order, that share its layer and kind, name an element of the model and
-    are neither in prefix.outcomes nor already stacked; ahead is typically
-    the rest of a drawn block.  A site that names no element raises
+    are neither in prefix.outcomes nor already stacked; run_campaign passes
+    the rest of the drawn block.  A site that names no element raises
     UsageError; one in ahead is left out.  Every outcome of the stack is
     stored in prefix.outcomes once the pass succeeds, and the model is
     never written.

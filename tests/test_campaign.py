@@ -732,6 +732,40 @@ class TestWrites:
         assert nonempty < draws
         assert load_records(out)[0] == result.records
 
+    def test_stacks_are_the_reference_plan(self, monkeypatch):
+        """A miss stacks the next new sites of its layer and kind from
+        anywhere in the rest of its block.  Reference plan: per seed block,
+        per (layer, kind), the sites not evaluated before, in draw order,
+        cut into chunks of stack_size; stacks run in order of their first
+        draw."""
+        stacks = []
+        evaluate_stack = PrefixCache.evaluate_stack
+
+        def recording(cache, model, sites):
+            stacks.append(list(sites))
+            return evaluate_stack(cache, model, sites)
+
+        monkeypatch.setattr(PrefixCache, "evaluate_stack", recording)
+        model, data = self.cnn_and_data()
+        cfg = CampaignConfig(**self.CFG)
+        run_campaign(model, data, cfg)
+
+        size = PrefixCache(model, data).stack_size
+        assert size > 10  # so a window of the next ten draws stacks less
+        plan, evaluated = [], set()
+        for seed in sorted(cfg.seeds):
+            block = build_sampler(SamplerConfig(code=cfg.code, seed=seed), None,
+                                  model).sample(cfg.sample_budget)
+            groups = {}
+            for i, site in enumerate(block):
+                if site not in evaluated:
+                    evaluated.add(site)
+                    groups.setdefault((site.layer_id, site.target_kind), []).append((i, site))
+            chunks = [g[j:j + size] for g in groups.values() for j in range(0, len(g), size)]
+            plan += [[site for _, site in chunk] for chunk in sorted(chunks)]
+        assert max(map(len, plan)) > 10
+        assert stacks == plan
+
     @pytest.mark.parametrize("fail_at", [1, 2, 5])
     def test_error_in_a_stack_leaves_the_draws_before_it(self, tmp_path, monkeypatch,
                                                          fail_at):

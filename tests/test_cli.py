@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdcprobe import fat as fat_mod
 from sdcprobe.attribution import load_attribution
 from sdcprobe.campaign import load_records, meta_path_for
 from sdcprobe.cli import main
@@ -204,6 +205,18 @@ class TestFat:
         assert model_checksum(model) == json.loads(
             (out_dir / "fat_report.meta.json").read_text())["model_checksum"]
 
+    def test_bad_mix_exits_2_before_any_training(self, workspace, tmp_path, monkeypatch,
+                                                  capsys):
+        """--mix 2 is refused when the config is built: no epoch is trained
+        and nothing is written."""
+        calls = []
+        monkeypatch.setattr(fat_mod, "train", lambda *a, **k: calls.append(1))
+        out_dir = tmp_path / "fatout"
+        assert main(["fat", "--config", workspace["cfg"], "--mix", "2",
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert calls == [] and not out_dir.exists()
+
 
 class TestMetaSidecars:
     # sha256 of each .meta.json the pipeline below writes, recorded before the
@@ -369,6 +382,8 @@ class TestExitCodes:
         ("train", {"dataset": {"seed": -2}}, []),
         ("attribute", {}, ["--seed", "-1", "--samples", "5"]),
         ("attribute", {"attribute": {"baseline": "ones"}}, []),
+        ("fat", {"fat": {"faults_per_round": 0, "latency_threshold": 7.5}}, ["--mix", "2"]),
+        ("fat", {"fat": {"attribution_steps": 0}}, []),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys,
                                                           command, overrides, flags):

@@ -155,6 +155,16 @@ class TestLatencyMeasurement:
             measure_latency_to_critical(identity_model(), class1_dataset(),
                                         "RBRNw", 0.05, k=0)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_threshold_outside_zero_one_refused(self, threshold, stacked_sites):
+        """A clamped drop lies in [0, 1]: every draw meets a threshold below
+        it and none meets one above it or NaN, so such a threshold is
+        refused before anything is evaluated."""
+        with pytest.raises(ConfigError, match="threshold must be in"):
+            measure_latency_to_critical(identity_model(), class1_dataset(),
+                                        "RBRNw", threshold, k=1)
+        assert stacked_sites == []
+
 
 def _bit(model, site):
     word = model.layers[site.layer_id].weight.data.reshape(-1).view(np.uint32)
@@ -334,3 +344,19 @@ class TestFatTrain:
             with pytest.raises(ConfigError, match="attribution_sample_count"):
                 FatConfig(attribution_sample_count=count)
         assert FatConfig(attribution_sample_count=None).attribution_sample_count is None
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"uniform_mix": 2.0}, "uniform_mix"),
+        ({"uniform_mix": -0.5}, "uniform_mix"),
+        ({"faults_per_round": 0, "uniform_mix": 2.0}, "uniform_mix"),
+        ({"attribution_steps": 0}, "attribution_steps"),
+        ({"latency_threshold": 7.5}, "latency_threshold"),
+        ({"latency_threshold": -0.05}, "latency_threshold"),
+        ({"latency_threshold": float("nan")}, "latency_threshold"),
+        ({"faults_per_round": 0, "latency_threshold": 7.5}, "latency_threshold"),
+    ])
+    def test_values_that_would_fail_late_or_never_refused(self, kwargs, key):
+        """Each of these used to pass the config and fail at the first draw,
+        after warm-up and twin training, or never (faults_per_round 0)."""
+        with pytest.raises(ConfigError, match=key):
+            FatConfig(**kwargs)

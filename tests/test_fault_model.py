@@ -295,6 +295,15 @@ class TestStreamDeterminism:
         with pytest.raises(UsageError):
             self.make().sample(0)
 
+    def test_negative_ordinal_rejected(self):
+        """An ordinal below 0 owns no stream: UsageError, not numpy's
+        OverflowError from the uint64 entropy words."""
+        s = self.make()
+        with pytest.raises(UsageError, match="start_ordinal >= 0"):
+            s.sample_at(-1)
+        with pytest.raises(UsageError, match="start_ordinal >= 0"):
+            s.sample(3, -2)
+
 
 class TestScaleInvariance:
     def build_with_scores(self, scores):
@@ -390,6 +399,14 @@ class TestFaultCsv:
         path = tmp_path / "faults.csv"
         path.write_text("layer_id,target_kind,element_index,bit_index\n0,neuron_weight,0,55\n")
         with pytest.raises(DataFormatError):
+            load_fault_csv(path)
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        """Bytes that are not UTF-8 raise DataFormatError, as load_records
+        does, not UnicodeDecodeError."""
+        path = tmp_path / "faults.csv"
+        path.write_bytes(b"\xff\xfe,\n")
+        with pytest.raises(DataFormatError, match="not UTF-8"):
             load_fault_csv(path)
 
 
