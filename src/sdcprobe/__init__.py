@@ -12,7 +12,7 @@ from .fault_model import (ExperimentCode, FaultSampler, FaultSite, SamplerConfig
                           all_codes, build_sampler, enumerate_sites, load_fault_csv,
                           parse_code, save_fault_csv)
 from .injector import (InjectionHandle, evaluate_with_fault, evaluate_with_fault_set,
-                       inject, inject_set, remove)
+                       faults_active, inject, inject_set, remove)
 from .nnet import (Model, build_cnn, build_mlp, evaluate, load_checkpoint,
                    model_checksum, save_checkpoint, train)
 
@@ -27,8 +27,8 @@ __all__ = [
     "bit_gradients", "bit_weights", "build_cnn", "build_mlp", "build_sampler",
     "compute_recall", "conductance", "decode", "encode", "enumerate_sites",
     "evaluate", "evaluate_with_fault", "evaluate_with_fault_set", "fat_train",
-    "flip_bit", "inject", "inject_set", "load_attribution", "load_checkpoint",
-    "load_fault_csv", "load_records", "measure_latency_to_critical",
+    "faults_active", "flip_bit", "inject", "inject_set", "load_attribution",
+    "load_checkpoint", "load_fault_csv", "load_records", "measure_latency_to_critical",
     "model_checksum", "parse_code", "remove", "report", "run_campaign",
     "save_attribution", "save_checkpoint", "save_fault_csv", "save_records",
     "train",

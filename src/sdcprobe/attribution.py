@@ -79,8 +79,8 @@ class AttributionConfig:
             raise ConfigError(f"sample_count must be >= 1 or null, got {self.sample_count}")
         if self.baseline not in BASELINE_KINDS:
             raise ConfigError(f"baseline must be one of {BASELINE_KINDS}, got {self.baseline!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:  # the attribution file stores it as an i64
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
 
 
 @dataclass

@@ -98,6 +98,12 @@ def synth_blobs(classes, samples_per_class, dims, spread, seed,
     if classes < 2 or seed < 0:
         raise UsageError(f"synth_blobs needs at least 2 classes and a seed >= 0; got "
                          f"{classes} and {seed}")
+    if dims < 1 or samples_per_class < 1:
+        raise UsageError(f"synth_blobs needs dims >= 1 and samples_per_class >= 1; got "
+                         f"{dims} and {samples_per_class}")
+    if not 0 <= spread < math.inf or not math.isfinite(center_scale):  # NaN fails both
+        raise UsageError(f"synth_blobs needs a finite spread >= 0 and a finite center_scale; "
+                         f"got {spread} and {center_scale}")
     if image_shape is None:
         image_shape = (1, 1, dims)
     if int(np.prod(image_shape)) != dims:
@@ -120,6 +126,8 @@ def synth_blobs(classes, samples_per_class, dims, spread, seed,
 
 def train_test_split(dataset: Dataset, test_fraction=0.1):
     """Deterministic by index: the trailing fraction becomes the test set."""
+    if not 0 < test_fraction < 1:  # NaN fails it too
+        raise UsageError(f"split fraction must be in (0, 1), got {test_fraction}")
     n = len(dataset)
     cut = n - int(round(n * test_fraction))
     if cut <= 0 or cut >= n:

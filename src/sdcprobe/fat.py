@@ -2,10 +2,10 @@
 
 fat_train warms a model up clean, draws the first few faults from the
 configured sampler, then keeps training with those faults active so the
-network learns to route around them.  Weight faults persist: after every
-optimizer step the faulted bit is set back to its faulted value, and
-removal at the end restores the bit the weight had at injection.  Output
-faults are passed to every forward pass of training and its evaluations.
+network learns to route around them.  Each FAT epoch trains inside one
+faults_active block, whose repin holds the weight faults through every
+optimizer step; output faults reach every forward pass.  Between epochs
+the model holds no fault, and the latency runs measure it as it stands.
 
 The latency metric asks how many fault evaluations (draws) a sampler needs
 before hitting k critical faults in a row; importance-guided samplers find
@@ -19,6 +19,7 @@ counts are proxied by evaluations x test-set size.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -27,8 +28,8 @@ from .campaign import DEFAULT_THRESHOLDS, json_fields
 from .errors import ConfigError
 from .fault_model import SamplerConfig, build_sampler, parse_code
 from .fileio import atomic_write
-from .injector import (PrefixCache, _split_sites, evaluate_with_fault,
-                       evaluate_with_fault_set, inject_set, pin_weight_bit, remove)
+from .injector import (PrefixCache, evaluate_with_fault, evaluate_with_fault_set,
+                       faults_active)
 from .nnet import evaluate_detailed, train
 from .nnet.training import EVAL_BATCH
 
@@ -70,8 +71,8 @@ class FatConfig:
             raise ConfigError("faults_per_round must be >= 0")
         if self.simulations_per_epoch < 0:
             raise ConfigError("simulations_per_epoch must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < math.inf:  # NaN fails it too
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.attribution_sample_count is not None and self.attribution_sample_count < 1:
             raise ConfigError("attribution_sample_count must be >= 1 or null")
         if not 0.0 <= self.uniform_mix <= 1.0:
@@ -207,38 +208,16 @@ def save_fat_report(report: FatReport, path):
     atomic_write(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _weight_fault_reapplier(model, handles):
-    """Closure that pins every injected weight-fault bit to its faulted
-    value; run after each step so the faults persist through optimizer
-    updates, whatever the update did to that bit."""
-    if not handles:
-        return None
-
-    def reapply():
-        # Sgd and Adam write p.data in place, so the pinned buffer is the
-        # one the next forward pass reads
-        for h in handles:
-            pin_weight_bit(model, h.site, 1 - h.original_bit)
-    return reapply
-
-
-def _clean_snapshot(model, handles):
-    """Copy of the model with the given injected faults undone on the copy."""
-    snapshot = model.copy()
-    for h in handles:
-        pin_weight_bit(snapshot, h.site, h.original_bit)
-    return snapshot
-
-
 def fat_train(model, train_set, test_set, config: FatConfig):
     """Fault-aware training; returns (model, FatReport).
 
     The resilience baseline is a twin: a copy of the model taken after the
     warm-up, trained clean through the FAT epochs with the same seeds, so
     faults_per_round=0 reproduces it bit for bit.  Per-epoch latency
-    simulations run on one clean snapshot per epoch with distinct seeds and
-    never touch the training model; each run removes its faults bit-exactly,
-    so the runs of an epoch share the snapshot and its outcome memo.
+    simulations run on the training model, with the epoch's faults removed,
+    and with distinct seeds; they write no weight, so they share one outcome
+    memo.  Weight-importance attribution leaves .grad set on the model,
+    which the next backward overwrites before anything reads it.
     """
     def fit(m, epochs, seed, **kwargs):
         return train(m, train_set, epochs=epochs, batch_size=config.batch_size,
@@ -261,29 +240,21 @@ def fat_train(model, train_set, test_set, config: FatConfig):
     if config.faults_per_round > 0:
         trained_sites = draw(config.code)
         adversary_sites = draw(config.adversary_code)
-    weight_sites, output_faults = _split_sites(model, trained_sites)
-    handles = inject_set(model, weight_sites)
-
-    reapply = _weight_fault_reapplier(model, handles)
     fat_log = []
     latency: dict = {}
-    try:
-        for epoch in range(config.fat_epochs):
+    for epoch in range(config.fat_epochs):
+        with faults_active(model, trained_sites) as (output_faults, repin):
             fat_log.extend(fit(model, 1, config.seed + 1 + epoch, on_nonfinite="skip",
-                               post_step=reapply, output_faults=output_faults))
-            snapshot = _clean_snapshot(model, handles)
-            for sim in range(config.simulations_per_epoch):
-                sim_seed = config.seed + 1000 * (epoch + 1) + sim
-                for code in (config.code, config.adversary_code):
-                    result = measure_latency_to_critical(
-                        snapshot, test_set, code, config.latency_threshold,
-                        k=config.consecutive_criticals_required, seed=sim_seed,
-                        attribution_steps=config.attribution_steps,
-                        attribution_sample_count=config.attribution_sample_count)
-                    latency.setdefault(str(code), []).append(result)
-    finally:
-        for h in reversed(handles):
-            remove(model, h)
+                               post_step=repin, output_faults=output_faults))
+        for sim in range(config.simulations_per_epoch):
+            sim_seed = config.seed + 1000 * (epoch + 1) + sim
+            for code in (config.code, config.adversary_code):
+                result = measure_latency_to_critical(
+                    model, test_set, code, config.latency_threshold,
+                    k=config.consecutive_criticals_required, seed=sim_seed,
+                    attribution_steps=config.attribution_steps,
+                    attribution_sample_count=config.attribution_sample_count)
+                latency.setdefault(str(code), []).append(result)
 
     post_fat_accuracy, _ = evaluate_detailed(model, test_set)
     under_trained, _ = evaluate_with_fault_set(model, test_set, trained_sites)

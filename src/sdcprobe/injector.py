@@ -3,10 +3,11 @@
 Weight faults set one bit of a stored parameter to the complement of its
 original value, in place, and removal sets it back, so the model is
 restored bit for bit even when the flip lands on a NaN pattern.  Both
-steps go through pin_weight_bit, which fault-aware training also uses to
-hold a fault through optimizer updates.  Output faults are never model
-state: evaluate_with_fault_set passes them to the forward passes as
-output_faults=, which flip the element in every sample; inject refuses them.
+steps go through pin_weight_bit.  Output faults are never model state:
+forward passes take them as output_faults=, which flip the element in
+every sample; inject refuses them.  A fault set is active exactly for the
+body of a `with faults_active(model, sites)` block, the one way that
+evaluate_with_fault_set and fault-aware training apply a set.
 
 A fault at layer L cannot change anything upstream of L.  A PrefixCache
 keeps the clean activations of every layer, chunked exactly as evaluation
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,13 +323,29 @@ def inject_set(model, sites) -> list:
     return handles
 
 
-def evaluate_with_fault_set(model, dataset, sites) -> tuple[float, bool]:
-    """(accuracy, poisoned) with every distinct site in the set active at
-    once: weight faults injected, then removed; output faults passed on."""
+@contextmanager
+def faults_active(model, sites):
+    """Every distinct site in the set active for the with block, which gets
+    (output_faults, repin): the output faults to pass to its forward passes,
+    and a repin that sets each weight fault's bit again after the block
+    writes the weights (None without weight sites).  The weight faults are
+    removed in reverse order on exit, also when the block raises.
+    """
     weight_sites, output_faults = _split_sites(model, sites)
     handles = inject_set(model, weight_sites)
+
+    def repin():  # optimizers write p.data in place, the buffer forward reads
+        for h in handles:
+            pin_weight_bit(model, h.site, 1 - h.original_bit)
     try:
-        return evaluate_detailed(model, dataset, output_faults)
+        yield output_faults, repin if handles else None
     finally:
         for h in reversed(handles):
             remove(model, h)
+
+
+def evaluate_with_fault_set(model, dataset, sites) -> tuple[float, bool]:
+    """(accuracy, poisoned) with every distinct site in the set active at
+    once (see faults_active)."""
+    with faults_active(model, sites) as (output_faults, _):
+        return evaluate_detailed(model, dataset, output_faults)

@@ -410,6 +410,8 @@ def build_mlp(input_shape, hidden, classes, seed):
     """flatten -> [linear -> relu]* -> linear, fan-in uniform init, zero bias."""
     if seed < 0:
         raise UsageError(f"model seed must be >= 0, got {seed}")
+    if any(width < 1 for width in hidden):
+        raise UsageError(f"every hidden width must be >= 1, got {list(hidden)}")
     rng = np.random.default_rng(seed)
     dims = [int(np.prod(input_shape))] + list(hidden) + [classes]
     layers: list = [Flatten()]
@@ -428,6 +430,9 @@ def build_cnn(input_shape, conv_channels, kernel, hidden, classes, seed):
     rng = np.random.default_rng(seed)
     c, h, w = input_shape
     c1, c2 = conv_channels
+    if min(c1, c2, kernel, hidden) < 1:
+        raise UsageError(f"conv channels, kernel and hidden width must be >= 1; got "
+                         f"{list(conv_channels)}, {kernel} and {hidden}")
     layers: list = []
     w1 = _uniform_init(rng, (c1, c, kernel, kernel), c * kernel * kernel)
     layers += [Conv2d(w1, np.zeros(c1, dtype=np.float32)), Relu()]

@@ -178,9 +178,9 @@ def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
     """
     if len(train_set.labels) == 0:
         raise UsageError("cannot train on an empty dataset")
-    if epochs < 0 or batch_size < 1 or lr <= 0 or seed < 0:
-        raise UsageError(f"training needs epochs >= 0, batch_size >= 1, lr > 0 and seed >= 0; "
-                         f"got {epochs}, {batch_size}, {lr} and {seed}")
+    if epochs < 0 or batch_size < 1 or not 0 < lr < math.inf or seed < 0:  # NaN lr too
+        raise UsageError(f"training needs epochs >= 0, batch_size >= 1, a finite lr > 0 and "
+                         f"seed >= 0; got {epochs}, {batch_size}, {lr} and {seed}")
     if on_nonfinite not in ("raise", "skip"):
         raise UsageError(f"on_nonfinite must be 'raise' or 'skip', got {on_nonfinite!r}")
     classes = model.output_shapes()[-1][0]

@@ -384,12 +384,30 @@ class TestExitCodes:
         ("attribute", {"attribute": {"baseline": "ones"}}, []),
         ("fat", {"fat": {"faults_per_round": 0, "latency_threshold": 7.5}}, ["--mix", "2"]),
         ("fat", {"fat": {"attribution_steps": 0}}, []),
+        ("train", b"\xff", []),
+        ("train", {"dataset": {"spread": -1}}, []),
+        ("train", {"dataset": {"dims": 0}}, []),
+        ("train", {"dataset": {"spread": float("nan")}}, []),
+        ("train", {"dataset": {"center_scale": float("inf")}}, []),
+        ("train", {"dataset": {"test_fraction": float("nan")}}, []),
+        ("train", {"model": {"hidden": [0]}}, []),
+        ("train", {"model": {"kind": "cnn", "input_shape": [1, 6, 6], "kernel": 0}}, []),
+        ("train", {"model": {"kind": "cnn", "input_shape": [1, 6, 6],
+                             "conv_channels": [0, 4]}}, []),
+        ("train", {"train": {"lr": float("inf")}}, []),
+        ("train", {"train": {"lr": float("nan")}}, []),
+        ("fat", {"fat": {"lr": float("inf")}}, []),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys,
                                                           command, overrides, flags):
-        """Bad values, values of the wrong type and sections that are not
-        JSON objects are config errors, caught before any file is written."""
-        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        """Bad values, values of the wrong type, sections that are not JSON
+        objects and files that are not UTF-8 text (given as bytes) are
+        config errors, caught before any file is written."""
+        if isinstance(overrides, bytes):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_bytes(overrides)
+        else:
+            cfg = write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "out"
         out.mkdir()
         args = {"train": ["--out", str(out / "m.ckpt")],
@@ -397,13 +415,14 @@ class TestExitCodes:
                 "campaign": ["--checkpoint", workspace["ckpt"], "--code", "RBRNw",
                              "--out", str(out / "r.csv")],
                 "fat": ["--out-dir", str(out / "fat")]}[command]
-        assert main([command, "--config", cfg] + args + flags) == 2
+        assert main([command, "--config", str(cfg)] + args + flags) == 2
         assert capsys.readouterr().err.startswith("error: config:")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("overrides, flags", [
         ({"attribute": {"baseline": "ones"}}, []),
         ({}, ["--seed", "-1", "--samples", "5"]),
+        ({}, ["--seed", str(2**63), "--samples", "5"]),
     ])
     def test_bad_attribute_config_exits_2_before_the_checkpoint_loads(
             self, tmp_path, capsys, overrides, flags):

@@ -142,6 +142,18 @@ class TestBlobs:
         with pytest.raises(UsageError):
             synth_blobs(1, 5, 3, 0.1, seed=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(dims=0), dict(dims=-3), dict(samples_per_class=0), dict(spread=-1.0),
+        dict(spread=float("nan")), dict(spread=float("inf")),
+        dict(center_scale=float("nan")), dict(center_scale=float("-inf")),
+    ])
+    def test_degenerate_values_refused(self, kwargs):
+        """Values numpy would choke on, or that would only show later as a
+        non-finite training loss, are refused up front."""
+        with pytest.raises(UsageError, match="synth_blobs needs"):
+            synth_blobs(**{**dict(classes=2, samples_per_class=5, dims=3, spread=0.1,
+                                  seed=0), **kwargs})
+
 
 class TestSplit:
     def test_sizes_and_determinism(self):
@@ -155,6 +167,11 @@ class TestSplit:
         ds = synth_blobs(2, 5, 4, 0.1, seed=3)
         with pytest.raises(UsageError):
             train_test_split(ds, 1.0)
+
+    def test_nan_fraction_rejected(self):
+        ds = synth_blobs(2, 5, 4, 0.1, seed=3)
+        with pytest.raises(UsageError, match="split fraction"):
+            train_test_split(ds, float("nan"))
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(UsageError):

@@ -8,10 +8,9 @@ import pytest
 from sdcprobe import fat as fat_mod
 from sdcprobe.data import synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError
-from sdcprobe.fat import (FatConfig, _weight_fault_reapplier, fat_train,
-                          measure_latency_to_critical, save_fat_report)
+from sdcprobe.fat import FatConfig, fat_train, measure_latency_to_critical, save_fat_report
 from sdcprobe.fault_model import FaultSite, parse_code
-from sdcprobe.injector import inject, remove
+from sdcprobe.injector import faults_active
 from sdcprobe.nnet import (Flatten, Linear, Model, Sgd, build_mlp, evaluate_detailed,
                            model_checksum, train)
 from sdcprobe.nnet.training import train_step
@@ -173,10 +172,10 @@ def _bit(model, site):
 
 class TestWeightFaultPersistence:
     def test_fault_reapplied_after_each_step(self):
-        """Training moves the faulted weight; the persistence hook pins the
+        """Training moves the faulted weight; faults_active's repin pins the
         faulted bit after every update, so every forward sees the fault,
-        and leaves the other 31 bits to the optimizer.  Removal restores
-        the bit the weight had at injection."""
+        and leaves the other 31 bits to the optimizer.  Leaving the block
+        restores the bit the weight had at injection."""
         train_set, _ = blob_splits()
         model = build_mlp((1, 1, 6), [8], 3, seed=5)
         site = FaultSite(1, "neuron_weight", 2, 21)
@@ -186,23 +185,24 @@ class TestWeightFaultPersistence:
             return model.layers[1].weight.data.reshape(-1).view(np.uint32)[2]
 
         clean = word()
-        handle = inject(model, site)
         faulted = (clean ^ mask) & mask
-        reapply = _weight_fault_reapplier(model, [handle])
-        opt = Sgd(model.parameters(), lr=0.01)
-        for _ in range(3):
-            before = word()
-            assert before & mask == faulted  # active on this step's forward
-            train_step(model, train_set.images[:8], train_set.labels[:8], opt)
-            stepped = word()
-            reapply()
-            after = word()
-            assert after & mask == faulted
-            assert after & ~mask == stepped & ~mask
-            assert stepped != before  # value actually moved
-        remove(model, handle)
-        assert word() & mask == clean & mask
+        with faults_active(model, [site]) as (output_faults, repin):
+            assert output_faults == []
+            opt = Sgd(model.parameters(), lr=0.01)
+            for _ in range(3):
+                before = word()
+                assert before & mask == faulted  # active on this step's forward
+                train_step(model, train_set.images[:8], train_set.labels[:8], opt)
+                stepped = word()
+                repin()
+                after = word()
+                assert after & mask == faulted
+                assert after & ~mask == stepped & ~mask
+                assert stepped != before  # value actually moved
+        assert word() & mask == clean & mask  # the bit from before injection
         assert word() & ~mask == after & ~mask
+        with faults_active(model, [FaultSite(1, "neuron_output", 0, 3)]) as (_, repin):
+            assert repin is None  # no weight site, nothing to pin
 
 
 class TestFatTrain:
@@ -293,8 +293,8 @@ class TestFatTrain:
 
     def test_weight_faults_stay_pinned_through_fat(self, monkeypatch):
         """Weight codes: after every optimizer step each trained fault holds
-        its faulted bit, latency snapshots see the bit the weight had at
-        injection, and so does the model fat_train returns."""
+        its faulted bit, the latency runs between epochs see the bit the
+        weight had at injection, and so does the model fat_train returns."""
         import sdcprobe.fat as fat_mod
         real_train, real_latency = fat_mod.train, fat_mod.measure_latency_to_critical
         stepped, snapshots = [], []
@@ -344,6 +344,12 @@ class TestFatTrain:
             with pytest.raises(ConfigError, match="attribution_sample_count"):
                 FatConfig(attribution_sample_count=count)
         assert FatConfig(attribution_sample_count=None).attribution_sample_count is None
+
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan")])
+    def test_non_finite_lr_refused(self, lr):
+        """Refused when the config is built, so before any training step."""
+        with pytest.raises(ConfigError, match="lr must be positive and finite"):
+            FatConfig(lr=lr)
 
     @pytest.mark.parametrize("kwargs, key", [
         ({"uniform_mix": 2.0}, "uniform_mix"),

@@ -1,12 +1,16 @@
-"""Every module-level import in the package is used by its own module, and
-every module-level private name is read somewhere in the package.
+"""Every module-level import in the package is used by its own module,
+every module-level private name is read somewhere in the package, and no
+module imports another module's private name.
 
 An import that only a deleted caller needed, or that stays alive only so
 that something outside the module can reach the name through it, fails
 here.  Names a package lists in ``__all__`` count as used.  So fails a
 private function, class or constant (``_name``, dunders aside) that no
 module of the package reads any more, such as a helper whose last caller
-was folded into another path; tests do not count as readers.
+was folded into another path; tests do not count as readers.  A module
+that needs another's private name should get a public one instead; only
+the modules of ``nnet/`` share private helpers among themselves (the
+layers use autodiff's im2col and gradient helpers).
 """
 
 import ast
@@ -41,6 +45,10 @@ def _bound_names(target):
     return [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def dead_private_names(paths):
     """Module-level private names defined in paths that no module in paths
     reads: as a name, as an attribute or through an import."""
@@ -57,7 +65,7 @@ def dead_private_names(paths):
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
+                if _is_private(name):
                     defined[f"{path.stem}.{name}"] = (name, node.lineno)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -68,6 +76,21 @@ def dead_private_names(paths):
                 read.update(alias.name for alias in node.names)
     return sorted(f"{where} (line {line})" for where, (name, line) in defined.items()
                   if name not in read)
+
+
+def private_imports(paths, shared_within):
+    """Private names the modules in paths import from another module, except
+    a module in the directory shared_within importing from its sibling."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or (
+                    path.parent == shared_within and node.level == 1):
+                continue
+            found += [f"{path.stem}: {alias.name} (line {node.lineno})"
+                      for alias in node.names if _is_private(alias.name)]
+    return sorted(found)
 
 
 def test_modules_found():
@@ -107,3 +130,18 @@ def test_the_scan_sees_a_dead_private_name(tmp_path):
                                    "def f():\n    return a._helper(), a._Read, _Imported\n")
     assert dead_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
         "a._DEAD (line 3)", "a._DEAD_PAIR (line 2)", "a._orphan (line 7)"]
+
+
+def test_no_private_name_imported_from_another_module():
+    assert private_imports(MODULES, PACKAGE / "nnet") == []
+
+
+def test_the_scan_sees_a_private_import(tmp_path):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (tmp_path / "a.py").write_text("from __future__ import annotations\n"
+                                   "from .b import _helper, public, __version__\n"
+                                   "def f():\n    from .sub.c import _late\n    return _late\n")
+    (sub / "c.py").write_text("from .d import _shared\nfrom ..a import _leak\n")
+    assert private_imports([tmp_path / "a.py", sub / "c.py"], sub) == [
+        "a: _helper (line 2)", "a: _late (line 4)", "c: _leak (line 2)"]

@@ -444,3 +444,20 @@ class TestCheckpoint:
         assert model_checksum(clone) == model_checksum(model)
         clone.layers[1].weight.data[0, 0] = 99.0
         assert model_checksum(clone) != model_checksum(model)
+
+
+class TestBuilders:
+    @pytest.mark.parametrize("kwargs", [dict(kernel=0), dict(kernel=-1),
+                                        dict(conv_channels=[0, 4]), dict(conv_channels=[3, 0]),
+                                        dict(hidden=0)])
+    def test_cnn_refuses_sizes_below_one(self, kwargs):
+        """A zero kernel, channel count or width would divide by zero in
+        the init; it is refused before any weight is drawn."""
+        with pytest.raises(UsageError, match="must be >= 1"):
+            build_cnn(**{**dict(input_shape=(1, 6, 6), conv_channels=[3, 4], kernel=3,
+                                hidden=16, classes=3, seed=0), **kwargs})
+
+    @pytest.mark.parametrize("hidden", [[0], [4, 0], [-2]])
+    def test_mlp_refuses_hidden_widths_below_one(self, hidden):
+        with pytest.raises(UsageError, match="hidden width must be >= 1"):
+            build_mlp((1, 1, 6), hidden, 3, seed=0)

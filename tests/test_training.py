@@ -6,6 +6,7 @@ import pytest
 from sdcprobe.data import Dataset, synth_blobs, train_test_split
 from sdcprobe.errors import TrainingDivergedError, UsageError
 from sdcprobe.nnet.autodiff import Tensor
+from sdcprobe.nnet import training
 from sdcprobe.nnet.training import predict
 from sdcprobe.nnet import (
     Adam,
@@ -145,6 +146,18 @@ class TestTrain:
         with pytest.raises(UsageError, match="training needs"):
             train(model, train_ds, **{**dict(epochs=1, batch_size=8, lr=0.01), **kwargs})
         assert all((p.data == b).all() for p, b in zip(model.parameters(), before))
+
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan")])
+    def test_non_finite_lr_refused_before_the_first_step(self, lr, monkeypatch):
+        """An infinite or NaN learning rate shows only as a non-finite loss
+        after a step; it is refused before any step runs."""
+        steps = []
+        monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
+        train_ds, _ = self.make_blobs()
+        model = build_mlp((1, 1, 4), [3], classes=2, seed=1)
+        with pytest.raises(UsageError, match="a finite lr > 0"):
+            train(model, train_ds, epochs=1, batch_size=8, lr=lr)
+        assert steps == []
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(UsageError):
