@@ -451,11 +451,15 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     earlier campaign or latency run on the same unchanged model and
     dataset, reuses the (accuracy, poisoned) outcome of its first
     evaluation, so each distinct site is evaluated once per model and
-    dataset.  A draw whose site has no outcome yet is evaluated in a stack
-    (evaluate_with_fault with the rest of its block as ahead): with it, up
-    to PrefixCache.stack_size - 1 not-yet-evaluated sites of the same layer
-    and kind from the rest of its block, in draw order, share one pass, and
-    the later draws of those sites find their outcomes in the memo.  There is
+    dataset.  Before any stack is filled, PrefixCache.certify gives each
+    output-fault site of the drawn block that provably changes no
+    prediction the baseline as its outcome, with no pass; weight sites are
+    never certified.  A draw whose site has no outcome yet is evaluated in
+    a stack (evaluate_with_fault with the rest of its block as ahead): with
+    it, up to PrefixCache.stack_size - 1 not-yet-evaluated sites of the
+    same layer and kind from the rest of its block, in draw order, share
+    one pass, and the later draws of those sites find their outcomes in the
+    memo.  Certification and the memo change no record.  There is
     still one record per draw.  Its wallclock_ns is the time since the
     previous record of this call (since the draws began, for the first),
     so the block draw and a stack count on the draw that ran them.  If the
@@ -524,6 +528,8 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                 # redraw one ordinal at a time below, so the draws before a
                 # failing ordinal are evaluated and written before it raises
                 sites = None
+            else:
+                prefix.certify(model, sites)
             for i in range(n):
                 k = start + i
                 site = sites[i] if sites is not None else sampler.sample(1, k)[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -334,6 +335,7 @@ def cmd_report(args):
     return 0
 
 
+@functools.cache  # built once per process; parse_args does not change it
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="sdcprobe",
@@ -353,7 +355,6 @@ def make_parser():
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     common(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("attribute", help="compute attribution scores for a checkpoint")
     common(p)
@@ -363,7 +364,6 @@ def make_parser():
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--baseline", choices=list(attr_mod.BASELINE_KINDS), default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("campaign", help="run a fault-injection campaign")
     common(p, workers=True)
@@ -374,7 +374,6 @@ def make_parser():
     p.add_argument("--thresholds", default=None, help="comma-separated values")
     p.add_argument("--mix", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("fat", help="fault-aware training")
     common(p)
@@ -382,13 +381,11 @@ def make_parser():
     p.add_argument("--thresholds", default=None)
     p.add_argument("--mix", type=float, default=None)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_fat)
 
     p = sub.add_parser("report", help="summarize campaign records")
     p.add_argument("records", nargs="+", help="records CSV files")
     p.add_argument("--series-threshold", type=float, default=0.05)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -401,7 +398,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up on each call, not bound into the parser that make_parser
+        # keeps, so a command function rebound on the module takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, UsageError) as exc:
         _fail("config", exc)
         return 2

@@ -81,6 +81,10 @@ class FatConfig:
             raise ConfigError(f"latency_threshold must be in [0, 1], got {self.latency_threshold}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        last = self.seed + 1000 * self.fat_epochs + self.simulations_per_epoch - 1
+        if last >= 2**63:  # each latency run seeds an attribution, an i64 seed
+            raise ConfigError(f"seed {self.seed} derives latency seeds up to {last}, "
+                              "past 2**63 - 1")
 
     def to_json_dict(self):
         return json_fields(self)
@@ -142,10 +146,13 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     evaluations_needed counts draws: a site drawn again, in this run or in
     an earlier run or campaign on the same unchanged model and dataset,
     reuses its first evaluation's accuracy, so the model runs once per
-    distinct site per model and dataset.  Unlike a campaign, a run
-    evaluates each new site in a stack of one, in draw order: whether a
-    later draw is needed depends on this one's outcome, and a stacked pass
-    would evaluate draws past the stop.
+    distinct site per model and dataset.  Each block first goes through
+    PrefixCache.certify, which gives the output-fault sites it proves
+    harmless the baseline outcome with no pass; a check costs far less than
+    a pass, so certifying draws past the stop wastes little.  Unlike a
+    campaign, a run evaluates each other new site in a stack of one, in
+    draw order: whether a later draw is needed depends on this one's
+    outcome, and a stacked pass would evaluate draws past the stop.
     """
     if isinstance(code, str):
         code = parse_code(code)
@@ -166,7 +173,9 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     block = _FIRST_LATENCY_BLOCK
     while censored and evaluations < budget_cap:
         n = min(block, budget_cap - evaluations)
-        for site in sampler.sample(n, evaluations):
+        drawn = sampler.sample(n, evaluations)
+        prefix.certify(model, drawn)
+        for site in drawn:
             outcome = outcomes.get(site)
             if outcome is None:
                 outcome = evaluate_with_fault(model, dataset, site, prefix=prefix)

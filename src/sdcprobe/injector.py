@@ -34,6 +34,15 @@ also memoizes it: evaluate_with_fault(..., prefix=cache) stores the
 PrefixCache.shared hands campaigns and latency runs one process-wide cache
 per model and dataset, so they evaluate each distinct site once per model
 and dataset, across calls.
+
+Many output faults need no pass at all.  PrefixCache.certify bounds, with
+interval bound propagation around the clean activations (Gowal et al.,
+2018), how far one flipped output element can move each logit, rounding
+of both passes included.  A site whose bound stays below every sample's
+clean top-1 margin changes no prediction and makes no NaN, so its outcome
+is the baseline, which certify stores in cache.outcomes.  Campaigns and
+latency runs certify each drawn block before any stack is filled.  Weight
+sites are never certified.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -155,7 +165,8 @@ class PrefixCache:
     is the input of layer L.  The arrays are made read-only, and stacked
     evaluations only read them and the model, so threads may share one
     cache and one model without locks.  outcomes maps each FaultSite
-    evaluated through the cache to its (accuracy, poisoned).  stack_size
+    evaluated or certified through the cache to its (accuracy, poisoned),
+    and certified counts the sites certify() proved harmless.  stack_size
     is the most sites one stacked pass evaluates (see STACK_BYTES).
 
     The cache is only valid for models identical to the one it was built
@@ -194,6 +205,8 @@ class PrefixCache:
         # (accuracy, poisoned) of the clean model, as evaluate_detailed gives it
         self.baseline = score(*classify(logits), dataset.labels)
         self.outcomes: dict[FaultSite, tuple[float, bool]] = {}
+        self.certified = 0
+        self._tolerances = {}  # layer id -> tol table of certify(), [elements, N]
 
     @classmethod
     def shared(cls, model, dataset) -> PrefixCache:
@@ -260,6 +273,85 @@ class PrefixCache:
             logits.append(out.reshape(k, rows, -1))
         return list(zip(*score(*classify(logits), self.dataset.labels)))
 
+    def certify(self, model, sites):
+        """Store self.baseline as the outcome of every output-fault site in
+        sites that a sound bound proves harmless, and add their number to
+        self.certified.
+
+        Only sites that fault an output, name an element of the model and
+        have no outcome yet are checked, and only when the cache stores
+        activations.  Site (L, e, b) is certified when, on every sample s,
+        Δ = |flip_b(v) - v| < tol_L[e, s], v the clean output element; a
+        NaN or inf Δ fails that comparison by itself.  tol_L is a float32
+        table built the first time layer L is checked, one chunk at a time,
+        from the weights and the cached activations (_tolerance_tables), so
+        all tables together take at most self.nbytes.
+
+        Why a certified site's outcome is the baseline, on one sample.  A
+        conv or linear layer with n weights computes Wx + b in float64 and
+        rounds the result to float32, y.  Products of float32 values are
+        exact in float64, sums in any order err by at most γ_n·A, with
+        A = |W||x| + |b| and γ_n = n·2^-53/(1 - n·2^-53), and the rounding
+        errs by at most 2^-24|y| + 2^-150 while the float64 result is at
+        most FLT_MAX.  Let r = γ_n·A + 2^-24|y| + 2^-150 in the clean pass.
+        If the faulted pass's input is within d of the clean one,
+        elementwise, its own error is at most r + γ_n|W|d plus 2^-24 of the
+        change, so
+            |y' - y| <= κ|W|d + ρ,  κ = (1 + γ_n)/(1 - 2^-24),
+                                     ρ = 2r/(1 - 2^-24).
+        ReLU is 1-Lipschitz and Flatten moves no value.  Chained over the
+        layers after L from d = Δ at element e, logit j moves by at most
+        Δ·G_L[e, j] + R_L[j]: G_L is the chain of κ|W| applied to an
+        identity, and R_L carries each later layer's ρ to the logits the
+        same way.  If the clean top class c leads each other class j by
+        m_j > 0 and Δ·(G_L[e, c] + G_L[e, j]) + R_L[c] + R_L[j] < m_j, c
+        still leads strictly, so argmax, which breaks ties low, keeps it;
+        a tie is never certified.  The rounding model also needs each later
+        float64 result at most FLT_MAX, since an inf times a zero weight
+        makes a NaN: the chain bounds each by its clean value plus Δ·U_L[e]
+        plus the ρ carried so far, U_L[e] summing e's gains to every later
+        weighted layer's elements, and tol keeps that sum below 2^127.  A
+        sample whose clean logits are not all finite, as with a poisoned
+        baseline, has tol NaN, so then nothing is certified.
+
+        The tables are float64 sums and products of non-negative terms, so
+        their rounding can only leave them short of the exact bound by a
+        factor 1 - γ.  Larger constants cover that: κ = 1 + 2^-23 +
+        4γ_{n+1}, and ρ = 4γ_{n+1}·A + 2^-22|y| + 2^-148, with A at most
+        the row sums of |W| times max|x|, plus |b|.  Scaling the margin by
+        1 - 2^-49, 16 units of rounding, covers the few roundings of Δ, the
+        margin, the subtraction and the quotient, and tol is rounded toward
+        zero to float32.  The cap of 2^127, half of FLT_MAX, leaves far more
+        room than the rounding of its own sum needs.
+        """
+        if not self.stores_activations:
+            return
+        by_layer: dict[int, dict[FaultSite, None]] = {}
+        for site in sites:
+            if (site.target_kind != "neuron_weight" and site not in self.outcomes
+                    and _site_error(model, site) is None):
+                by_layer.setdefault(site.layer_id, {})[site] = None
+        missing = [lid for lid in by_layer if lid not in self._tolerances]
+        if missing:
+            self._tolerances.update(_tolerance_tables(model, self.chunks, missing))
+        # sites per check, so that its float64 [samples, sites] arrays fit STACK_BYTES
+        per_check = max(1, STACK_BYTES // (8 * len(self.dataset.labels)))
+        for lid, group in by_layer.items():
+            group = list(group)
+            for lo in range(0, len(group), per_check):
+                batch = group[lo:lo + per_check]
+                elements = [s.element_index for s in batch]
+                masks = np.array([1 << s.bit_index for s in batch], dtype=np.uint32)
+                clean = np.concatenate([c[lid + 1].reshape(len(c[0]), -1)[:, elements]
+                                        for c in self.chunks])
+                with np.errstate(invalid="ignore", over="ignore"):
+                    delta = np.subtract(xor_bits(clean, masks), clean, dtype=np.float64)
+                np.abs(delta, out=delta)
+                harmless = (delta < self._tolerances[lid][elements].T).all(axis=0)
+                for site in compress(batch, harmless):
+                    self.outcomes[site] = self.baseline
+                self.certified += int(harmless.sum())
+
 
 def _stack_masks(sites, size):
     """[K, size] uint32 masks: row k holds site k's bit at its element."""
@@ -267,6 +359,107 @@ def _stack_masks(sites, size):
     for k, site in enumerate(sites):
         masks[k, site.element_index] = 1 << site.bit_index
     return masks
+
+
+def _gamma(n):
+    """γ_n = n·u/(1 - n·u), u = 2^-53: the relative error of a float64 sum
+    of n + 1 terms in any order (Higham, Accuracy and Stability, 3.1)."""
+    nu = n * 2.0 ** -53
+    return nu / (1 - nu)
+
+
+def _abs_transpose(layer, a, in_shape):
+    """|W|^T a in float64, for a flat batch a of the layer's outputs; flat
+    [rows, elements of its input] out."""
+    w = np.abs(layer.weight.data.astype(np.float64))
+    if layer.kind == "linear":
+        return a @ w
+    (o, c, kh, kw), s, (_, h, wd) = w.shape, layer.stride, in_shape
+    oh, ow = (h - kh) // s + 1, (wd - kw) // s + 1
+    a = a.reshape(len(a), o, oh, ow)
+    out = np.zeros((len(a), c, h, wd))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s] += np.einsum(
+                "oc,nopq->ncpq", w[:, :, i, j], a)
+    return out.reshape(len(a), -1)
+
+
+def _tolerance_tables(model, chunks, lids):
+    """{L: tol_L} of PrefixCache.certify for each layer id L in lids, each
+    float32 [elements of L's output, samples], built from the weights and
+    one chunk's cached activations at a time; they keep no reference to
+    the model."""
+    layers, shapes = model.layers, model.in_shapes
+    classes = math.prod(shapes[-1])
+    first = min(lids)
+    # h = [G | U] of each layer's output, from the logits (G = I, U = 0) back
+    # to the first layer in lids; ReLU and Flatten pass h on unchanged
+    h = np.eye(classes, classes + 1)
+    gains = {}
+    weighted = []  # per weighted layer after `first`, last first: what its ρ needs
+    for l in range(len(layers) - 1, first, -1):
+        if l in lids:
+            gains[l] = h
+        layer = layers[l]
+        if getattr(layer, "weight", None) is None:
+            continue
+        w = np.abs(layer.weight.data.astype(np.float64)).reshape(len(layer.weight.data), -1)
+        per_row = len(h) // len(w)  # output elements per row of W: 1, or a conv's OH*OW
+        bias = (np.zeros(len(w)) if layer.bias is None
+                else np.abs(layer.bias.data.astype(np.float64)))
+        gamma = _gamma(w.size + 1)
+        hl = h + np.eye(1, classes + 1, classes)  # [G | 1 + U]
+        # ρ hl = max|x| (4γ |W| row sums) hl + (4γ|b| + 2^-148) hl + 2^-22 |y| hl,
+        # as A <= (|W| row sums) max|x| + |b|
+        weighted.append((l, hl, 4 * gamma * np.repeat(w.sum(axis=1), per_row) @ hl,
+                         (4 * gamma * np.repeat(bias, per_row) + 2.0 ** -148) @ hl))
+        h = (1 + 2.0 ** -23 + 4 * gamma) * _abs_transpose(layer, hl.T, shapes[l]).T
+    gains[first] = h
+    n = sum(len(c[0]) for c in chunks)
+    tables = {lid: np.empty((len(gains[lid]), n), dtype=np.float32) for lid in lids}
+    lo = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for chunk in chunks:
+            rows = len(chunk[0])
+            z = chunk[-1].reshape(rows, -1).astype(np.float64)
+            top = z.argmax(axis=1)
+            picked = (np.arange(rows), top)
+            margin = (1 - 2.0 ** -49) * (z[picked][:, None] - z)
+            margin[picked] = np.inf
+            margin[~np.isfinite(z).all(axis=1)] = np.nan
+            carried = np.zeros((rows, classes + 1))  # Σ ρ [G | 1 + U] of the layers after L
+            later = iter(weighted)
+            step = next(later, None)
+            for lid in sorted(lids, reverse=True):
+                while step is not None and step[0] > lid:
+                    l, hl, from_x, from_floor = step
+                    x_max = np.abs(chunk[l].reshape(rows, -1)).max(axis=1).astype(np.float64)
+                    y = chunk[l + 1].reshape(rows, -1).astype(np.float64)
+                    np.abs(y, out=y)
+                    carried += x_max[:, None] * from_x + from_floor + 2.0 ** -22 * (y @ hl)
+                    step = next(later, None)
+                gain, reach = gains[lid][:, :classes], gains[lid][:, classes:]
+                # each later |y| <= 2^22 ρ, so the cap's sum is at most (1 + 2^22) ρ (1 + U)
+                room = 2.0 ** 127 - (1 + 2.0 ** 22) * carried[:, classes]
+                rest = margin - (carried[picked][:, None] + carried[:, :classes])
+                # rows at a time, so that each float64 [elements, rows] array fits STACK_BYTES
+                span = max(1, STACK_BYTES // (8 * len(gain)))
+                for a in range(lo, lo + rows, span):
+                    part = slice(a - lo, a - lo + span)
+                    tol = room[part] / reach
+                    gain_top = gain[:, top[part]]
+                    for j in range(classes):
+                        quotient = gain_top + gain[:, j:j + 1]
+                        np.divide(rest[part, j], quotient, out=quotient)
+                        np.minimum(tol, quotient, out=tol)
+                    np.maximum(tol, 0, out=tol)  # a tol of zero certifies nothing
+                    t32 = tables[lid][:, a:a + tol.shape[1]]
+                    t32[...] = tol
+                    # toward zero: one float32 step down where rounding went up
+                    t32.view(np.uint32)[...] -= t32 > tol
+            lo += rows
+    return tables
 
 
 def _release_slot(ref):

@@ -433,6 +433,9 @@ def build_cnn(input_shape, conv_channels, kernel, hidden, classes, seed):
     if min(c1, c2, kernel, hidden) < 1:
         raise UsageError(f"conv channels, kernel and hidden width must be >= 1; got "
                          f"{list(conv_channels)}, {kernel} and {hidden}")
+    if 2 * (kernel - 1) >= min(h, w):  # two valid convs leave an h - 2(kernel - 1) map
+        raise UsageError(f"kernel {kernel} leaves no output of two convolutions on a "
+                         f"{h}x{w} input")
     layers: list = []
     w1 = _uniform_init(rng, (c1, c, kernel, kernel), c * kernel * kernel)
     layers += [Conv2d(w1, np.zeros(c1, dtype=np.float32)), Relu()]

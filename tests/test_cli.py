@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdcprobe import cli
 from sdcprobe import fat as fat_mod
 from sdcprobe.attribution import load_attribution
 from sdcprobe.campaign import load_records, meta_path_for
-from sdcprobe.cli import main
+from sdcprobe.cli import main, make_parser
 from sdcprobe.fault_model import load_fault_csv
 from sdcprobe.nnet import load_checkpoint, model_checksum, save_checkpoint
 
@@ -217,6 +218,33 @@ class TestFat:
         assert capsys.readouterr().err.startswith("error: config:")
         assert calls == [] and not out_dir.exists()
 
+    def test_seed_past_the_latency_seeds_exits_2_before_any_training(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        """Latency runs take seeds up to seed + 1000 * fat_epochs +
+        simulations_per_epoch - 1 (here seed + 999), which must stay below
+        2**63: one seed past that is refused when the config is built."""
+        calls = []
+        monkeypatch.setattr(fat_mod, "train", lambda *a, **k: calls.append(1))
+        out_dir = tmp_path / "fatout"
+        assert main(["fat", "--config", workspace["cfg"], "--seed", str(2**63 - 999),
+                     "--out-dir", str(out_dir)]) == 2
+        assert "latency seeds up to 9223372036854775808" in capsys.readouterr().err
+        assert calls == [] and not out_dir.exists()
+        config = fat_mod.FatConfig(fat_epochs=1, simulations_per_epoch=0, seed=2**63 - 1000)
+        assert config.seed == 2**63 - 1000
+
+
+class TestParser:
+    def test_built_once_with_commands_looked_up_per_call(self, tmp_path, monkeypatch):
+        """make_parser is built once per process, and main finds the
+        command function on the module at each call, so one rebound there
+        still runs."""
+        assert make_parser() is make_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append(args.records) or 0)
+        assert main(["report", "a.csv", "--out", str(tmp_path / "s")]) == 0
+        assert calls == [["a.csv"]]
+
 
 class TestMetaSidecars:
     # sha256 of each .meta.json the pipeline below writes, recorded before the
@@ -397,6 +425,7 @@ class TestExitCodes:
         ("train", {"train": {"lr": float("inf")}}, []),
         ("train", {"train": {"lr": float("nan")}}, []),
         ("fat", {"fat": {"lr": float("inf")}}, []),
+        ("train", {"model": {"kind": "cnn", "input_shape": [1, 6, 6], "kernel": 4}}, []),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys,
                                                           command, overrides, flags):
