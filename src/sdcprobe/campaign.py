@@ -368,6 +368,13 @@ def write_meta_sidecar(path, meta):
     atomic_write(meta_path_for(path), _meta_json(meta))
 
 
+def _flag(cell):
+    """The bool a poisoned or sdc_* cell holds; save_records writes only 0 and 1."""
+    if cell not in ("0", "1"):
+        raise ValueError(f"a flag must be 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
 def load_records(path):
     """Parse a records CSV; returns (records, thresholds).
 
@@ -400,10 +407,10 @@ def load_records(path):
         try:
             site = FaultSite(int(cells[3]), cells[4], int(cells[5]), int(cells[6]))
             rec = make_record(cells[0], int(cells[1]), int(cells[2]), site,
-                              float(cells[7]), float(cells[8]), bool(int(cells[10])),
+                              float(cells[7]), float(cells[8]), _flag(cells[10]),
                               int(cells[11]), thresholds)
             stored_drop = float(cells[9])
-            stored_flags = tuple(bool(int(c)) for c in cells[12:])
+            stored_flags = tuple(_flag(c) for c in cells[12:])
         except (ValueError, UsageError) as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         if stored_drop != rec.accuracy_drop or stored_flags != rec.sdc_flags:

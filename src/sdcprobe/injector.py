@@ -1,13 +1,13 @@
 """Bit-flip injection and fault-present evaluation.
 
-Weight faults set one bit of a stored parameter to the complement of its
-original value, in place, and removal sets it back, so the model is
-restored bit for bit even when the flip lands on a NaN pattern.  Both
-steps go through pin_weight_bit.  Output faults are never model state:
-forward passes take them as output_faults=, which flip the element in
-every sample; inject refuses them.  A fault set is active exactly for the
-body of a `with faults_active(model, sites)` block, the one way that
-evaluate_with_fault_set and fault-aware training apply a set.
+A `with faults_active(model, sites)` block is the one way to make a fault
+set active, and the set is active exactly for its body; evaluation with a
+fault set and fault-aware training both go through it.  A weight fault
+sets one bit of a stored parameter to the complement of its original
+value, in place, and the block's exit sets it back, so the model is
+restored bit for bit even when the flip lands on a NaN pattern.  Output
+faults are never model state: the block hands them to its forward passes
+as output_faults=, which flip the element in every sample.
 
 A fault at layer L cannot change anything upstream of L.  A PrefixCache
 keeps the clean activations of every layer, chunked exactly as evaluation
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -60,13 +59,6 @@ from .errors import UsageError
 from .fault_model import FaultSite
 from .nnet import ActivationFault, evaluate_detailed, model_checksum
 from .nnet.training import EVAL_BATCH, classify, score
-
-
-@dataclass
-class InjectionHandle:
-    site: FaultSite
-    original_bit: int  # the bit before injection
-    active: bool = True
 
 
 def _site_error(model, site):
@@ -92,52 +84,6 @@ def _check_site(model, site):
     error = _site_error(model, site)
     if error is not None:
         raise UsageError(error)
-
-
-def _split_sites(model, sites):
-    """(weight sites, output faults) of the distinct sites, each checked to
-    name an element of the model; a site listed twice counts once."""
-    sites = list(dict.fromkeys(sites))
-    for site in sites:
-        _check_site(model, site)
-    return ([s for s in sites if s.target_kind == "neuron_weight"],
-            [ActivationFault(s.layer_id, s.element_index, s.bit_index)
-             for s in sites if s.target_kind != "neuron_weight"])
-
-
-def _weight_view(model, site):
-    _check_site(model, site)
-    return model.layers[site.layer_id].weight.data.reshape(-1)
-
-
-def pin_weight_bit(model, site: FaultSite, value: int):
-    """Set the site's bit of its weight's raw float32 pattern to value (0 or
-    1); the other 31 bits are untouched, so this is exact on NaN patterns."""
-    word = _weight_view(model, site).view(np.uint32)
-    mask = np.uint32(1) << np.uint32(site.bit_index)
-    if value:
-        word[site.element_index] |= mask
-    else:
-        word[site.element_index] &= ~mask
-
-
-def inject(model, site: FaultSite) -> InjectionHandle:
-    """Flip one weight site's bit in place; returns the handle that undoes it."""
-    if site.target_kind != "neuron_weight":
-        raise UsageError("an output fault is not injected into the model: pass it to a "
-                         "forward pass as output_faults= or use evaluate_with_fault_set")
-    word = _weight_view(model, site).view(np.uint32)[site.element_index]
-    bit = int(word) >> site.bit_index & 1
-    pin_weight_bit(model, site, 1 - bit)
-    return InjectionHandle(site, bit)
-
-
-def remove(model, handle: InjectionHandle):
-    """Undo an injected weight fault; the model is restored bit-exactly."""
-    if not handle.active:
-        raise UsageError("injection handle was already removed")
-    pin_weight_bit(model, handle.site, handle.original_bit)
-    handle.active = False
 
 
 # Largest set of activations a prefix cache keeps, in bytes: N x (per-sample
@@ -214,12 +160,13 @@ class PrefixCache:
 
         Returns the previous call's cache, outcomes included, when it was
         made for this model object and this dataset object and neither has
-        changed since: same model checksum, dataset hash and layer stack.
+        changed since: same model checksum (which covers the layer stack)
+        and dataset hash.
         Otherwise it builds a new cache and puts it in the slot in place of
         the old one.  The slot holds the model by weak reference and is
         emptied when the model is collected.
         """
-        key = (model_checksum(model), dataset.sha256(), cls._model_signature(model))
+        key = model_checksum(model), dataset.sha256()
         if PrefixCache._slot is not None:
             ref, slot_key, cache = PrefixCache._slot
             if ref() is model and cache.dataset is dataset and slot_key == key:
@@ -473,8 +420,8 @@ def evaluate_with_fault(model, dataset, site: FaultSite,
     """(accuracy, poisoned) on the dataset with one fault active.
 
     Without prefix this is the full-recompute reference,
-    evaluate_with_fault_set of the one site, which removes an injected
-    weight fault even when evaluation raises.  With a PrefixCache that
+    evaluate_with_fault_set of the one site, which restores a weight
+    fault's bit even when evaluation raises.  With a PrefixCache that
     passes check() for this model and dataset, the site is evaluated in a
     stack (PrefixCache.evaluate_stack) that it leads, filled up to
     prefix.stack_size with the first sites of the iterable ahead, in
@@ -502,39 +449,43 @@ def evaluate_with_fault(model, dataset, site: FaultSite,
     return outcomes[0]
 
 
-def inject_set(model, sites) -> list:
-    """Inject a set of weight faults together; duplicates are dropped
-    first, since injecting the same site twice would flip its bit back."""
-    handles = []
-    try:
-        for site in dict.fromkeys(sites):
-            handles.append(inject(model, site))
-    except BaseException:
-        for h in reversed(handles):
-            remove(model, h)
-        raise
-    return handles
-
-
 @contextmanager
 def faults_active(model, sites):
     """Every distinct site in the set active for the with block, which gets
     (output_faults, repin): the output faults to pass to its forward passes,
     and a repin that sets each weight fault's bit again after the block
-    writes the weights (None without weight sites).  The weight faults are
-    removed in reverse order on exit, also when the block raises.
-    """
-    weight_sites, output_faults = _split_sites(model, sites)
-    handles = inject_set(model, weight_sites)
+    writes the weights (None without weight sites).
 
-    def repin():  # optimizers write p.data in place, the buffer forward reads
-        for h in handles:
-            pin_weight_bit(model, h.site, 1 - h.original_bit)
+    On entry every site is checked to name an element of the model, and a
+    site listed twice counts once, since two flips of one bit cancel.  Each
+    weight site's bit is then set to the complement of its original value,
+    and on exit, also when the block raises, set back to that value.  The
+    other 31 bits of the weight are never written, so the restore is exact
+    even on NaN patterns.
+    """
+    sites = list(dict.fromkeys(sites))
+    for site in sites:
+        _check_site(model, site)
+    output_faults = [ActivationFault(s.layer_id, s.element_index, s.bit_index)
+                     for s in sites if s.target_kind != "neuron_weight"]
+    # (flat uint32 view of the weight, element, bit mask, faulted bit) per
+    # weight site; optimizers write p.data in place, so the views stay valid
+    pins = []
+    for s in sites:
+        if s.target_kind == "neuron_weight":
+            words = model.layers[s.layer_id].weight.data.reshape(-1).view(np.uint32)
+            mask = np.uint32(1 << s.bit_index)
+            pins.append((words, s.element_index, mask, ~words[s.element_index] & mask))
+
+    def repin():
+        for words, e, mask, faulted in pins:
+            words[e] = (words[e] & ~mask) | faulted
     try:
-        yield output_faults, repin if handles else None
+        repin()
+        yield output_faults, repin if pins else None
     finally:
-        for h in reversed(handles):
-            remove(model, h)
+        for words, e, mask, faulted in pins:
+            words[e] = (words[e] & ~mask) | (faulted ^ mask)
 
 
 def evaluate_with_fault_set(model, dataset, sites) -> tuple[float, bool]:

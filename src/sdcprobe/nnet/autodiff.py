@@ -31,12 +31,13 @@ def _grad(a):
 class Tensor:
     """A parameter: float32 data plus the gradient of the last backward.
     The data is a private copy, since optimizers and weight faults write
-    into it in place."""
+    into it in place; it is row-major, so that its flat view, through which
+    weight faults are set, is a view and not a copy."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        self.data = np.array(data, dtype=np.float32)
+        self.data = np.array(data, dtype=np.float32, order="C")
         self.grad = None
 
 

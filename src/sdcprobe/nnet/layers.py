@@ -387,11 +387,17 @@ class Model:
 
 
 def model_checksum(model: Model) -> str:
-    """SHA-256 over layer kinds, shapes, and exact parameter bytes."""
+    """SHA-256 over layer kinds, shapes, strides and exact parameter bytes.
+
+    A stride of 1 adds nothing, so checksums from before strides were
+    hashed still hold for the stride-1 models they were made on.
+    """
     h = hashlib.sha256()
     h.update(repr(model.input_shape).encode())
     for layer in model.layers:
         h.update(layer.kind.encode())
+        if getattr(layer, "stride", 1) != 1:
+            h.update(f"stride {layer.stride}".encode())
         w = getattr(layer, "weight", None)
         if w is not None:
             h.update(repr(w.data.shape).encode())

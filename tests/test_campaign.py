@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import threading
 import time
 from pathlib import Path
@@ -438,6 +439,21 @@ class TestPersistence:
         cells[-1] = "1" if cells[-1] == "0" else "0"
         path.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
         with pytest.raises(DataIntegrityError):
+            load_records(path)
+
+    @pytest.mark.parametrize("column, cell", [
+        (10, "7"), (10, " 1 "), (10, "-0"), (-1, "+1")])
+    def test_a_flag_other_than_0_or_1_rejected(self, tmp_path, column, cell):
+        """poisoned and sdc_* cells hold 0 or 1, as save_records writes
+        them; anything else int() would take is refused with file:line."""
+        path = tmp_path / "records.csv"
+        save_records(synthetic_records([0.3, 0.0]), THRESH5, path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+        with pytest.raises(DataFormatError,
+                           match=r"records\.csv:3: .*0 or 1, got " + re.escape(repr(cell))):
             load_records(path)
 
     def test_save_refuses_an_off_grid_threshold_before_writing(self, tmp_path):

@@ -11,7 +11,7 @@ from sdcprobe.errors import ConfigError, DataFormatError, UsageError
 from sdcprobe.fault_model import (FaultSite, SamplerConfig, all_codes, build_alias_table,
                                   build_sampler, enumerate_sites, load_fault_csv,
                                   parse_code, save_fault_csv)
-from sdcprobe.nnet import Flatten, Linear, Model, build_mlp, model_checksum
+from sdcprobe.nnet import Conv2d, Flatten, Linear, Model, build_mlp, model_checksum
 
 
 def tiny_weight_model(values):
@@ -194,6 +194,19 @@ class TestNeuronStage:
                               model_checksum="not-this-model")
         with pytest.raises(ConfigError, match="checksum"):
             build_sampler(SamplerConfig(code="RBINw"), attr, model)
+
+
+    def test_map_of_another_conv_stride_rejected(self):
+        """The same weights at stride 1 and 2 give outputs of other shapes,
+        so an attribution map made on one does not fit the other."""
+        w = np.random.default_rng(0).normal(size=(2, 1, 3, 3)).astype(np.float32)
+        strided = [Model([Conv2d(w, None, stride=s)], (1, 7, 7)) for s in (1, 2)]
+        assert [m.output_shapes() for m in strided] == [[(2, 5, 5)], [(2, 3, 3)]]
+        assert model_checksum(strided[0]) != model_checksum(strided[1])
+        attr = attribution_for(strided[0], "neuron_weight", {0: np.ones(18)})
+        build_sampler(SamplerConfig(code="RBINw"), attr, strided[0])
+        with pytest.raises(ConfigError, match="checksum"):
+            build_sampler(SamplerConfig(code="RBINw"), attr, strided[1])
 
 
 class TestBitStage:

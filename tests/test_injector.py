@@ -7,8 +7,7 @@ from sdcprobe.data import Dataset, synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError, UsageError
 from sdcprobe.fat import FatConfig, fat_train
 from sdcprobe.fault_model import FaultSite
-from sdcprobe.injector import (evaluate_with_fault, evaluate_with_fault_set, inject,
-                               inject_set, remove)
+from sdcprobe.injector import evaluate_with_fault, evaluate_with_fault_set, faults_active
 from sdcprobe.nnet import (ActivationFault, Flatten, Linear, Model, Relu, build_cnn,
                            build_mlp, evaluate_detailed, model_checksum, train)
 
@@ -34,16 +33,26 @@ class TestWeightInjection:
     def test_flip_changes_exactly_one_bit(self):
         model = identity_model()
         before = model.layers[1].weight.data.copy().view(np.uint32).reshape(-1)
-        inject(model, FaultSite(1, "neuron_weight", 2, 7))
-        after = model.layers[1].weight.data.view(np.uint32).reshape(-1)
-        diff = before ^ after
+        with faults_active(model, [FaultSite(1, "neuron_weight", 2, 7)]):
+            after = model.layers[1].weight.data.view(np.uint32).reshape(-1)
+            diff = before ^ after
         assert diff[2] == np.uint32(1 << 7)
         assert (np.delete(diff, 2) == 0).all()
 
+    def test_a_column_major_weight_takes_the_fault(self):
+        """Element e is the e-th weight in row-major order, also when the
+        layer was built from a column-major array."""
+        w = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
+        model = Model([Flatten(), Linear(w, np.zeros(2, dtype=np.float32))],
+                      input_shape=(1, 1, 2))
+        with faults_active(model, [FaultSite(1, "neuron_weight", 1, 31)]):
+            assert model.layers[1].weight.data[0, 1] == -2.0
+        assert model.layers[1].weight.data[0, 1] == 2.0
+
     def test_remove_restores_bit_exactly(self):
-        """Inject and remove over a thousand random sites leaves the
-        checksum untouched, including flips landing on sign, exponent, and
-        NaN-producing patterns."""
+        """Entering and leaving a block over a thousand random sites leaves
+        the checksum untouched, including flips landing on sign, exponent,
+        and NaN-producing patterns."""
         model = build_mlp((1, 1, 6), [8], 3, seed=0)
         baseline = model_checksum(model)
         rng = np.random.default_rng(42)
@@ -53,8 +62,8 @@ class TestWeightInjection:
             size = model.layers[lid].weight.data.size
             site = FaultSite(lid, "neuron_weight",
                              int(rng.integers(size)), int(rng.integers(32)))
-            handle = inject(model, site)
-            remove(model, handle)
+            with faults_active(model, [site]):
+                assert model_checksum(model) != baseline
         assert model_checksum(model) == baseline
 
     def test_involution_through_nan_pattern(self):
@@ -64,35 +73,38 @@ class TestWeightInjection:
         model = Model([Flatten(), Linear(w, np.zeros(1, dtype=np.float32))],
                       input_shape=(1, 1, 2))
         before = model.layers[1].weight.data.copy().view(np.uint32).reshape(-1)
-        site = FaultSite(1, "neuron_weight", 0, 3)
-        handle = inject(model, site)
-        assert np.isnan(model.layers[1].weight.data[0, 0])
-        remove(model, handle)
+        with faults_active(model, [FaultSite(1, "neuron_weight", 0, 3)]):
+            assert np.isnan(model.layers[1].weight.data[0, 0])
         after = model.layers[1].weight.data.view(np.uint32).reshape(-1)
         assert (before == after).all()
 
     def test_exponent_flip_on_one_gives_inf(self):
         """Weight 1.0 with bit 30 flipped is exactly +inf (0x7F800000)."""
         model = identity_model()
-        inject(model, FaultSite(1, "neuron_weight", 0, 30))
-        assert np.isposinf(model.layers[1].weight.data[0, 0])
+        with faults_active(model, [FaultSite(1, "neuron_weight", 0, 30)]):
+            assert np.isposinf(model.layers[1].weight.data[0, 0])
 
-    def test_double_remove_rejected(self):
+    def test_exit_sets_the_bit_from_before_the_block(self):
+        """Exit sets the site's bit back to its value before the block even
+        when the block wrote the weight and did not repin."""
         model = identity_model()
-        handle = inject(model, FaultSite(1, "neuron_weight", 0, 1))
-        remove(model, handle)
-        assert not handle.active
-        with pytest.raises(UsageError, match="already removed"):
-            remove(model, handle)
+        w = model.layers[1].weight.data
+        with faults_active(model, [FaultSite(1, "neuron_weight", 0, 30)]):
+            w[0, 0] = 0.5  # bit 30 clear, as in 1.0 before the block
+        assert w[0, 0] == 0.5
 
     def test_site_bounds_checked(self):
+        """A bad site anywhere in the set is refused before any bit is set."""
         model = identity_model()
-        with pytest.raises(UsageError):
-            inject(model, FaultSite(0, "neuron_weight", 0, 0))  # flatten
-        with pytest.raises(UsageError):
-            inject(model, FaultSite(1, "neuron_weight", 4, 0))
-        with pytest.raises(UsageError):
-            inject(model, FaultSite(9, "neuron_weight", 0, 0))
+        baseline = model_checksum(model)
+        good = FaultSite(1, "neuron_weight", 0, 30)
+        for bad in (FaultSite(0, "neuron_weight", 0, 0),    # flatten
+                    FaultSite(1, "neuron_weight", 4, 0),    # no fifth weight
+                    FaultSite(9, "neuron_weight", 0, 0)):   # no tenth layer
+            with pytest.raises(UsageError):
+                with faults_active(model, [good, bad]):
+                    pass
+            assert model_checksum(model) == baseline
 
 
 class TestOutputInjection:
@@ -136,16 +148,16 @@ class TestOutputInjection:
             evaluate_with_fault_set(model, two_class_dataset(),
                                     [FaultSite(1, "neuron_output", 2, 0)])
 
-    def test_inject_refuses_an_output_site(self):
+    def test_an_output_site_is_never_model_state(self):
+        """Inside the block an output site is one of the output faults it
+        hands out; the model's bits and attributes stay as they were."""
         model = identity_model()
         baseline = model_checksum(model)
-        with pytest.raises(UsageError, match="output_faults=.*evaluate_with_fault_set"):
-            inject(model, FaultSite(1, "neuron_output", 0, 30))
-        with pytest.raises(UsageError, match="output_faults="):
-            inject_set(model, [FaultSite(1, "neuron_weight", 0, 30),
-                               FaultSite(1, "neuron_output", 0, 30)])
-        assert model_checksum(model) == baseline
-        assert set(vars(model)) == MODEL_STATE
+        site = FaultSite(1, "neuron_output", 0, 30)
+        with faults_active(model, [site]) as (faults, repin):
+            assert faults == [ActivationFault(1, 0, 30)] and repin is None
+            assert model_checksum(model) == baseline
+            assert set(vars(model)) == MODEL_STATE
 
     @pytest.mark.parametrize("kind", ["neuron_weight", "neuron_output"])
     def test_a_site_listed_twice_counts_once(self, kind):

@@ -22,7 +22,7 @@ from sdcprobe.data import Dataset, synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError, UsageError
 from sdcprobe.fault_model import FaultSite
 from sdcprobe import injector
-from sdcprobe.injector import PrefixCache, evaluate_with_fault, inject, remove
+from sdcprobe.injector import PrefixCache, evaluate_with_fault, faults_active
 from sdcprobe.nnet import build_cnn, build_mlp, evaluate_detailed, model_checksum, train
 from sdcprobe.nnet.training import EVAL_BATCH
 
@@ -188,13 +188,12 @@ class TestMatchesFullRecompute:
         layer and the same site again, which flips the bit back."""
         model, dataset, _ = cnn_case
         replica = model.copy()
-        handle = inject(replica, FaultSite(2, "neuron_weight", 5, 29))
-        cache = PrefixCache(replica, dataset)
-        assert cache.baseline == evaluate_detailed(replica, dataset)
-        _assert_same(replica, dataset, cache, data.draw(sites(replica)))
-        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 5, 29))
-        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 6, 30))
-        remove(replica, handle)
+        with faults_active(replica, [FaultSite(2, "neuron_weight", 5, 29)]):
+            cache = PrefixCache(replica, dataset)
+            assert cache.baseline == evaluate_detailed(replica, dataset)
+            _assert_same(replica, dataset, cache, data.draw(sites(replica)))
+            _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 5, 29))
+            _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 6, 30))
 
     def test_cache_is_read_only(self, cnn_case):
         _, _, cache = cnn_case
@@ -313,14 +312,13 @@ class TestStackedEvaluation:
         others."""
         model, dataset, _ = cnn_case
         replica = model.copy()
-        handle = inject(replica, FaultSite(2, "neuron_weight", 5, 29))
-        cache = _over_budget(replica, dataset) if over else PrefixCache(replica, dataset)
-        _assert_stack_same(replica, dataset, cache, [
-            FaultSite(2, "neuron_weight", 5, 29), FaultSite(2, "neuron_weight", 6, 30),
-            FaultSite(2, "neuron_weight", 5, 31)][:cache.stack_size])
-        _assert_stack_same(replica, dataset, cache,
-                           data.draw(stacks(replica, cache.stack_size)))
-        remove(replica, handle)
+        with faults_active(replica, [FaultSite(2, "neuron_weight", 5, 29)]):
+            cache = _over_budget(replica, dataset) if over else PrefixCache(replica, dataset)
+            _assert_stack_same(replica, dataset, cache, [
+                FaultSite(2, "neuron_weight", 5, 29), FaultSite(2, "neuron_weight", 6, 30),
+                FaultSite(2, "neuron_weight", 5, 31)][:cache.stack_size])
+            _assert_stack_same(replica, dataset, cache,
+                               data.draw(stacks(replica, cache.stack_size)))
 
     def test_a_bad_site_ahead_is_left_out(self, mlp_case):
         """Sites ahead that name no element, or sit on another layer or
@@ -405,13 +403,12 @@ class TestByteBudget:
         the same site again."""
         model, dataset, _ = cnn_case
         replica = model.copy()
-        handle = inject(replica, FaultSite(2, "neuron_weight", 5, 29))
-        cache = _over_budget(replica, dataset)
-        assert cache.baseline == evaluate_detailed(replica, dataset)
-        _assert_same(replica, dataset, cache, data.draw(sites(replica)))
-        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 5, 29))
-        _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 6, 30))
-        remove(replica, handle)
+        with faults_active(replica, [FaultSite(2, "neuron_weight", 5, 29)]):
+            cache = _over_budget(replica, dataset)
+            assert cache.baseline == evaluate_detailed(replica, dataset)
+            _assert_same(replica, dataset, cache, data.draw(sites(replica)))
+            _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 5, 29))
+            _assert_same(replica, dataset, cache, FaultSite(2, "neuron_weight", 6, 30))
 
     def test_over_budget_build_holds_one_chunk_of_activations(self, mlp_case):
         """Building over budget on 3000 rows (12 chunks) never holds half of
@@ -529,7 +526,8 @@ def _image_changed(model, dataset):
 
 
 def _weight_fault_injected(model, dataset):
-    inject(model, FaultSite(1, "neuron_weight", 0, 30))
+    """Bit 30 of a weight set in place, as a faults_active block sets it."""
+    model.layers[1].weight.data.reshape(-1).view(np.uint32)[0] ^= np.uint32(1 << 30)
     return model, dataset
 
 
