@@ -375,6 +375,17 @@ def _flag(cell):
     return cell == "1"
 
 
+def _number(cell, kind=int):
+    """The int or float a cell holds, refused unless the cell is exactly
+    what save_records writes for that value; int() and float() also take
+    _, whitespace, a + and other spellings, which a resume would rewrite."""
+    value = kind(cell)
+    if repr(value) != cell:
+        raise ValueError(f"{cell!r} is not how save_records writes the {kind.__name__} "
+                         f"{value!r}")
+    return value
+
+
 def load_records(path):
     """Parse a records CSV; returns (records, thresholds).
 
@@ -405,11 +416,11 @@ def load_records(path):
             raise DataFormatError(f"{path}:{lineno}: expected {len(names)} cells, "
                                   f"got {len(cells)}")
         try:
-            site = FaultSite(int(cells[3]), cells[4], int(cells[5]), int(cells[6]))
-            rec = make_record(cells[0], int(cells[1]), int(cells[2]), site,
-                              float(cells[7]), float(cells[8]), _flag(cells[10]),
-                              int(cells[11]), thresholds)
-            stored_drop = float(cells[9])
+            site = FaultSite(_number(cells[3]), cells[4], _number(cells[5]), _number(cells[6]))
+            rec = make_record(cells[0], _number(cells[1]), _number(cells[2]), site,
+                              _number(cells[7], float), _number(cells[8], float),
+                              _flag(cells[10]), _number(cells[11]), thresholds)
+            stored_drop = _number(cells[9], float)
             stored_flags = tuple(_flag(c) for c in cells[12:])
         except (ValueError, UsageError) as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc

@@ -2,10 +2,10 @@
 
 fat_train warms a model up clean, draws the first few faults from the
 configured sampler, then keeps training with those faults active so the
-network learns to route around them.  Each FAT epoch trains inside one
-faults_active block, whose repin holds the weight faults through every
-optimizer step; output faults reach every forward pass.  Between epochs
-the model holds no fault, and the latency runs measure it as it stands.
+network learns to route around them.  Each FAT epoch is one train call
+given those faults, which re-pins the weight faults after every step and
+passes the output faults to every forward pass.  Between epochs the model
+holds no fault, and the latency runs measure it as it stands.
 
 The latency metric asks how many fault evaluations (draws) a sampler needs
 before hitting k critical faults in a row; importance-guided samplers find
@@ -28,8 +28,7 @@ from .campaign import DEFAULT_THRESHOLDS, json_fields
 from .errors import ConfigError
 from .fault_model import SamplerConfig, build_sampler, parse_code
 from .fileio import atomic_write
-from .injector import (PrefixCache, evaluate_with_fault, evaluate_with_fault_set,
-                       faults_active)
+from .injector import PrefixCache, evaluate_with_fault, evaluate_with_fault_set
 from .nnet import evaluate_detailed, train
 from .nnet.training import EVAL_BATCH
 
@@ -252,9 +251,7 @@ def fat_train(model, train_set, test_set, config: FatConfig):
     fat_log = []
     latency: dict = {}
     for epoch in range(config.fat_epochs):
-        with faults_active(model, trained_sites) as (output_faults, repin):
-            fat_log.extend(fit(model, 1, config.seed + 1 + epoch, on_nonfinite="skip",
-                               post_step=repin, output_faults=output_faults))
+        fat_log.extend(fit(model, 1, config.seed + 1 + epoch, faults=trained_sites))
         for sim in range(config.simulations_per_epoch):
             sim_seed = config.seed + 1000 * (epoch + 1) + sim
             for code in (config.code, config.adversary_code):

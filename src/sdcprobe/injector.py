@@ -1,13 +1,13 @@
 """Bit-flip injection and fault-present evaluation.
 
-A `with faults_active(model, sites)` block is the one way to make a fault
-set active, and the set is active exactly for its body; evaluation with a
-fault set and fault-aware training both go through it.  A weight fault
-sets one bit of a stored parameter to the complement of its original
-value, in place, and the block's exit sets it back, so the model is
-restored bit for bit even when the flip lands on a NaN pattern.  Output
-faults are never model state: the block hands them to its forward passes
-as output_faults=, which flip the element in every sample.
+nnet.faults_active(model, sites) is the one way to make a fault set
+active, exactly for its with block; evaluate_with_fault_set and
+train(..., faults=) both open one.  A weight fault sets one bit of a
+stored parameter to the complement of its original value, in place, and
+the block's exit sets it back, so the model is restored bit for bit even
+when the flip lands on a NaN pattern.  Output faults are never model
+state: the block hands them to its forward passes as output_faults=,
+which flip the element in every sample.
 
 A fault at layer L cannot change anything upstream of L.  A PrefixCache
 keeps the clean activations of every layer, chunked exactly as evaluation
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from contextlib import contextmanager
 from itertools import compress
 
 import numpy as np
@@ -57,33 +56,8 @@ import numpy as np
 from .bitfloat import xor_bits
 from .errors import UsageError
 from .fault_model import FaultSite
-from .nnet import ActivationFault, evaluate_detailed, model_checksum
+from .nnet import check_site, evaluate_detailed, faults_active, model_checksum, site_error
 from .nnet.training import EVAL_BATCH, classify, score
-
-
-def _site_error(model, site):
-    """Why the site names no element of the model, or None if it does."""
-    lid, element = site.layer_id, site.element_index
-    if not 0 <= lid < len(model.layers):
-        return f"layer id {lid} out of range"
-    if site.target_kind == "neuron_weight":
-        layer = model.layers[lid]
-        weight = getattr(layer, "weight", None)
-        if weight is None:
-            return f"layer {lid} ({layer.kind}) has no weights"
-        if not 0 <= element < weight.data.size:
-            return f"element {element} out of range for layer {lid} ({weight.data.size} weights)"
-    else:
-        size = math.prod(model.in_shapes[lid + 1])
-        if not 0 <= element < size:
-            return f"element {element} out of range for layer {lid} outputs ({size} elements)"
-    return None
-
-
-def _check_site(model, site):
-    error = _site_error(model, site)
-    if error is not None:
-        raise UsageError(error)
 
 
 # Largest set of activations a prefix cache keeps, in bytes: N x (per-sample
@@ -276,7 +250,7 @@ class PrefixCache:
         by_layer: dict[int, dict[FaultSite, None]] = {}
         for site in sites:
             if (site.target_kind != "neuron_weight" and site not in self.outcomes
-                    and _site_error(model, site) is None):
+                    and site_error(model, site) is None):
                 by_layer.setdefault(site.layer_id, {})[site] = None
         missing = [lid for lid in by_layer if lid not in self._tolerances]
         if missing:
@@ -435,57 +409,18 @@ def evaluate_with_fault(model, dataset, site: FaultSite,
     if prefix is None:
         return evaluate_with_fault_set(model, dataset, [site])
     prefix.check(model, dataset)
-    _check_site(model, site)
+    check_site(model, site)
     stack = {site: None}
     for other in ahead:
         if len(stack) >= prefix.stack_size:
             break
         if (other.layer_id == site.layer_id and other.target_kind == site.target_kind
                 and other not in stack and other not in prefix.outcomes
-                and _site_error(model, other) is None):
+                and site_error(model, other) is None):
             stack[other] = None
     outcomes = prefix.evaluate_stack(model, list(stack))
     prefix.outcomes.update(zip(stack, outcomes))
     return outcomes[0]
-
-
-@contextmanager
-def faults_active(model, sites):
-    """Every distinct site in the set active for the with block, which gets
-    (output_faults, repin): the output faults to pass to its forward passes,
-    and a repin that sets each weight fault's bit again after the block
-    writes the weights (None without weight sites).
-
-    On entry every site is checked to name an element of the model, and a
-    site listed twice counts once, since two flips of one bit cancel.  Each
-    weight site's bit is then set to the complement of its original value,
-    and on exit, also when the block raises, set back to that value.  The
-    other 31 bits of the weight are never written, so the restore is exact
-    even on NaN patterns.
-    """
-    sites = list(dict.fromkeys(sites))
-    for site in sites:
-        _check_site(model, site)
-    output_faults = [ActivationFault(s.layer_id, s.element_index, s.bit_index)
-                     for s in sites if s.target_kind != "neuron_weight"]
-    # (flat uint32 view of the weight, element, bit mask, faulted bit) per
-    # weight site; optimizers write p.data in place, so the views stay valid
-    pins = []
-    for s in sites:
-        if s.target_kind == "neuron_weight":
-            words = model.layers[s.layer_id].weight.data.reshape(-1).view(np.uint32)
-            mask = np.uint32(1 << s.bit_index)
-            pins.append((words, s.element_index, mask, ~words[s.element_index] & mask))
-
-    def repin():
-        for words, e, mask, faulted in pins:
-            words[e] = (words[e] & ~mask) | faulted
-    try:
-        repin()
-        yield output_faults, repin if pins else None
-    finally:
-        for words, e, mask, faulted in pins:
-            words[e] = (words[e] & ~mask) | (faulted ^ mask)
 
 
 def evaluate_with_fault_set(model, dataset, sites) -> tuple[float, bool]:

@@ -11,11 +11,13 @@ a ComputationGraph, whose backward() serves training and attribution.
 Both honor activation faults (a bit flipped in one element of a layer's
 output, in every sample) through one helper, patch_outputs(), a single
 XOR of a mask row (bitfloat.xor_bits, which the injector's fault stacks
-also use).  backward(..., params=False) skips the
-parameter gradients, for passes that want only the gradients of the layer
-outputs.  Each layer's jvp(x, t) maps the tangent t of its input x to the
-tangent of its output; Model.jvp() chains them over activations recorded
-by a forward pass, which conductance uses.
+also use); faults_active() hands a fault set's output faults to a with
+block and holds its weight faults' bits set in place for the block.
+backward(..., params=False) skips the parameter gradients, for passes
+that want only the gradients of the layer outputs.  Each layer's
+jvp(x, t) maps the tangent t of its input x to the tangent of its
+output; Model.jvp() chains them over activations recorded by a forward
+pass, which conductance uses.
 
 apply() is resumable: with start=L its input is the input of layer L (the
 output of layer L-1), and only layers L.. run.  Since a layer's arithmetic
@@ -34,6 +36,7 @@ import copy
 import hashlib
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +50,8 @@ from .autodiff import ComputationGraph, Tensor, _col2im, _f64, _grad, _im2col
 # at this lookup site, so it stays a name of the module
 __all__ = [
     "ActivationFault", "Conv2d", "Flatten", "Linear", "Model", "Relu", "build_cnn",
-    "build_mlp", "flip_bit_many", "load_checkpoint", "model_checksum", "patch_outputs",
-    "save_checkpoint",
+    "build_mlp", "check_site", "faults_active", "flip_bit_many", "load_checkpoint",
+    "model_checksum", "patch_outputs", "save_checkpoint", "site_error",
 ]
 
 
@@ -74,6 +77,68 @@ def patch_outputs(x, faults):
                              f"[0, {mask.size}) at layer {f.layer_id}")
         mask[f.element_index] ^= bit_mask(f.bit_index)
     return xor_bits(flat, mask).reshape(x.shape)
+
+
+def site_error(model, site):
+    """Why a fault site (layer_id, target_kind, element_index) names no
+    element of the model, or None if it does."""
+    lid, element = site.layer_id, site.element_index
+    if not 0 <= lid < len(model.layers):
+        return f"layer id {lid} out of range"
+    if site.target_kind == "neuron_weight":
+        layer = model.layers[lid]
+        if getattr(layer, "weight", None) is None:
+            return f"layer {lid} ({layer.kind}) has no weights"
+        size, what = layer.weight.data.size, "weights"
+    else:
+        size, what = math.prod(model.in_shapes[lid + 1]), "output elements"
+    if not 0 <= element < size:
+        return f"element {element} out of range for layer {lid} ({size} {what})"
+    return None
+
+
+def check_site(model, site):
+    """Raise UsageError unless the site names an element of the model."""
+    error = site_error(model, site)
+    if error is not None:
+        raise UsageError(error)
+
+
+@contextmanager
+def faults_active(model, sites):
+    """Every distinct site in the set active for the with block, which gets
+    (output_faults, repin): the output faults to pass to its forward passes,
+    and a repin that sets each weight fault's bit again after the block
+    writes the weights (None without weight sites).
+
+    On entry every site is checked to name an element of the model, and a
+    site listed twice counts once, since two flips of one bit cancel.  Each
+    weight site's bit is then set to the complement of its original value,
+    and on exit, also when the block raises, set back to that value.  The
+    other 31 bits of the weight are never written, so the restore is exact
+    even on NaN patterns.
+    """
+    # pins: (flat uint32 view of the weight, element, bit mask, faulted bit)
+    # per weight site; optimizers write p.data in place, so the views stay valid
+    output_faults, pins = [], []
+    for s in dict.fromkeys(sites):
+        check_site(model, s)
+        if s.target_kind != "neuron_weight":
+            output_faults.append(ActivationFault(s.layer_id, s.element_index, s.bit_index))
+        else:
+            words = model.layers[s.layer_id].weight.data.reshape(-1).view(np.uint32)
+            mask = np.uint32(1 << s.bit_index)
+            pins.append((words, s.element_index, mask, ~words[s.element_index] & mask))
+
+    def repin():
+        for words, e, mask, faulted in pins:
+            words[e] = (words[e] & ~mask) | faulted
+    try:
+        repin()
+        yield output_faults, repin if pins else None
+    finally:
+        for words, e, mask, faulted in pins:
+            words[e] = (words[e] & ~mask) | (faulted ^ mask)
 
 
 class _Weighted:
@@ -163,26 +228,28 @@ class Linear(_Weighted):
             raise ConfigError(f"linear weight {self.weight.data.shape} incompatible with input {in_shape}")
         return (o,)
 
-    def forward(self, x):
-        x64, w64 = _f64(x), _f64(self.weight.data)
-        y = x64 @ w64.T
-        if self.bias is not None:
+    def _product(self, x, variants=1, weights=None, bias=True):
+        """(outputs, backward cache) of x: x @ W.T in float64, rounded once.
+        For x holding `variants` batches stacked along its rows, [K*N, I],
+        or for one batch x and a [K,O,I] stack of weights, the variant axis
+        stays separate: variant k is its own [N,I] @ [I,O] product, the BLAS
+        call a single pass makes.  Folding the K batches into one [K*N, I]
+        product rounds some float64 rows differently.  A stack's outputs
+        come as [K, N, O]."""
+        x64, w64 = _f64(x), _f64(self.weight.data if weights is None else weights)
+        if variants > 1:  # a reshape would add ~1 µs to every batch-1 call
+            x64 = x64.reshape(variants, -1, x.shape[1])
+        y = x64 @ w64.swapaxes(-1, -2)
+        if bias and self.bias is not None:
             y += _f64(self.bias.data)
         return y.astype(np.float32), (x64, w64)
 
+    def forward(self, x):
+        return self._product(x)
+
     def apply(self, x, variants=1, weights=None):
-        """forward's output, for x holding `variants` batches stacked along
-        its rows, [K*N, I], or for one batch x and a [K,O,I] stack of
-        weights standing in for the layer's weight.  The variant axis stays
-        separate: variant k is its own [N,I] @ [I,O] product, the BLAS call
-        forward makes.  Folding the K batches into one [K*N, I] product
-        rounds some float64 rows differently.  Returns the K outputs
-        stacked, [K*N, O]."""
-        w = self.weight.data if weights is None else weights
-        y = _f64(x).reshape(variants, -1, x.shape[1]) @ _f64(w).swapaxes(-1, -2)
-        if self.bias is not None:
-            y += _f64(self.bias.data)
-        return y.astype(np.float32).reshape(-1, y.shape[-1])
+        """forward's output for a stack of variants (see _product), [K*N, O]."""
+        return self._product(x, variants, weights)[0].reshape(-1, len(self.weight.data))
 
     def backward(self, g, cache, need_gx, params=True):
         x64, w64 = cache
@@ -196,7 +263,7 @@ class Linear(_Weighted):
         return gx, pgrads
 
     def jvp(self, x, t):
-        return (_f64(t) @ _f64(self.weight.data).T).astype(np.float32)
+        return self._product(t, bias=False)[0]
 
 
 class Relu:

@@ -4,7 +4,7 @@ Evaluation tolerates non-finite activations: a sample whose logits contain
 NaN cannot be compared meaningfully, so its prediction resolves to class 0
 and the batch is marked poisoned.  Training, by contrast, treats any
 non-finite loss or parameter as divergence and aborts, unless it runs
-guarded (fault-active training), where such a batch is skipped.
+with faults active (train(..., faults=)), where such a batch is skipped.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import TrainingDivergedError, UsageError
 from .autodiff import ComputationGraph, softmax_cross_entropy
+from .layers import faults_active
 
 EVAL_BATCH = 256
 
@@ -161,59 +162,53 @@ def train_step(model, xb, yb, optimizer, guarded=False, output_faults=()):
 
 
 def train(model, train_set, *, epochs, batch_size, lr, optimizer="adam",
-          seed=0, eval_set=None, on_nonfinite="raise", post_step=None, output_faults=()):
+          seed=0, eval_set=None, faults=()):
     """Train in place; returns per-epoch accuracy on eval_set (or train_set).
 
     Deterministic given seed: init is the caller's, shuffle order comes from
     one generator seeded here.  epochs=0 leaves the model untouched.
 
-    on_nonfinite="skip" drops any batch whose loss or gradients are
-    non-finite instead of aborting; an epoch where every batch is dropped
-    still counts as divergence.  The skip mode exists for training with
-    faults active, where the faulted parameter values themselves may be
-    non-finite, so the end-of-epoch parameter check only runs in raise
-    mode.  post_step, when given, runs after every applied optimizer step
-    (e.g. to re-apply persistent weight faults).  output_faults are applied
-    in every forward pass, the per-epoch evaluation included.
+    faults is a set of fault sites kept active for the whole run, inside
+    one faults_active block: the output faults reach every forward pass,
+    the per-epoch evaluation included, and each weight fault's bit is set
+    again after every applied step.  With a fault active, training runs
+    guarded: a batch whose loss or gradients are non-finite is skipped,
+    since the faulted values themselves may be non-finite, and only an
+    epoch where every batch is skipped counts as divergence.  Without
+    faults, a non-finite loss or parameter aborts.
     """
     if len(train_set.labels) == 0:
         raise UsageError("cannot train on an empty dataset")
     if epochs < 0 or batch_size < 1 or not 0 < lr < math.inf or seed < 0:  # NaN lr too
         raise UsageError(f"training needs epochs >= 0, batch_size >= 1, a finite lr > 0 and "
                          f"seed >= 0; got {epochs}, {batch_size}, {lr} and {seed}")
-    if on_nonfinite not in ("raise", "skip"):
-        raise UsageError(f"on_nonfinite must be 'raise' or 'skip', got {on_nonfinite!r}")
     classes = model.output_shapes()[-1][0]
     if train_set.labels.min() < 0 or train_set.labels.max() >= classes:
         raise UsageError(f"labels out of range for {classes} classes")
     opt = make_optimizer(optimizer, model.parameters(), lr)
-    skip = on_nonfinite == "skip"
     rng = np.random.default_rng(seed)
     n = len(train_set.labels)
     log = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        any_step = False
-        for lo in range(0, n, batch_size):
-            idx = order[lo:lo + batch_size]
-            xb, yb = train_set.images[idx], train_set.labels[idx]
-            loss, stepped = train_step(model, xb, yb, opt, skip, output_faults)
-            if not skip and not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss} at epoch {epoch} batch {lo // batch_size}")
-            if stepped:
-                any_step = True
-                if post_step is not None:
-                    post_step()
-        if skip:
-            if not any_step:
-                raise TrainingDivergedError(
-                    f"every batch of epoch {epoch} was skipped on non-finite loss "
-                    "or gradients")
-        else:
-            for p in model.parameters():
-                if not np.isfinite(p.data).all():
-                    raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
-        log.append(evaluate_detailed(model, eval_set if eval_set is not None else train_set,
-                                     output_faults)[0])
+    with faults_active(model, faults) as (output_faults, repin):
+        guarded = bool(output_faults) or repin is not None
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            any_step = False
+            for lo in range(0, n, batch_size):
+                idx = order[lo:lo + batch_size]
+                xb, yb = train_set.images[idx], train_set.labels[idx]
+                loss, stepped = train_step(model, xb, yb, opt, guarded, output_faults)
+                if not guarded and not math.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {loss} at epoch {epoch} batch {lo // batch_size}")
+                any_step |= stepped
+                if stepped and repin is not None:
+                    repin()
+            if guarded and not any_step:
+                raise TrainingDivergedError(f"every batch of epoch {epoch} was skipped on "
+                                            "non-finite loss or gradients")
+            if not guarded and not all(np.isfinite(p.data).all() for p in model.parameters()):
+                raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
+            log.append(evaluate_detailed(model, eval_set if eval_set is not None else train_set,
+                                         output_faults)[0])
     return log

@@ -456,6 +456,25 @@ class TestPersistence:
                            match=r"records\.csv:3: .*0 or 1, got " + re.escape(repr(cell))):
             load_records(path)
 
+    @pytest.mark.parametrize("column, cell, kind", [
+        (2, "1_0", "int"), (5, " +0 ", "int"), (11, "0_5", "int"), (1, "١", "int"),
+        (2, "01", "int"), (8, "0_0.5", "float"), (8, " 0.5", "float"), (7, "+1.0", "float"),
+        (8, "1.00", "float")])
+    def test_a_number_in_a_form_save_records_never_writes_rejected(self, tmp_path, column,
+                                                                   cell, kind):
+        """A number cell must read exactly as save_records writes its value:
+        int() and float() would take each of these cells, and a resume
+        would silently rewrite it."""
+        path = tmp_path / "records.csv"
+        save_records(synthetic_records([0.3, 0.0]), THRESH5, path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+        with pytest.raises(DataFormatError, match=r"records\.csv:3: "
+                           + re.escape(f"{cell!r} is not how save_records writes the {kind}")):
+            load_records(path)
+
     def test_save_refuses_an_off_grid_threshold_before_writing(self, tmp_path):
         """0.006 would be written as sdc_001, whose reloaded flags then
         disagree with the stored accuracies."""

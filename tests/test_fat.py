@@ -13,6 +13,7 @@ from sdcprobe.fault_model import FaultSite, parse_code
 from sdcprobe.injector import faults_active
 from sdcprobe.nnet import (Flatten, Linear, Model, Sgd, build_mlp, evaluate_detailed,
                            model_checksum, train)
+from sdcprobe.nnet import training
 from sdcprobe.nnet.training import train_step
 from sdcprobe.data import Dataset
 
@@ -292,25 +293,24 @@ class TestFatTrain:
         assert loaded["trained_fault_sites"][0]["target_kind"] == "neuron_output"
 
     def test_weight_faults_stay_pinned_through_fat(self, monkeypatch):
-        """Weight codes: after every optimizer step each trained fault holds
-        its faulted bit, the latency runs between epochs see the bit the
-        weight had at injection, and so does the model fat_train returns."""
+        """Weight codes: before every guarded training step, so after the
+        step before it, each trained fault holds its faulted bit, the
+        latency runs between epochs see the bit the weight had at
+        injection, and so does the model fat_train returns."""
         import sdcprobe.fat as fat_mod
-        real_train, real_latency = fat_mod.train, fat_mod.measure_latency_to_critical
+        real_step, real_latency = training.train_step, fat_mod.measure_latency_to_critical
         stepped, snapshots = [], []
 
-        def spy_train(model, *args, post_step=None, **kwargs):
-            def post():
-                post_step()
+        def spy_step(model, xb, yb, optimizer, guarded, output_faults):
+            if guarded:  # a FAT step; warm-up and twin steps are not guarded
                 stepped.append(model.copy())
-            return real_train(model, *args, post_step=post if post_step else None,
-                              **kwargs)
+            return real_step(model, xb, yb, optimizer, guarded, output_faults)
 
         def spy_latency(model, *args, **kwargs):
             snapshots.append(model.copy())
             return real_latency(model, *args, **kwargs)
 
-        monkeypatch.setattr(fat_mod, "train", spy_train)
+        monkeypatch.setattr(training, "train_step", spy_step)
         monkeypatch.setattr(fat_mod, "measure_latency_to_critical", spy_latency)
         train_set, test_set = blob_splits()
         cfg = self.light_config(code="RBRNw", adversary_code="EBRNw",

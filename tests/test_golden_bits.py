@@ -23,8 +23,8 @@ from sdcprobe.campaign import (DEFAULT_THRESHOLDS, CampaignConfig, _records_text
                                run_campaign)
 from sdcprobe.data import synth_blobs, train_test_split
 from sdcprobe.fat import FatConfig, fat_train, measure_latency_to_critical
-from sdcprobe.nnet import (ActivationFault, build_cnn, build_mlp, model_checksum,
-                           train)
+from sdcprobe.fault_model import FaultSite
+from sdcprobe.nnet import Adam, build_cnn, build_mlp, model_checksum, train
 from sdcprobe.nnet.training import EVAL_BATCH
 
 GOLDEN = {
@@ -123,17 +123,19 @@ def mlp_sgd_b8():
     return model_checksum(model), log
 
 
-def skip_with_output_faults():
-    """Batch-1 Adam in skip mode with two output faults: one on the hidden
-    layer (its gradient column is zeroed on every step) and one on the
-    logits that makes some batches' loss non-finite."""
+def skip_with_output_faults(monkeypatch):
+    """Batch-1 Adam, guarded by two output faults: one on the hidden layer
+    (its gradient column is zeroed on every step) and one on the logits
+    that makes some batches' loss non-finite.  Every applied step is one
+    Adam.step call; a skipped batch makes none."""
     train_set, test_set = _fat_fixture()
     model = build_mlp((1, 1, 12), [16], 3, seed=4)
-    applied = []
+    applied, step = [], Adam.step
+    monkeypatch.setattr(Adam, "step", lambda opt: (applied.append(1), step(opt)))
     log = train(model, train_set, epochs=2, batch_size=1, lr=0.01, optimizer="adam",
-                seed=4, eval_set=test_set, on_nonfinite="skip",
-                post_step=lambda: applied.append(1),
-                output_faults=[ActivationFault(1, 12, 30), ActivationFault(3, 0, 30)])
+                seed=4, eval_set=test_set,
+                faults=[FaultSite(1, "neuron_output", 12, 30),
+                        FaultSite(3, "neuron_output", 0, 30)])
     return model_checksum(model), log, len(applied)
 
 
@@ -183,8 +185,8 @@ def test_mlp_sgd():
     assert mlp_sgd_b8() == GOLDEN["mlp_sgd_b8"]
 
 
-def test_skip_mode_with_output_faults():
-    checksum, log, applied = skip_with_output_faults()
+def test_skip_mode_with_output_faults(monkeypatch):
+    checksum, log, applied = skip_with_output_faults(monkeypatch)
     assert 0 < applied < 2 * 450  # some batches were skipped, not all
     assert (checksum, log, applied) == GOLDEN["skip_with_output_faults"]
 

@@ -10,7 +10,9 @@ module of the package reads any more, such as a helper whose last caller
 was folded into another path; tests do not count as readers.  A module
 that needs another's private name should get a public one instead; only
 the modules of ``nnet/`` share private helpers among themselves (the
-layers use autodiff's im2col and gradient helpers).
+layers use autodiff's im2col and gradient helpers).  ``nnet/`` is the
+bottom layer: besides itself it imports only ``errors``, ``fileio`` and
+``bitfloat``, so everything above can import it without a cycle.
 """
 
 import ast
@@ -145,3 +147,44 @@ def test_the_scan_sees_a_private_import(tmp_path):
     (sub / "c.py").write_text("from .d import _shared\nfrom ..a import _leak\n")
     assert private_imports([tmp_path / "a.py", sub / "c.py"], sub) == [
         "a: _helper (line 2)", "a: _late (line 4)", "c: _leak (line 2)"]
+
+
+def outside_imports(root, sub, allowed):
+    """The modules of the package at root, named by their first part below
+    it, that the modules under root/sub import, except sub and allowed."""
+    found = set()
+    for path in sorted((root / sub).rglob("*.py")):
+        package = list(path.relative_to(root).parent.parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                dotted = [a.name.split(".") for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # absolute dotted path of each imported name
+                base = [root.name] + package[:len(package) + 1 - node.level] if node.level else []
+                module = node.module.split(".") if node.module else []
+                dotted = [base + module + [a.name] for a in node.names]
+            else:
+                continue
+            found |= {f"{path.stem}: {d[1]} (line {node.lineno})" for d in dotted
+                      if d[0] == root.name and d[1:2] and d[1] not in allowed | {sub}}
+    return sorted(found)
+
+
+def test_nnet_imports_no_module_above_it():
+    assert outside_imports(PACKAGE, "nnet", {"errors", "fileio", "bitfloat"}) == []
+
+
+def test_the_scan_sees_an_import_from_above(tmp_path):
+    root = tmp_path / "pkg"
+    (root / "sub").mkdir(parents=True)
+    (root / "sub" / "a.py").write_text("from ..errors import E\n"
+                                       "from .. import fat, fileio\n"
+                                       "from ..fault_model import FaultSite\n"
+                                       "import pkg.campaign, numpy\n"
+                                       "from pkg import cli\n"
+                                       "from pkg.bitfloat import x\n"
+                                       "from .b import y\n"
+                                       "def f():\n    from ..injector import z\n")
+    assert outside_imports(root, "sub", {"errors", "fileio", "bitfloat"}) == [
+        "a: campaign (line 4)", "a: cli (line 5)", "a: fat (line 2)",
+        "a: fault_model (line 3)", "a: injector (line 9)"]

@@ -261,9 +261,9 @@ class TestModelHoldsNoFaultState:
         assert model_checksum(model) == baseline
 
     def test_after_output_fault_aware_training(self):
-        """GBINo fault-aware training equals training with the drawn sites
-        passed as output faults; the RBRNw adversary set, evaluated by
-        injecting weight bits, leaves every bit as it was."""
+        """GBINo fault-aware training equals plain train calls, one per FAT
+        epoch, given the drawn sites as faults; the RBRNw adversary set,
+        evaluated by injecting weight bits, leaves every bit as it was."""
         data = synth_blobs(3, 40, dims=6, spread=0.3, seed=2)
         train_set, test_set = train_test_split(data, test_fraction=0.25)
         config = FatConfig(code="GBINo", adversary_code="RBRNw", warmup_epochs=1,
@@ -273,9 +273,7 @@ class TestModelHoldsNoFaultState:
                                   test_set, config)
         assert set(vars(model)) == MODEL_STATE
 
-        faults = [ActivationFault(s.layer_id, s.element_index, s.bit_index)
-                  for s in report.trained_fault_sites]
-        assert len(faults) == 3
+        assert len(report.trained_fault_sites) == 3
         twin = build_mlp((1, 1, 6), [8], 3, seed=4)
         fit = dict(batch_size=config.batch_size, lr=config.lr, optimizer=config.optimizer,
                    eval_set=test_set)
@@ -283,6 +281,6 @@ class TestModelHoldsNoFaultState:
         log = []
         for epoch in range(config.fat_epochs):
             log += train(twin, train_set, epochs=1, seed=config.seed + 1 + epoch,
-                         on_nonfinite="skip", output_faults=faults, **fit)
+                         faults=report.trained_fault_sites, **fit)
         assert model_checksum(model) == model_checksum(twin)
         assert report.fat_log == log

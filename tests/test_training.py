@@ -5,6 +5,7 @@ import pytest
 
 from sdcprobe.data import Dataset, synth_blobs, train_test_split
 from sdcprobe.errors import TrainingDivergedError, UsageError
+from sdcprobe.fault_model import FaultSite
 from sdcprobe.nnet.autodiff import Tensor
 from sdcprobe.nnet import training
 from sdcprobe.nnet.training import predict
@@ -162,6 +163,55 @@ class TestTrain:
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(UsageError):
             make_optimizer("rmsprop", [], 0.01)
+
+
+class TestTrainWithFaults:
+    def blank_run(self):
+        """A fresh model, and a train call on it that takes faults=."""
+        ds = synth_blobs(classes=2, samples_per_class=40, dims=4, spread=0.15, seed=5)
+        model = build_mlp((1, 1, 4), [3], classes=2, seed=1)
+        return model, lambda **kw: train(model, ds, epochs=2, batch_size=8, lr=0.01,
+                                         seed=2, **kw)
+
+    def test_a_site_naming_no_element_refused_before_any_step(self, monkeypatch):
+        """The set is checked whole before any bit is set or step taken."""
+        steps = []
+        monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
+        model, fit = self.blank_run()
+        before = model_checksum(model)
+        with pytest.raises(UsageError, match="element 12 out of range"):
+            fit(faults=[FaultSite(1, "neuron_weight", 0, 30),
+                        FaultSite(1, "neuron_weight", 12, 30)])
+        assert steps == []
+        assert model_checksum(model) == before
+
+    def test_a_weight_faults_bit_is_restored_when_training_diverges(self):
+        """Bit 30 of a 1.0 weight makes it +inf, so every batch is skipped
+        and train raises; the bit is set back on the way out."""
+        model, fit = self.blank_run()
+        model.layers[3].weight.data[0, 0] = 1.0
+        before = model_checksum(model)
+        with pytest.raises(TrainingDivergedError, match="every batch of epoch 0"):
+            fit(faults=[FaultSite(3, "neuron_weight", 0, 30)])
+        assert model.layers[3].weight.data[0, 0] == 1.0
+        assert model_checksum(model) == before
+
+    def test_no_faults_gives_the_bits_of_a_plain_call(self):
+        plain, fit_plain = self.blank_run()
+        empty, fit_empty = self.blank_run()
+        assert fit_plain() == fit_empty(faults=[])
+        assert model_checksum(plain) == model_checksum(empty)
+
+    @pytest.mark.parametrize("kind", ["neuron_weight", "neuron_output"])
+    def test_a_site_listed_twice_counts_once(self, kind):
+        """Two flips of one bit would cancel; the set drops the repeat."""
+        site = FaultSite(1, kind, 0, 22)
+        runs = []
+        for faults in ([], [site], [site, site]):
+            model, fit = self.blank_run()
+            runs.append((fit(faults=faults), model_checksum(model)))
+        assert runs[1] != runs[0]
+        assert runs[2] == runs[1]
 
 
 class TestAdam:
