@@ -2,10 +2,14 @@
 
 fat_train warms a model up clean, draws the first few faults from the
 configured sampler, then keeps training with those faults active so the
-network learns to route around them.  Each FAT epoch is one train call
-given those faults, which re-pins the weight faults after every step and
-passes the output faults to every forward pass.  Between epochs the model
-holds no fault, and the latency runs measure it as it stands.
+network learns to route around them.  Each FAT epoch is one
+train_lockstep call on the clean twin and the hardened model, given no
+faults and those faults: one stacked step per batch for both, which
+re-pins the hardened model's weight faults after every step and passes
+its output faults to every forward pass.  Every epoch starts a fresh
+optimizer, so Adam's moments and step counts restart each epoch.
+Between epochs the model holds no fault, and the latency runs measure it
+as it stands.
 
 The latency metric asks how many fault evaluations (draws) a sampler needs
 before hitting k critical faults in a row; importance-guided samplers find
@@ -29,7 +33,7 @@ from .errors import ConfigError
 from .fault_model import SamplerConfig, build_sampler, parse_code
 from .fileio import atomic_write
 from .injector import PrefixCache, evaluate_with_fault, evaluate_with_fault_set
-from .nnet import evaluate_detailed, train
+from .nnet import evaluate_detailed, train, train_lockstep
 from .nnet.training import EVAL_BATCH
 
 LATENCY_BUDGET_CAP = 10_000
@@ -220,17 +224,16 @@ def fat_train(model, train_set, test_set, config: FatConfig):
     """Fault-aware training; returns (model, FatReport).
 
     The resilience baseline is a twin: a copy of the model taken after the
-    warm-up, trained clean through the FAT epochs with the same seeds, so
-    faults_per_round=0 reproduces it bit for bit.  Per-epoch latency
-    simulations run on the training model, with the epoch's faults removed,
-    and with distinct seeds; they write no weight, so they share one outcome
-    memo.  Weight-importance attribution leaves .grad set on the model,
-    which the next backward overwrites before anything reads it.
+    warm-up and trained clean in lockstep with it through the FAT epochs,
+    on the same batches, so faults_per_round=0 reproduces it bit for bit.
+    The faults are drawn before the first FAT epoch; the draw reads only the
+    warmed-up model.  Each FAT epoch starts a fresh optimizer for both
+    models.  Per-epoch latency simulations run on the training model, with
+    the epoch's faults removed, and with distinct seeds; they write no
+    weight, so they share one outcome memo.
     """
-    def fit(m, epochs, seed, **kwargs):
-        return train(m, train_set, epochs=epochs, batch_size=config.batch_size,
-                     lr=config.lr, optimizer=config.optimizer, seed=seed,
-                     eval_set=test_set, **kwargs)
+    opts = dict(batch_size=config.batch_size, lr=config.lr, optimizer=config.optimizer,
+               eval_set=test_set)
 
     def draw(code):
         return _sampler_for(model, train_set, code, config.seed,
@@ -238,12 +241,8 @@ def fat_train(model, train_set, test_set, config: FatConfig):
                             sample_count=config.attribution_sample_count
                             ).sample(config.faults_per_round)
 
-    warmup_log = fit(model, config.warmup_epochs, config.seed)
+    warmup_log = train(model, train_set, epochs=config.warmup_epochs, seed=config.seed, **opts)
     twin = model.copy()
-    for epoch in range(config.fat_epochs):
-        fit(twin, 1, config.seed + 1 + epoch)
-    baseline_accuracy, _ = evaluate_detailed(twin, test_set)
-
     trained_sites, adversary_sites = [], []
     if config.faults_per_round > 0:
         trained_sites = draw(config.code)
@@ -251,7 +250,9 @@ def fat_train(model, train_set, test_set, config: FatConfig):
     fat_log = []
     latency: dict = {}
     for epoch in range(config.fat_epochs):
-        fat_log.extend(fit(model, 1, config.seed + 1 + epoch, faults=trained_sites))
+        fat_log.extend(train_lockstep([twin, model], train_set, epochs=1,
+                                      seed=config.seed + 1 + epoch, faults=[(), trained_sites],
+                                      **opts)[1])
         for sim in range(config.simulations_per_epoch):
             sim_seed = config.seed + 1000 * (epoch + 1) + sim
             for code in (config.code, config.adversary_code):
@@ -262,6 +263,7 @@ def fat_train(model, train_set, test_set, config: FatConfig):
                     attribution_sample_count=config.attribution_sample_count)
                 latency.setdefault(str(code), []).append(result)
 
+    baseline_accuracy, _ = evaluate_detailed(twin, test_set)
     post_fat_accuracy, _ = evaluate_detailed(model, test_set)
     under_trained, _ = evaluate_with_fault_set(model, test_set, trained_sites)
     under_adversary, _ = evaluate_with_fault_set(model, test_set, adversary_sites)

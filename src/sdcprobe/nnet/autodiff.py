@@ -81,26 +81,36 @@ def _col2im(gcols, xshape, kh, kw, stride):
     return gx
 
 
-def _check_logits(logits, idx, what):
-    if logits.ndim != 2 or idx.shape != (logits.shape[0],):
-        raise UsageError(f"expected [N, classes] logits and [N] {what}, got "
+def _check_logits(logits, idx, what, variants=False):
+    """[N, classes] logits for [N] class indices, or with variants=True
+    [K*N, classes] logits, K variants' rows stacked, for N >= 1 indices."""
+    n = len(idx) if idx.ndim == 1 else -1
+    k = len(logits) // n if variants and n > 0 else 1
+    if logits.ndim != 2 or len(logits) != k * n:
+        form = "[K*N, classes]" if variants else "[N, classes]"
+        raise UsageError(f"expected {form} logits and [N] {what}, got "
                          f"{logits.shape} and {idx.shape}")
 
 
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the batch and its gradient with respect to
-    the logits: (float32 loss, float32 [N, classes]).  Non-finite logits
-    propagate into both."""
+    the logits: (float32 [K] losses, float32 [K*N, classes]).  The logits
+    hold K variants' rows stacked, [K*N, classes], on the same N labels;
+    each variant's loss is computed as a lone variant's.  Non-finite
+    logits propagate into both."""
     y = np.asarray(labels, dtype=np.int64)
-    _check_logits(logits, y, "labels")
-    n = y.shape[0]
-    rows = np.arange(n)
+    _check_logits(logits, y, "labels", variants=True)
+    n = len(y)
+    rows = np.arange(len(logits))
+    if len(rows) > n:   # every variant's rows pick the same labels
+        y = np.concatenate((y,) * (len(rows) // n))
     with np.errstate(all="ignore"):
         z = _f64(logits)
         z = z - np.maximum.reduce(z, axis=1, keepdims=True)
         lse = np.log(np.add.reduce(np.exp(z), axis=1))
-        # the mean as numpy computes it: one pairwise sum, then / n
-        loss = np.float32(np.add.reduce(lse - z[rows, y]) / n)
+        # the mean as numpy computes it: one pairwise sum over a variant's
+        # contiguous rows, then / n
+        loss = np.float32(np.add.reduce((lse - z[rows, y]).reshape(-1, n), axis=1) / n)
         gl = np.exp(z - lse[:, None])                     # softmax, float64
         gl[rows, y] -= 1.0
         return loss, _grad(gl * (1.0 / n))
@@ -122,12 +132,14 @@ class ComputationGraph:
     logits' shape and the output faults patched in."""
 
     def __init__(self):
-        self.layers, self.caches, self.out_shape, self.faults = [], [], None, {}
+        self.layers, self.caches, self.out_shape, self.masks = [], [], None, {}
 
-    def record(self, layers, caches, out_shape, faults):
-        """faults maps a layer index to the output faults patched into it."""
+    def record(self, layers, caches, out_shape, masks):
+        """masks maps a layer index to the [V, 1, E] XOR masks of the
+        output faults patched into it, one row per variant, and where they
+        are nonzero."""
         self.layers, self.caches = list(layers), caches
-        self.out_shape, self.faults = out_shape, faults
+        self.out_shape, self.masks = out_shape, masks
 
     def backward(self, glogits, outputs=False):
         """Propagate glogits, the loss gradient with respect to the logits,
@@ -154,9 +166,10 @@ class ComputationGraph:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for lid in range(len(layers) - 1, stop - 1, -1):
                 grads[lid] = g
-                if lid in self.faults:
-                    g = g.copy()
-                    g.reshape(g.shape[0], -1)[:, [f.element_index for f in self.faults[lid]]] = 0.0
+                if lid in self.masks:   # each variant's faulted columns
+                    cut = self.masks[lid][1]
+                    g = np.where(cut, np.float32(0), g.reshape(len(cut), -1, cut.shape[-1])
+                                 ).reshape(g.shape)
                 layer = layers[lid]
                 g, pgrads = layer.backward(g, self.caches[lid], lid > stop, params=not outputs)
                 for p, pg in zip(layer.params(), pgrads):

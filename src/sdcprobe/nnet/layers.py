@@ -1,16 +1,16 @@
 """Layer stack, forward and backward passes, checkpoint format.
 
 A Model is an ordered list of layers (conv2d / linear / relu / flatten)
-over float32 parameters.  Each layer has one forward(x) -> (y, cache);
-its apply(x, variants) gives that forward's output, for x holding the
-batches of several model variants stacked along its rows, and its
+over float32 parameters.  Each layer has one forward(x, variants) ->
+(y, cache), for x holding the batches of several model variants stacked
+along its rows; its apply gives that forward's output, and its
 backward(g, cache, need_gx) returns the input gradient (if asked) and the
 parameter gradients.  Model.apply() runs the layers' apply for evaluation
 and campaigns; forward_graph() runs their forward and keeps the caches in
 a ComputationGraph, whose backward() serves training and attribution.
 Both honor activation faults (a bit flipped in one element of a layer's
-output, in every sample) through one helper, patch_outputs(), a single
-XOR of a mask row (bitfloat.xor_bits, which the injector's fault stacks
+output, in every sample) as one XOR per layer with a stack of mask rows,
+one per variant (bitfloat.xor_bits, which the injector's fault stacks
 also use); faults_active() hands a fault set's output faults to a with
 block and holds its weight faults' bits set in place for the block.
 backward(..., params=False) skips the parameter gradients, for passes
@@ -24,10 +24,14 @@ output of layer L-1), and only layers L.. run.  Since a layer's arithmetic
 depends only on its input batch, resuming from a stored clean activation
 gives the same bits as the full pass over the same batch.  It can stop
 early (stop=M) and run K variants of the model at once: K batches stacked
-along the rows, or K weights of layer start.  Weightless layers and
-Conv2d's per-sample gemm see the [K*N, ...] stack as one batch; Linear
-keeps a variant axis, so that each variant makes its own BLAS call.  A
-single pass is the K = 1 case of the same code.
+along the rows, or K weights of layer start.  The same variant axis
+serves training: a model whose parameters have a leading [K, ...] axis
+runs K models' forward_graph and backward in one pass, each variant on
+its own rows once a layer with parameters or output faults has split the
+batch.  Weightless layers and Conv2d's per-sample gemm see the
+[K*N, ...] stack as one batch; Linear keeps a variant axis, and a
+stacked Conv2d a [K, N, ...] one, so that each variant makes its own BLAS
+calls.  A single pass is the K = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .autodiff import ComputationGraph, Tensor, _col2im, _f64, _grad, _im2col
 __all__ = [
     "ActivationFault", "Conv2d", "Flatten", "Linear", "Model", "Relu", "build_cnn",
     "build_mlp", "check_site", "faults_active", "flip_bit_many", "load_checkpoint",
-    "model_checksum", "patch_outputs", "save_checkpoint", "site_error",
+    "model_checksum", "save_checkpoint", "site_error",
 ]
 
 
@@ -63,20 +67,17 @@ class ActivationFault:
     bit_index: int
 
 
-def patch_outputs(x, faults):
-    """Copy of one layer's output batch with every fault's bit flipped in
-    each sample, by one XOR with a per-layer mask row; x itself is never
-    written (it may be a flatten view or a shared cached activation).
-    Faults on one element combine by XOR, so a fault listed twice cancels,
-    as two flips of one bit do."""
-    flat = x.reshape(x.shape[0], -1)
-    mask = np.zeros(flat.shape[1], dtype=np.uint32)
+def _mask_row(faults, size):
+    """The uint32 XOR mask over a layer's `size` output elements of every
+    fault in faults.  Faults on one element combine by XOR, so a fault
+    listed twice cancels, as two flips of one bit do."""
+    mask = np.zeros(size, dtype=np.uint32)
     for f in faults:
-        if not 0 <= f.element_index < mask.size:
+        if not 0 <= f.element_index < size:
             raise UsageError(f"output fault element {f.element_index} out of range "
-                             f"[0, {mask.size}) at layer {f.layer_id}")
+                             f"[0, {size}) at layer {f.layer_id}")
         mask[f.element_index] ^= bit_mask(f.bit_index)
-    return xor_bits(flat, mask).reshape(x.shape)
+    return mask
 
 
 def site_error(model, site):
@@ -173,42 +174,50 @@ class Conv2d(_Weighted):
             raise ConfigError(f"conv2d weight {self.weight.data.shape} incompatible with input {in_shape}")
         return (o, (h - kh) // self.stride + 1, (w - kw) // self.stride + 1)
 
-    def _gemm(self, x, weights=None, bias=True):
-        """(outputs, backward cache) of x: one gemm per sample, and per
-        variant of a [K,O,C,kh,kw] stack of weights, stacked [K*N, O, OH, OW]."""
+    def _gemm(self, x, variants=1, weights=None, bias=True):
+        """(outputs, backward cache) of x: one gemm per sample and variant,
+        stacked [K*N, O, OH, OW].  The variants come from x, holding
+        `variants` batches stacked along its rows, from the weights, a
+        [K,O,C,kh,kw] stack (weights=, or the layer's own), or from both;
+        then variant k's samples meet weight k."""
         w = self.weight.data if weights is None else weights
         o, _, kh, kw = w.shape[-4:]
         cols, oh, ow = _im2col(x, kh, kw, self.stride)
+        if variants > 1 and w.ndim > 4:   # variant k's samples meet weight k
+            cols = cols.reshape(variants, -1, *cols.shape[1:])         # [K, N, C*kh*kw, OH*OW]
         # a stack's weights get a length-1 axis that broadcasts over the samples
         y = np.matmul(_f64(w.reshape(w.shape[:-4] + (1, o, -1))), cols)  # [(K,) N, O, OH*OW]
         if bias and self.bias is not None:
-            y += _f64(self.bias.data)[:, None]
+            y += _f64(self.bias.data)[..., None, :, None]
         return y.reshape(-1, o, oh, ow).astype(np.float32), (cols, x.shape)
 
-    def forward(self, x):
-        return self._gemm(x)
+    def forward(self, x, variants=1):
+        return self._gemm(x, variants)
 
     def apply(self, x, variants=1, weights=None):
         """forward's output.  Every sample is its own gemm, so the batches
         of several variants stacked along x's rows pass as one batch, and a
         stack of weights runs one batch x through each (see _gemm)."""
-        return self._gemm(x, weights)[0]
+        return self._gemm(x, variants, weights)[0]
 
     def backward(self, g, cache, need_gx, params=True):
         cols, xshape = cache
         w = self.weight.data
-        o, _, kh, kw = w.shape
-        gflat = _f64(g).reshape(g.shape[0], o, -1)
+        o, _, kh, kw = w.shape[-4:]
+        lead = w.shape[:-4]                      # (K,) for a stack of weights
+        gflat = _f64(g).reshape(lead + (-1, o, g.shape[2] * g.shape[3]))  # [(K,) N, O, OH*OW]
         gx = None
         if need_gx:
-            gcols = np.matmul(_f64(w.reshape(o, -1)).T, gflat)     # [N, C*kh*kw, OH*OW]
-            gx = _grad(_col2im(gcols, xshape, kh, kw, self.stride))
+            wt = _f64(w.reshape(lead + (o, -1))).swapaxes(-1, -2)        # [(K,) C*kh*kw, O]
+            if lead:
+                wt = wt[:, None]
+            gx = _grad(_col2im(np.matmul(wt, gflat), xshape, kh, kw, self.stride))
         if not params:
             return gx, ()
-        gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
+        gw = np.matmul(gflat, cols.swapaxes(-1, -2)).sum(axis=-3)
         pgrads = (_grad(gw.reshape(w.shape)),)
         if self.bias is not None:
-            pgrads += (_grad(gflat.sum(axis=(0, 2))),)
+            pgrads += (_grad(gflat.sum(axis=(-3, -1))),)
         return gx, pgrads
 
     def jvp(self, x, t):
@@ -229,37 +238,44 @@ class Linear(_Weighted):
         return (o,)
 
     def _product(self, x, variants=1, weights=None, bias=True):
-        """(outputs, backward cache) of x: x @ W.T in float64, rounded once.
-        For x holding `variants` batches stacked along its rows, [K*N, I],
-        or for one batch x and a [K,O,I] stack of weights, the variant axis
-        stays separate: variant k is its own [N,I] @ [I,O] product, the BLAS
-        call a single pass makes.  Folding the K batches into one [K*N, I]
-        product rounds some float64 rows differently.  A stack's outputs
-        come as [K, N, O]."""
+        """(outputs, backward cache) of x: x @ W.T in float64, rounded once,
+        [K*N, O].  For x holding `variants` batches stacked along its rows,
+        [K*N, I], for a [K,O,I] stack of weights (weights=, or the layer's
+        own), or both, the variant axis stays separate: variant k is its own
+        [N,I] @ [I,O] product, the BLAS call a single pass makes.  Folding
+        the K batches into one [K*N, I] product rounds some float64 rows
+        differently."""
         x64, w64 = _f64(x), _f64(self.weight.data if weights is None else weights)
         if variants > 1:  # a reshape would add ~1 µs to every batch-1 call
             x64 = x64.reshape(variants, -1, x.shape[1])
         y = x64 @ w64.swapaxes(-1, -2)
         if bias and self.bias is not None:
-            y += _f64(self.bias.data)
+            b = _f64(self.bias.data)
+            y += b if b.ndim == 1 else b[:, None]    # a stack's bias meets its variant's rows
+        if y.ndim > 2:
+            y = y.reshape(-1, y.shape[-1])
         return y.astype(np.float32), (x64, w64)
 
-    def forward(self, x):
-        return self._product(x)
+    def forward(self, x, variants=1):
+        return self._product(x, variants)
 
     def apply(self, x, variants=1, weights=None):
-        """forward's output for a stack of variants (see _product), [K*N, O]."""
-        return self._product(x, variants, weights)[0].reshape(-1, len(self.weight.data))
+        """forward's output for a stack of variants (see _product)."""
+        return self._product(x, variants, weights)[0]
 
     def backward(self, g, cache, need_gx, params=True):
         x64, w64 = cache
         g64 = _f64(g)
+        if w64.ndim > 2:   # a stack of weights: [K, N, O] against [K, O, I]
+            g64 = g64.reshape(len(w64), -1, g.shape[-1])
         gx = _grad(g64 @ w64) if need_gx else None
+        if gx is not None and gx.ndim > 2:
+            gx = gx.reshape(-1, gx.shape[-1])
         if not params:
             return gx, ()
-        pgrads = (_grad(g64.T @ x64),)
+        pgrads = (_grad(g64.swapaxes(-1, -2) @ x64),)
         if self.bias is not None:
-            pgrads += (_grad(np.add.reduce(g64, axis=0)),)
+            pgrads += (_grad(np.add.reduce(g64, axis=-2)),)
         return gx, pgrads
 
     def jvp(self, x, t):
@@ -276,7 +292,7 @@ class Relu:
     def out_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
+    def forward(self, x, variants=1):
         return np.maximum(x, 0), x
 
     def apply(self, x, variants=1):
@@ -301,7 +317,7 @@ class Flatten:
     def out_shape(self, in_shape):
         return (math.prod(in_shape),)
 
-    def forward(self, x):
+    def forward(self, x, variants=1):
         return x.reshape(x.shape[0], -1), x.shape
 
     def apply(self, x, variants=1):
@@ -349,14 +365,22 @@ class Model:
             raise ConfigError(f"batch shape {x.shape[1:]} does not match {where} {expected}")
         return x
 
-    def _faults_by_layer(self, output_faults):
-        """The output faults by layer id; a layer id the model lacks raises."""
-        grouped: dict[int, list[ActivationFault]] = {}
-        for f in output_faults:
-            if not 0 <= f.layer_id < len(self.layers):
-                raise UsageError(f"output fault layer id {f.layer_id} out of range")
-            grouped.setdefault(f.layer_id, []).append(f)
-        return grouped
+    def _masks(self, fault_lists):
+        """Per faulted layer id, (the uint32 XOR masks of V variants' output
+        faults, [V, 1, E] for the layer's E output elements, and where they
+        are nonzero), from one fault list per variant; a layer id the model
+        lacks raises."""
+        masks: dict = {}
+        for k, faults in enumerate(fault_lists):
+            for f in faults:
+                if not 0 <= f.layer_id < len(self.layers):
+                    raise UsageError(f"output fault layer id {f.layer_id} out of range")
+                masks.setdefault(f.layer_id, [[] for _ in fault_lists])[k].append(f)
+        for lid, per in masks.items():
+            size = math.prod(self.in_shapes[lid + 1])
+            mask = np.stack([_mask_row(faults, size) for faults in per])[:, None]
+            masks[lid] = (mask, mask != 0)
+        return masks
 
     def apply(self, x, output_faults=(), return_activations=False, start=0, stop=None,
               variants=1, weights=None):
@@ -388,7 +412,8 @@ class Model:
             if weight is None or weights.shape[1:] != weight.data.shape:
                 raise UsageError(f"a weight stack of shape {weights.shape} does not fit "
                                  f"layer {start}")
-        x, acts = self._forward(x, self._faults_by_layer(output_faults), start, stop, None,
+            variants = 1  # the stack runs on one batch
+        x, acts = self._forward(x, self._masks([output_faults]), start, stop, None,
                                 variants, weights)
         return (x, acts) if return_activations else x
 
@@ -396,31 +421,43 @@ class Model:
         """The same forward pass, with each layer's backward cache recorded
         in g; returns (logits, per-layer activations).  g.backward(glogits)
         then gives the gradients."""
-        faults = self._faults_by_layer(output_faults)
+        return self._graph(g, x, self._masks([output_faults]))
+
+    def _graph(self, g, x, masks):
+        """forward_graph with the output faults given as _masks made them."""
         caches = []
-        logits, acts = self._forward(x, faults, 0, len(self.layers), caches)
-        g.record(self.layers, caches, logits.shape, faults)
+        logits, acts = self._forward(x, masks, 0, len(self.layers), caches)
+        g.record(self.layers, caches, logits.shape, masks)
         return logits, acts
 
-    def _forward(self, x, faults, start, stop, caches, variants=1, weights=None):
-        """Layers start..stop-1 over x; with a caches list, each layer runs
-        its forward and its cache is appended, otherwise its apply runs,
-        with the weight stack on layer start and the variant count after."""
+    def _forward(self, x, masks, start, stop, caches, variants=1, weights=None):
+        """Layers start..stop-1 over x, holding `variants` batches stacked
+        along its rows; with a caches list, each layer runs its forward and
+        its cache is appended, otherwise its apply runs, with the weight
+        stack on layer start.
+
+        A layer's output holds as many variants as its rows hold batches:
+        one batch meets a stack of weights, or a [K, 1, E] mask stack of
+        output faults, as K batches from then on."""
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             x = self._check_batch(x, start)
+            rows = len(x) // variants   # per variant
             acts = []
             for lid in range(start, stop):
                 layer = self.layers[lid]
                 if caches is not None:
-                    x, cache = layer.forward(x)
+                    x, cache = layer.forward(x, variants)
                     caches.append(cache)
                 elif weights is not None and lid == start:
                     x = layer.apply(x, weights=weights)
-                    variants = len(weights)
                 else:
                     x = layer.apply(x, variants)
-                if lid in faults:
-                    x = patch_outputs(x, faults[lid])
+                variants = len(x) // rows if rows else 1
+                if lid in masks:
+                    mask = masks[lid][0]
+                    x = xor_bits(x.reshape(variants, -1, mask.shape[-1]),
+                                 mask).reshape((-1,) + x.shape[1:])
+                    variants = max(variants, len(mask))
                 acts.append(x)
             return x, acts
 

@@ -7,14 +7,13 @@ import pytest
 
 from sdcprobe import fat as fat_mod
 from sdcprobe.data import synth_blobs, train_test_split
-from sdcprobe.errors import ConfigError
+from sdcprobe.errors import ConfigError, UsageError
 from sdcprobe.fat import FatConfig, fat_train, measure_latency_to_critical, save_fat_report
 from sdcprobe.fault_model import FaultSite, parse_code
 from sdcprobe.injector import faults_active
 from sdcprobe.nnet import (Flatten, Linear, Model, Sgd, build_mlp, evaluate_detailed,
                            model_checksum, train)
 from sdcprobe.nnet import training
-from sdcprobe.nnet.training import train_step
 from sdcprobe.data import Dataset
 
 
@@ -172,7 +171,7 @@ def _bit(model, site):
 
 
 class TestWeightFaultPersistence:
-    def test_fault_reapplied_after_each_step(self):
+    def test_fault_reapplied_after_each_step(self, monkeypatch):
         """Training moves the faulted weight; faults_active's repin pins the
         faulted bit after every update, so every forward sees the fault,
         and leaves the other 31 bits to the optimizer.  Leaving the block
@@ -187,21 +186,26 @@ class TestWeightFaultPersistence:
 
         clean = word()
         faulted = (clean ^ mask) & mask
-        with faults_active(model, [site]) as (output_faults, repin):
-            assert output_faults == []
-            opt = Sgd(model.parameters(), lr=0.01)
-            for _ in range(3):
-                before = word()
-                assert before & mask == faulted  # active on this step's forward
-                train_step(model, train_set.images[:8], train_set.labels[:8], opt)
-                stepped = word()
-                repin()
-                after = word()
-                assert after & mask == faulted
-                assert after & ~mask == stepped & ~mask
-                assert stepped != before  # value actually moved
+        real_update, updates = Sgd.step, []   # (word before, word after) each update
+
+        def spy_update(opt, active):
+            before = word()
+            real_update(opt, active)
+            updates.append((before, word()))
+
+        monkeypatch.setattr(Sgd, "step", spy_update)
+        train(model, train_set.subset(np.arange(8)), epochs=3, batch_size=8, lr=0.01,
+              optimizer="sgd", faults=[site])
+        assert len(updates) == 3
+        # each update's successor sees the word after the repin, the last
+        # update's the word as train returned it
+        for (before, stepped), (after, _) in zip(updates, updates[1:] + [(word(), None)]):
+            assert before & mask == faulted  # active on this step's forward
+            assert stepped != before  # value actually moved
+            assert after & ~mask == stepped & ~mask
         assert word() & mask == clean & mask  # the bit from before injection
-        assert word() & ~mask == after & ~mask
+        with faults_active(model, [site]) as (output_faults, repin):
+            assert output_faults == [] and repin is not None
         with faults_active(model, [FaultSite(1, "neuron_output", 0, 3)]) as (_, repin):
             assert repin is None  # no weight site, nothing to pin
 
@@ -301,10 +305,11 @@ class TestFatTrain:
         real_step, real_latency = training.train_step, fat_mod.measure_latency_to_critical
         stepped, snapshots = [], []
 
-        def spy_step(model, xb, yb, optimizer, guarded, output_faults):
-            if guarded:  # a FAT step; warm-up and twin steps are not guarded
-                stepped.append(model.copy())
-            return real_step(model, xb, yb, optimizer, guarded, output_faults)
+        def spy_step(run, xb, yb):
+            for model, guarded in zip(run.models, run.guarded):
+                if guarded:  # the hardened model; warm-up and twin steps are not guarded
+                    stepped.append(model.copy())
+            return real_step(run, xb, yb)
 
         def spy_latency(model, *args, **kwargs):
             snapshots.append(model.copy())
@@ -317,13 +322,28 @@ class TestFatTrain:
                                 simulations_per_epoch=1, latency_threshold=0.0)
         model, report = fat_train(build_mlp((1, 1, 6), [8], 3, seed=6),
                                   train_set, test_set, cfg)
-        assert stepped and snapshots
+        assert len(stepped) == cfg.fat_epochs * -(-len(train_set) // cfg.batch_size)
+        assert snapshots
         assert {s.target_kind for s in report.trained_fault_sites} == {"neuron_weight"}
         for site in set(report.trained_fault_sites):
             faulted = _bit(stepped[0], site)
             assert all(_bit(m, site) == faulted for m in stepped)
             assert all(_bit(m, site) == 1 - faulted for m in snapshots)
             assert _bit(model, site) == 1 - faulted
+
+    @pytest.mark.parametrize("bad, error", [("empty", UsageError), ("shape", ConfigError)])
+    def test_a_bad_test_set_refused_before_the_warm_up(self, bad, error):
+        """The test set is every epoch's evaluation set, so the warm-up's
+        train call refuses it before the model is trained at all."""
+        train_set, test_set = blob_splits()
+        images, labels = test_set.images, test_set.labels
+        test_set = (Dataset(images[:0], labels[:0]) if bad == "empty"
+                    else Dataset(images.reshape(len(labels), 1, 2, 3), labels))
+        model = build_mlp((1, 1, 6), [8], 3, seed=1)
+        before = model_checksum(model)
+        with pytest.raises(error):
+            fat_train(model, train_set, test_set, self.light_config())
+        assert model_checksum(model) == before
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

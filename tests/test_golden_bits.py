@@ -131,7 +131,7 @@ def skip_with_output_faults(monkeypatch):
     train_set, test_set = _fat_fixture()
     model = build_mlp((1, 1, 12), [16], 3, seed=4)
     applied, step = [], Adam.step
-    monkeypatch.setattr(Adam, "step", lambda opt: (applied.append(1), step(opt)))
+    monkeypatch.setattr(Adam, "step", lambda opt, active: (applied.append(1), step(opt, active)))
     log = train(model, train_set, epochs=2, batch_size=1, lr=0.01, optimizer="adam",
                 seed=4, eval_set=test_set,
                 faults=[FaultSite(1, "neuron_output", 12, 30),

@@ -23,7 +23,6 @@ from sdcprobe.nnet import (
     save_checkpoint,
 )
 from sdcprobe.bitfloat import flip_bit, flip_bit_many
-from sdcprobe.nnet.layers import patch_outputs
 
 
 def conv2d_naive(x, w, b=None, stride=1):
@@ -171,29 +170,33 @@ class TestActivationFaults:
         assert set(np.nonzero(diff.any(axis=0))[0]) <= {0, 3}
 
     def test_patch_is_one_xor_equal_to_flipping_each_fault(self):
-        """patch_outputs XORs one mask row into a copy: the same bits as
-        flipping every fault's column in turn, with faults on one element
-        combined (two bits flip, a repeated fault cancels)."""
+        """A layer's output faults are one XOR of a mask row into a copy:
+        the same bits as flipping every fault's column in turn, with faults
+        on one element combined (two bits flip, a repeated fault cancels).
+        The faulted output here is a flatten view of the input, which is
+        never written."""
         x = np.random.default_rng(4).normal(size=(5, 2, 3)).astype(np.float32)
         x[0, 0, 0] = np.nan
         frozen = x.copy()
+        model = Model([Flatten(), Flatten(), Flatten()], (2, 3))
         faults = [ActivationFault(2, 1, 30), ActivationFault(2, 4, 0), ActivationFault(2, 4, 31),
                   ActivationFault(2, 5, 23), ActivationFault(2, 5, 23), ActivationFault(2, 0, 22)]
         want = x.reshape(5, -1).copy()
         for f in faults:
             want[:, f.element_index] = flip_bit_many(want[:, f.element_index], f.bit_index)
-        got = patch_outputs(x, faults)
-        assert got.shape == x.shape
-        assert np.array_equal(got.reshape(5, -1).view(np.uint32), want.view(np.uint32))
-        assert np.array_equal(got[:, 1, 2].view(np.uint32), x[:, 1, 2].view(np.uint32))
+        got = model.apply(x, output_faults=faults)
+        assert got.shape == (5, 6)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(got[:, 5].view(np.uint32), x[:, 1, 2].view(np.uint32))
         assert np.array_equal(x.view(np.uint32), frozen.view(np.uint32))
 
     def test_patch_rejects_bad_element_and_bit(self):
+        model = Model([Flatten()], (6,))
         x = np.ones((2, 6), dtype=np.float32)
         with pytest.raises(UsageError, match="element 6 out of range"):
-            patch_outputs(x, [ActivationFault(0, 6, 0)])
+            model.apply(x, output_faults=[ActivationFault(0, 6, 0)])
         with pytest.raises(ValueError, match="out of range \\[0, 31\\]"):
-            patch_outputs(x, [ActivationFault(0, 1, 32)])
+            model.apply(x, output_faults=[ActivationFault(0, 1, 32)])
 
     @pytest.mark.parametrize("layer_id", [-1, 4, 99])
     def test_fault_on_a_missing_layer_refused(self, layer_id):
