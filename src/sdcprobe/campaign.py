@@ -6,7 +6,10 @@ stacks of same-layer sites from one block, and classifies each draw's
 outcome against a ladder of SDC thresholds (drop >= t on absolute accuracy
 vs the fault-free baseline).  Records are deterministic for a given config
 because every draw ordinal owns its RNG stream.  Only wallclock_ns varies
-between runs.
+between runs.  Inside a campaign a block of draws is a few arrays: a site
+is one int64 code (fault_model.site_codes) from the draw to the records
+row, and FaultSite and InjectionRecord objects are built only when a
+CampaignResult's records are read.
 
 Records persist as append-friendly CSV plus a .meta.json sidecar carrying
 the full config, the model checksum and a hash of the dataset, enough to
@@ -20,16 +23,18 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DataIntegrityError, UsageError
 from .fault_model import (ExperimentCode, FaultSite, SamplerConfig, build_sampler,
-                          enumerate_sites, parse_code)
+                          check_kind, code_fields, enumerate_codes, parse_code, site_codes,
+                          sites_from_codes)
 from .fileio import atomic_write, read_text
 from .injector import PrefixCache, evaluate_with_fault
-from .nnet import model_checksum
+from .nnet import check_site, model_checksum
 
 ARTIFACT_VERSION = 1
 DEFAULT_THRESHOLDS = tuple(round(i * 0.05, 2) for i in range(19))  # 0.00 .. 0.90
@@ -141,23 +146,47 @@ class CampaignStats:
     precision: list  # None where no records
 
 
-@dataclass
+@dataclass(eq=False)
 class CampaignResult:
+    """A campaign's draws as columns, in canonical (seed, ordinal) order:
+    order holds each draw's (seed, ordinal), codes its int64 site code
+    (fault_model.site_codes), faulty its accuracy, poisoned its flag and
+    wallclock_ns its time.  records builds the InjectionRecords from them
+    once, on first access."""
     config: CampaignConfig
-    records: list
     stats: CampaignStats
     baseline_accuracy: float
+    order: list
+    codes: np.ndarray
+    faulty: np.ndarray
+    poisoned: np.ndarray
+    wallclock_ns: np.ndarray
+
+    @cached_property
+    def records(self) -> list:
+        baseline, thresholds = self.baseline_accuracy, self.config.thresholds
+        drops = baseline - self.faulty
+        flags = drops[:, None] >= np.array(thresholds)
+        code = str(self.config.code)
+        return [InjectionRecord(code, seed, k, site, baseline, faulty, drop, poisoned, ns,
+                                tuple(f))
+                for (seed, k), site, faulty, drop, poisoned, ns, f in zip(
+                    self.order, sites_from_codes(self.codes), self.faulty.tolist(),
+                    drops.tolist(), self.poisoned.tolist(), self.wallclock_ns.tolist(),
+                    flags.tolist())]
 
 
 def compute_stats(records, thresholds) -> CampaignStats:
-    n = len(records)
-    pt, pf, prec = [], [], []
-    for i, _ in enumerate(thresholds):
-        hits = sum(1 for r in records if r.sdc_flags[i])
-        pt.append(hits)
-        pf.append(n - hits)
-        prec.append(hits / n if n else None)
-    return CampaignStats(tuple(thresholds), pt, pf, prec)
+    flags = np.array([r.sdc_flags for r in records], dtype=bool)
+    return _flag_stats(flags.reshape(len(records), len(thresholds)), thresholds)
+
+
+def _flag_stats(flags, thresholds) -> CampaignStats:
+    """Stats of a [draws, thresholds] bool matrix of SDC flags."""
+    n = len(flags)
+    hits = flags.sum(axis=0).tolist()
+    return CampaignStats(tuple(thresholds), hits, [n - h for h in hits],
+                         [h / n if n else None for h in hits])
 
 
 def running_precision(records, threshold_index) -> np.ndarray:
@@ -302,7 +331,9 @@ class _RecordSink:
 
 
 def _format_row(r: InjectionRecord) -> str:
-    return _row(r.experiment_code, r.seed, r.sample_ordinal, _site_cells(r.site),
+    s = r.site
+    return _row(r.experiment_code, r.seed, r.sample_ordinal,
+                f"{s.layer_id},{s.target_kind},{s.element_index},{s.bit_index}",
                 _outcome_cells(r.baseline_accuracy, r.faulty_accuracy, r.accuracy_drop,
                                r.poisoned, r.sdc_flags),
                 r.wallclock_ns)
@@ -311,13 +342,41 @@ def _format_row(r: InjectionRecord) -> str:
 def _row(code, seed, ordinal, site_cells, outcome_cells, wallclock_ns) -> str:
     """One records line, newline included, in the column order of
     _FIXED_COLUMNS and the threshold columns.  run_campaign memoizes
-    outcome_cells per (accuracy, poisoned)."""
+    site_cells and outcome_cells per site code (_site_cells, _OutcomeCells)."""
     head, flags = outcome_cells
     return f"{code},{seed},{ordinal},{site_cells},{head},{wallclock_ns}{flags}\n"
 
 
-def _site_cells(site) -> str:
-    return f"{site.layer_id},{site.target_kind},{site.element_index},{site.bit_index}"
+class _OutcomeCells(dict):
+    """(accuracy, poisoned) -> the outcome cells of its rows, made when a
+    row first needs them."""
+
+    def __init__(self, baseline, thresholds):
+        super().__init__()
+        self.baseline, self.thresholds = baseline, thresholds
+
+    def __missing__(self, outcome):
+        faulty, poisoned = outcome
+        drop, flags = _classify(self.baseline, faulty, self.thresholds)
+        cells = self[outcome] = _outcome_cells(self.baseline, faulty, drop, poisoned, flags)
+        return cells
+
+
+def _site_cells(codes, target_kind) -> dict:
+    """Site code -> the site cells of its rows, for distinct int64 codes of
+    one target kind."""
+    layers, _, elements, bits = code_fields(codes)
+    return dict(zip(codes.tolist(), map(f"{{}},{target_kind},{{}},{{}}".format,
+                                        layers.tolist(), elements.tolist(), bits.tolist())))
+
+
+def _rows(code, seed, first, keys, ns, lo, hi, site_cells, outcomes, outcome_cells):
+    """The records lines of draws lo..hi-1 of a block drawn from ordinal
+    `first` on, whose draw d has site code keys[d] and time ns[d]."""
+    codes = keys[lo:hi]
+    return map(_row, repeat(code), repeat(seed), range(first + lo, first + hi),
+               map(site_cells.__getitem__, codes),
+               map(outcome_cells.__getitem__, map(outcomes.__getitem__, codes)), ns[lo:hi])
 
 
 def _outcome_cells(baseline, faulty, drop, poisoned, flags) -> tuple[str, str]:
@@ -435,10 +494,10 @@ class _ExhaustiveSampler:
     """Replays the full site enumeration in order; the 100%-budget mode."""
 
     def __init__(self, model, code: ExperimentCode):
-        self.sites = enumerate_sites(model, code.target_kind)
+        self.codes = enumerate_codes(model, code.target_kind)
 
-    def sample(self, n, start_ordinal=0):
-        return self.sites[start_ordinal:start_ordinal + n]
+    def sample_codes(self, n, start_ordinal=0):
+        return self.codes[start_ordinal:start_ordinal + n]
 
 
 def _campaign_meta(config, model, dataset, baseline):
@@ -455,7 +514,7 @@ def _campaign_meta(config, model, dataset, baseline):
 
 def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                  out_csv=None, samplers=None, probe_images=None) -> CampaignResult:
-    """Run the campaign and return all records plus pooled stats.
+    """Run the campaign and return its draws, with pooled stats.
 
     The pending (seed, ordinal) draws run in canonical order in the calling
     thread; records do not depend on `workers`, which is accepted and
@@ -464,51 +523,47 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     ran 460-590 evaluations/s against 730-1080 in the calling thread
     (2-core Xeon, one BLAS thread).  Evaluation never writes the model.
 
-    Each seed's pending ordinals are one contiguous range, drawn with one
-    `sampler.sample` call.  A site drawn again, at any seed or in an
-    earlier campaign or latency run on the same unchanged model and
-    dataset, reuses the (accuracy, poisoned) outcome of its first
-    evaluation, so each distinct site is evaluated once per model and
-    dataset.  Before any stack is filled, PrefixCache.certify gives each
-    output-fault site of the drawn block that provably changes no
-    prediction the baseline as its outcome, with no pass; weight sites are
-    never certified.  A draw whose site has no outcome yet is evaluated in
-    a stack (evaluate_with_fault with the rest of its block as ahead): with
-    it, up to PrefixCache.stack_size - 1 not-yet-evaluated sites of the
-    same layer and kind from the rest of its block, in draw order, share
-    one pass, and the later draws of those sites find their outcomes in the
-    memo.  Certification and the memo change no record.  There is
-    still one record per draw.  Its wallclock_ns is the time since the
-    previous record of this call (since the draws began, for the first),
-    so the block draw and a stack count on the draw that ran them.  If the
-    block draw raises, the block is drawn again one ordinal at a time, and
-    each of those draws is a stack of one, so the draws before the failing
-    one still land.  A drawn site that names no element of the model is
-    left out of the stacks and raises UsageError at its own draw.
+    A site is one int64 code (fault_model.site_codes) from the draw to the
+    row.  samplers, if given, needs a sampler for every seed, or raises
+    UsageError before any draw; by default the seeds' samplers share one
+    build_sampler call (FaultSampler.with_seed).  Each seed's pending
+    ordinals are one block, drawn with one sample_codes call; a code of
+    another target kind than the experiment code's raises UsageError.  A
+    site drawn again, at any seed or in an earlier campaign or latency run
+    on the same unchanged model and dataset, reuses the (accuracy,
+    poisoned) of its first evaluation.  PrefixCache.certify first gives the
+    block's output-fault sites that provably change no prediction the
+    baseline outcome, with no pass.  The block's other distinct codes with
+    no outcome are grouped by layer, in order of first draw, and cut into
+    stacks of PrefixCache.stack_size, each one evaluate_with_fault call.
+    The stacks run in the order of their leading draws, so every draw
+    before a stack's leader has its outcome when the stack runs.  A code
+    that names no element of the model stays out of the stacks and raises
+    UsageError at its own draw.  If the block draw raises, each ordinal is
+    drawn again as a block of its own, so the draws before the failing one
+    still land.  A stack's leading draw carries its time as wallclock_ns, a
+    block's first draw also the block draw and its certification, and
+    every other draw 0, so the times sum to at most the call's duration.
 
     PrefixCache.shared gives the baseline, the outcome memo and the clean
-    activations every evaluation resumes from, rerunning only the layers
-    from its fault onward.  With out_csv set, rows go to `<out_csv>.part`
-    in order, in one write before each stack evaluation and one at the end
-    of each block, and an error writes the finished rows first, so it
-    leaves exactly the draws before the failing one.  A hard kill may drop
-    the rows finished since the last write but leaves a clean prefix.  An
-    existing part file from an interrupted run is picked up where it
-    stopped, provided its header sidecar shows the same config (workers
-    aside), model checksum, dataset hash and baseline, and its rows carry
-    this experiment code and baseline.  The finished part file is renamed
-    onto out_csv.  Records come back in canonical (seed, ordinal) order.
-
-    The seeds' samplers share one build_sampler call (FaultSampler.with_seed).
-    A record and its row share the parts memoized per distinct (accuracy,
-    poisoned) outcome; a draw's site cells are formatted only for its row.
+    activations every evaluation resumes from.  With out_csv set, rows go
+    to `<out_csv>.part` in order, in one write before each stack and one at
+    the end of each block, and an error writes the finished rows first, so
+    the part file ends exactly before the failing draw; a hard kill leaves
+    a clean prefix.  An existing part file is resumed when its header
+    sidecar shows the same config (workers aside), model checksum, dataset
+    hash and baseline, and its rows carry this code and baseline.  The
+    finished part file is renamed onto out_csv.  Each row is one _row, with
+    its site and outcome cells memoized per site code.  The result keeps
+    the draws as columns, resumed rows with their loaded values; its
+    records are built only when read.
     """
     prefix = PrefixCache.shared(model, dataset)
     baseline, _ = prefix.baseline
 
     if config.exhaustive:
         sampler = _ExhaustiveSampler(model, config.code)
-        plan = [(config.seeds[0], sampler, len(sampler.sites))]
+        plan = [(config.seeds[0], sampler, len(sampler.codes))]
     else:
         seeds = sorted(config.seeds)
         if samplers is None:
@@ -518,63 +573,68 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                               seed=seeds[0]),
                 attributions, model, probe_images=probe_images)
             samplers = {seed: built.with_seed(seed) for seed in seeds}
+        lacking = [seed for seed in seeds if seed not in samplers]
+        if lacking:
+            raise UsageError(f"samplers has no sampler for seeds {lacking}")
         plan = [(seed, samplers[seed], config.sample_budget) for seed in seeds]
 
     code_str = str(config.code)
-    expected_order = [(seed, k) for seed, _, budget in plan for k in range(budget)]
+    order = [(seed, k) for seed, _, budget in plan for k in range(budget)]
     sink = None
-    records = []
+    resumed = []
     if out_csv is not None:
         sink = _RecordSink(out_csv, config.thresholds,
                            _campaign_meta(config, model, dataset, baseline))
-        records = list(sink.start(expected_order, code_str, baseline))
-    resumed = Counter(r.seed for r in records)  # a clean prefix: ordinals 0..m-1
+        resumed = sink.start(order, code_str, baseline)
+    # (codes, faulty, poisoned, wallclock_ns) of the resumed rows, then of each block
+    columns = [(site_codes([r.site for r in resumed]),
+                np.array([r.faulty_accuracy for r in resumed], dtype=np.float64),
+                np.array([r.poisoned for r in resumed], dtype=bool),
+                np.array([r.wallclock_ns for r in resumed], dtype=np.int64))]
+    done = Counter(r.seed for r in resumed)  # a clean prefix: ordinals 0..m-1
 
     outcomes = prefix.outcomes
-    # per distinct (accuracy, poisoned): (faulty, poisoned, drop, flags, outcome cells)
-    by_outcome = {}
-    last = time.perf_counter_ns()  # each record's wallclock_ns runs from the one before
+    outcome_cells = _OutcomeCells(baseline, config.thresholds)
     try:
         for seed, sampler, budget in plan:  # canonical order, so writes stay sorted
-            start = resumed[seed]
-            n = budget - start
-            if n <= 0:
+            start = done[seed]
+            if start >= budget:
                 continue
+            mark = time.perf_counter_ns()
             try:
-                sites = sampler.sample(n, start)
+                blocks = [(start, sampler.sample_codes(budget - start, start))]
             except Exception:
                 # redraw one ordinal at a time below, so the draws before a
                 # failing ordinal are evaluated and written before it raises
-                sites = None
-            else:
-                prefix.certify(model, sites)
-            for i in range(n):
-                k = start + i
-                site = sites[i] if sites is not None else sampler.sample(1, k)[0]
-                outcome = outcomes.get(site)
-                if outcome is None:
+                blocks = ((k, sampler.sample_codes(1, k)) for k in range(start, budget))
+            for first, codes in blocks:
+                keys, distinct, stacks, stop = _plan_block(model, prefix, codes,
+                                                           config.code.target_kind)
+                ns = [0] * len(keys)
+                ns[0] = time.perf_counter_ns() - mark
+                site_cells = (_site_cells(distinct, config.code.target_kind)
+                              if sink is not None else None)
+                written = 0
+                for leader, stack in stacks:
                     if sink is not None:
+                        sink.pending += _rows(code_str, seed, first, keys, ns, written, leader,
+                                              site_cells, outcomes, outcome_cells)
                         sink.write()
-                    ahead = islice(sites, i + 1, None) if sites is not None else ()
-                    outcome = evaluate_with_fault(model, dataset, site, prefix=prefix,
-                                                  ahead=ahead)
-                cells = by_outcome.get(outcome)
-                if cells is None:
-                    faulty, poisoned = outcome
-                    drop, flags = _classify(baseline, faulty, config.thresholds)
-                    cells = by_outcome[outcome] = (
-                        faulty, poisoned, drop, flags,
-                        _outcome_cells(baseline, faulty, drop, poisoned, flags))
-                faulty, poisoned, drop, flags, outcome_cells = cells
-                now = time.perf_counter_ns()
-                ns, last = now - last, now
-                records.append(InjectionRecord(code_str, seed, k, site, baseline, faulty,
-                                               drop, poisoned, ns, flags))
+                        written = leader
+                    t0 = time.perf_counter_ns()
+                    evaluate_with_fault(model, dataset, sites_from_codes(stack[:1])[0],
+                                        prefix=prefix, ahead=stack[1:])
+                    ns[leader] += time.perf_counter_ns() - t0
                 if sink is not None:
-                    sink.pending.append(_row(code_str, seed, k, _site_cells(site),
-                                             outcome_cells, ns))
-            if sink is not None:
-                sink.write()
+                    sink.pending += _rows(code_str, seed, first, keys, ns, written, stop,
+                                          site_cells, outcomes, outcome_cells)
+                    sink.write()
+                if stop < len(keys):
+                    check_site(model, sites_from_codes(codes[stop:stop + 1])[0])
+                faulty, poisoned = zip(*map(outcomes.__getitem__, keys))
+                columns.append((codes, np.array(faulty, dtype=np.float64),
+                                np.array(poisoned, dtype=bool), np.array(ns, dtype=np.int64)))
+                mark = time.perf_counter_ns()
     except BaseException:
         if sink is not None:
             try:
@@ -585,8 +645,43 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
 
     if sink is not None:
         sink.finalize()
-    stats = compute_stats(records, config.thresholds)
-    return CampaignResult(config, records, stats, baseline)
+    codes, faulty, poisoned, wallclock = (np.concatenate(c) for c in zip(*columns))
+    flags = (baseline - faulty)[:, None] >= np.array(config.thresholds)
+    return CampaignResult(config, _flag_stats(flags, config.thresholds), baseline, order,
+                          codes, faulty, poisoned, wallclock)
+
+
+def _plan_block(model, prefix, codes, target_kind):
+    """Certify a block of drawn site codes and plan its stacks.
+
+    Returns (keys, distinct, stacks, stop): the block's codes as ints; its
+    distinct codes; the stacks, as (index of the draw that leads it, its
+    codes), in the order of their leaders; and the index of the first draw that names no element of the
+    model, or the block's length.  A stack holds codes of one layer with no
+    outcome yet, in order of first draw, at most prefix.stack_size of them;
+    only the stacks led before that first bad draw are planned.  A code of
+    another kind than target_kind raises UsageError.
+    """
+    check_kind(codes, target_kind)
+    prefix.certify(model, codes)
+    keys = codes.tolist()
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # code -> first draw
+    distinct = np.fromiter(first, np.int64, len(first))
+    firsts = np.fromiter(first.values(), np.int64, len(first))
+    valid = prefix.valid(distinct)
+    stop = len(keys) if valid.all() else int(firsts[~valid].min())
+    todo = valid & ~prefix.known(distinct)
+    todo, firsts = distinct[todo], firsts[todo]
+    layers = code_fields(todo)[0]
+    order = np.lexsort((firsts, layers))  # by layer, then by first draw
+    todo, firsts, layers = todo[order], firsts[order], layers[order]
+    size, firsts = prefix.stack_size, firsts.tolist()
+    bounds = (np.flatnonzero(np.diff(layers)) + 1).tolist()  # where a layer's codes begin
+    stacks = [(firsts[i], todo[i:min(i + size, end)])
+              for begin, end in zip([0] + bounds, bounds + [len(todo)])
+              for i in range(begin, end, size)]
+    stacks.sort(key=lambda stack: stack[0])
+    return keys, distinct, [stack for stack in stacks if stack[0] < stop], stop
 
 
 def exhaustive_census(model, dataset, target_kind, thresholds, seed=0) -> dict:

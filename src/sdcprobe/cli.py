@@ -272,7 +272,7 @@ def cmd_campaign(args):
     stats = result.stats
     shown = [f"{t:.2f}:{p if p is None else round(p, 4)}"
              for t, p in zip(config.thresholds, stats.precision)][:4]
-    print(f"campaign {config.code}: {len(result.records)} records, baseline "
+    print(f"campaign {config.code}: {len(result.codes)} records, baseline "
           f"{result.baseline_accuracy}, precision {' '.join(shown)} ...; wrote {args.out}")
     return 0
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .attribution import AttributionConfig, attribute_all
 from .campaign import DEFAULT_THRESHOLDS, json_fields
 from .errors import ConfigError
-from .fault_model import SamplerConfig, build_sampler, parse_code
+from .fault_model import SamplerConfig, build_sampler, check_kind, parse_code, sites_from_codes
 from .fileio import atomic_write
 from .injector import PrefixCache, evaluate_with_fault, evaluate_with_fault_set
 from .nnet import evaluate_detailed, train, train_lockstep
@@ -140,9 +140,12 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     timed window, so wallclock_ns reflects the sampler's true cost.  Runs
     past budget_cap evaluations return censored instead of raising.  A
     prebuilt sampler can be passed for diagnostics with constructed site
-    sequences; the code's own sampler is built otherwise.  The baseline,
-    the clean activations every evaluation resumes from and the outcome
-    memo come from PrefixCache.shared.
+    sequences; the code's own sampler is built otherwise.  A sampler draws
+    int64 site codes (sample_codes, see fault_model.site_codes), and a
+    block holding a site of another target kind than the code's raises
+    UsageError.  The baseline, the clean activations every evaluation
+    resumes from and the outcome memo, keyed by site code, come from
+    PrefixCache.shared.
 
     Sites are drawn in blocks of 32, 64, 128, ... ordinals, capped at the
     budget left; draws past the stopping ordinal are discarded unevaluated.
@@ -155,7 +158,8 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     a pass, so certifying draws past the stop wastes little.  Unlike a
     campaign, a run evaluates each other new site in a stack of one, in
     draw order: whether a later draw is needed depends on this one's
-    outcome, and a stacked pass would evaluate draws past the stop.
+    outcome, and a stacked pass would evaluate draws past the stop.  A
+    FaultSite is built only for such a pass.
     """
     if isinstance(code, str):
         code = parse_code(code)
@@ -176,12 +180,14 @@ def measure_latency_to_critical(model, dataset, code, threshold, k=3, *, seed=0,
     block = _FIRST_LATENCY_BLOCK
     while censored and evaluations < budget_cap:
         n = min(block, budget_cap - evaluations)
-        drawn = sampler.sample(n, evaluations)
+        drawn = sampler.sample_codes(n, evaluations)
+        check_kind(drawn, code.target_kind)
         prefix.certify(model, drawn)
-        for site in drawn:
+        for site in drawn.tolist():
             outcome = outcomes.get(site)
             if outcome is None:
-                outcome = evaluate_with_fault(model, dataset, site, prefix=prefix)
+                outcome = evaluate_with_fault(model, dataset, sites_from_codes([site])[0],
+                                              prefix=prefix)
             evaluations += 1
             # clamp: improvements are not critical
             drop = max(0.0, baseline - outcome[0])

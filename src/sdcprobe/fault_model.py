@@ -14,6 +14,8 @@ batching or on how many workers consume the stream.  ``FaultSampler.sample``
 draws a block of ordinals at once: a vectorized copy of numpy's
 SeedSequence and PCG64 (O'Neill 2014, XSL-RR output) gives those same
 uniforms bit for bit, and every stage of the draw runs on the whole block.
+Inside the engine a site is one int64 site code (site_codes) from the draw
+(FaultSampler.sample_codes) on; FaultSites are built only for the API.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bitfloat
-from .attribution import eligible_layers
+from .attribution import TARGET_KINDS, eligible_layers
 from .errors import ConfigError, DataFormatError, UsageError
 from .fileio import atomic_write, read_text
 from .nnet import model_checksum
@@ -54,6 +56,48 @@ class FaultSite:
             raise UsageError(f"bad target_kind {self.target_kind!r}")
         if not 0 <= self.bit_index <= 31:
             raise UsageError(f"bit_index {self.bit_index} out of range")
+
+
+# A site code is ((layer_id * 2 + kind) << 37) | (element_index << 5) | bit_index,
+# kind the index of the target kind in TARGET_KINDS.  Codes are injective over
+# layer ids below 2**25 and element indices below 2**32, and sort as their
+# sites by (layer, kind, element, bit).
+def site_code(site) -> int:
+    """The int64 site code of a FaultSite; UsageError if it has none."""
+    if not (0 <= site.layer_id < 1 << 25 and 0 <= site.element_index < 1 << 32):
+        raise UsageError(f"{site} has no site code: it needs 0 <= layer id < 2**25 and "
+                         "0 <= element index < 2**32")
+    return _encode(site.layer_id, TARGET_KINDS.index(site.target_kind), site.element_index,
+                   site.bit_index)
+
+
+def site_codes(sites) -> np.ndarray:
+    """The int64 site codes of FaultSites, or of an array of codes, in order."""
+    if isinstance(sites, np.ndarray):
+        return sites.astype(np.int64, copy=False)
+    return np.array([site_code(s) for s in sites], dtype=np.int64)
+
+
+def _encode(layers, kinds, elements, bits):
+    return ((layers * 2 + kinds) << 37) | (elements << 5) | bits
+
+
+def code_fields(codes):
+    """(layer ids, kinds, element indices, bit indices) of site codes, as
+    arrays of an array and ints of an int; a kind indexes TARGET_KINDS."""
+    return codes >> 38, (codes >> 37) & 1, (codes >> 5) & 0xFFFFFFFF, codes & 31
+
+
+def check_kind(codes, target_kind):
+    """Raise UsageError unless every site code faults target_kind."""
+    if (code_fields(codes)[1] != TARGET_KINDS.index(target_kind)).any():
+        raise UsageError(f"a sampler drew a site of another target kind than {target_kind}")
+
+
+def sites_from_codes(codes) -> list:
+    """The FaultSites of site codes, in order."""
+    return [FaultSite(lid, TARGET_KINDS[kind], element, bit) for lid, kind, element, bit
+            in map(code_fields, np.asarray(codes, dtype=np.int64).tolist())]
 
 
 @dataclass(frozen=True)
@@ -320,7 +364,12 @@ class FaultSampler:
 
     def sample(self, n: int, start_ordinal: int = 0) -> list[FaultSite]:
         """Sites of the ordinals start_ordinal .. start_ordinal+n-1, each
-        the same as sample_at gives, drawn as one vectorized block."""
+        the same as sample_at gives: the sites of sample_codes."""
+        return sites_from_codes(self.sample_codes(n, start_ordinal))
+
+    def sample_codes(self, n: int, start_ordinal: int = 0) -> np.ndarray:
+        """int64 site codes of the ordinals start_ordinal ..
+        start_ordinal+n-1, drawn as one vectorized block."""
         if n < 1:
             raise UsageError(f"sample needs n >= 1, got {n}")
         if start_ordinal < 0:
@@ -339,10 +388,8 @@ class FaultSampler:
         g = np.where(mixed, g_mix, g)
         bit = np.where(mixed, bit_mix, np.minimum(bit, 31))
         li = np.searchsorted(self.offsets, g, side="right") - 1
-        layers = np.asarray(self.layer_ids)[li]
-        kind = self.code.target_kind
-        return [FaultSite(layer, kind, elem, b) for layer, elem, b in
-                zip(layers.tolist(), (g - self.offsets[li]).tolist(), bit.tolist())]
+        return _encode(np.asarray(self.layer_ids, dtype=np.int64)[li],
+                       TARGET_KINDS.index(self.code.target_kind), g - self.offsets[li], bit)
 
 
 def _element_pool(model, target_kind):
@@ -424,15 +471,18 @@ def build_sampler(config: SamplerConfig, attributions=None, model=None,
     return FaultSampler(config, layer_ids, counts, neuron_weights, bit_stage)
 
 
-def enumerate_sites(model, target_kind) -> list[FaultSite]:
-    """Every (layer, element, bit) site, ordered; the exhaustive search space."""
+def enumerate_codes(model, target_kind) -> np.ndarray:
+    """Every (layer, element, bit) site code, ordered; the exhaustive search space."""
     layer_ids, counts = _element_pool(model, target_kind)
-    sites = []
-    for lid, count in zip(layer_ids, counts):
-        for e in range(count):
-            for b in range(32):
-                sites.append(FaultSite(lid, target_kind, e, b))
-    return sites
+    kind = TARGET_KINDS.index(target_kind)
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        _encode(lid, kind, np.arange(count, dtype=np.int64)[:, None], np.arange(32)).ravel()
+        for lid, count in zip(layer_ids, counts)])
+
+
+def enumerate_sites(model, target_kind) -> list[FaultSite]:
+    """The sites of enumerate_codes."""
+    return sites_from_codes(enumerate_codes(model, target_kind))
 
 
 FAULT_CSV_HEADER = ["layer_id", "target_kind", "element_index", "bit_index"]

@@ -30,10 +30,11 @@ stacked pass writes the model.
 
 An outcome is a pure function of (parameters, dataset, site), so the cache
 also memoizes it: evaluate_with_fault(..., prefix=cache) stores the
-(accuracy, poisoned) of every site of its stack in cache.outcomes.
-PrefixCache.shared hands campaigns and latency runs one process-wide cache
-per model and dataset, so they evaluate each distinct site once per model
-and dataset, across calls.
+(accuracy, poisoned) of every site of its stack in cache.outcomes, keyed
+by the site's int64 code (fault_model.site_code).  PrefixCache.shared
+hands campaigns and latency runs one process-wide cache per model and
+dataset, so they evaluate each distinct site once per model and dataset,
+across calls.
 
 Many output faults need no pass at all.  PrefixCache.certify bounds, with
 interval bound propagation around the clean activations (Gowal et al.,
@@ -41,21 +42,20 @@ interval bound propagation around the clean activations (Gowal et al.,
 of both passes included.  A site whose bound stays below every sample's
 clean top-1 margin changes no prediction and makes no NaN, so its outcome
 is the baseline, which certify stores in cache.outcomes.  Campaigns and
-latency runs certify each drawn block before any stack is filled.  Weight
-sites are never certified.
+latency runs certify each drawn block of site codes, filtered with array
+operations, before any stack is filled.  Weight sites are never certified.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from itertools import compress
 
 import numpy as np
 
 from .bitfloat import xor_bits
 from .errors import UsageError
-from .fault_model import FaultSite
+from .fault_model import FaultSite, code_fields, site_code, site_codes
 from .nnet import check_site, evaluate_detailed, faults_active, model_checksum, site_error
 from .nnet.training import EVAL_BATCH, classify, score
 
@@ -84,10 +84,11 @@ class PrefixCache:
     PREFIX_CACHE_BYTES it also keeps each layer's output, so chunks[c][L]
     is the input of layer L.  The arrays are made read-only, and stacked
     evaluations only read them and the model, so threads may share one
-    cache and one model without locks.  outcomes maps each FaultSite
-    evaluated or certified through the cache to its (accuracy, poisoned),
-    and certified counts the sites certify() proved harmless.  stack_size
-    is the most sites one stacked pass evaluates (see STACK_BYTES).
+    cache and one model without locks.  outcomes maps the site code
+    (fault_model.site_codes) of each site evaluated or certified through
+    the cache to its (accuracy, poisoned), and certified counts the sites
+    certify() proved harmless.  stack_size is the most sites one stacked
+    pass evaluates (see STACK_BYTES).
 
     The cache is only valid for models identical to the one it was built
     from: replicas made by Model.copy() qualify, the same model after its
@@ -113,6 +114,11 @@ class PrefixCache:
         widest = max((model.layers[i].weight.data.size for i in model.weight_layer_ids()),
                      default=0)
         self.stack_size = max(1, STACK_BYTES // (8 * (min(n, EVAL_BATCH) * per_sample + widest)))
+        # elements per (layer, kind) of the site codes' kinds, for valid()
+        self._sizes = np.array([(math.prod(model.in_shapes[lid + 1]),
+                                 layer.weight.data.size if getattr(layer, "weight", None)
+                                 is not None else 0)
+                                for lid, layer in enumerate(model.layers)], dtype=np.int64)
         self.chunks, logits = [], []
         for lo in range(0, n, EVAL_BATCH):
             x = dataset.images[lo:lo + EVAL_BATCH]
@@ -124,7 +130,7 @@ class PrefixCache:
             logits.append(out)
         # (accuracy, poisoned) of the clean model, as evaluate_detailed gives it
         self.baseline = score(*classify(logits), dataset.labels)
-        self.outcomes: dict[FaultSite, tuple[float, bool]] = {}
+        self.outcomes: dict[int, tuple[float, bool]] = {}
         self.certified = 0
         self._tolerances = {}  # layer id -> tol table of certify(), [elements, N]
 
@@ -165,25 +171,34 @@ class PrefixCache:
         if self._model_signature(model) != self._signature:
             raise UsageError("prefix cache was built for a model with other layers")
 
+    def valid(self, codes) -> np.ndarray:
+        """Which int64 site codes name an element of the model, as a bool
+        array: those whose sites nnet.site_error finds no fault with."""
+        layers, kinds, elements, _ = code_fields(codes)
+        inside = layers < len(self._sizes)
+        return inside & (elements < self._sizes[np.where(inside, layers, 0), kinds])
+
     def evaluate_stack(self, model, sites) -> list[tuple[float, bool]]:
         """(accuracy, poisoned) of each site, in order, from one pass over
         the layers from the sites' layer L onward, one variant per site.
 
-        The sites share L and kind and must name elements of the model.  A
-        weight stack resumes from the clean input of L, with variant k's
-        weight XORed at site k; an output stack from the clean output of L,
-        with variant k's column XORed.  Without stored activations the
-        clean layers before that start run first, once per chunk, as the
-        cache build ran them.
+        The sites, FaultSites or their int64 codes, share L and kind and
+        must name elements of the model.  A weight stack resumes from the
+        clean input of L, with variant k's weight XORed at site k; an
+        output stack from the clean output of L, with variant k's column
+        XORed.  Without stored activations the clean layers before that
+        start run first, once per chunk, as the cache build ran them.
         """
-        lid, k = sites[0].layer_id, len(sites)
+        layers, kinds, elements, bits = code_fields(site_codes(sites))
+        lid, k = int(layers[0]), len(layers)
         weights = masks = None
-        if sites[0].target_kind == "neuron_weight":
+        if kinds[0]:  # neuron_weight
             start, w = lid, model.layers[lid].weight.data
-            weights = xor_bits(w.reshape(1, -1), _stack_masks(sites, w.size)).reshape(k, *w.shape)
+            weights = xor_bits(w.reshape(1, -1),
+                               _stack_masks(elements, bits, w.size)).reshape(k, *w.shape)
         else:
             start = lid + 1
-            masks = _stack_masks(sites, math.prod(model.in_shapes[start]))[:, None, :]
+            masks = _stack_masks(elements, bits, math.prod(model.in_shapes[start]))[:, None, :]
         logits = []
         for chunk in self.chunks:
             x = chunk[start] if start < len(chunk) else model.apply(chunk[0], stop=start)
@@ -196,12 +211,13 @@ class PrefixCache:
 
     def certify(self, model, sites):
         """Store self.baseline as the outcome of every output-fault site in
-        sites that a sound bound proves harmless, and add their number to
-        self.certified.
+        sites, FaultSites or their int64 codes, that a sound bound proves
+        harmless, and add their number to self.certified.
 
         Only sites that fault an output, name an element of the model and
         have no outcome yet are checked, and only when the cache stores
-        activations.  Site (L, e, b) is certified when, on every sample s,
+        activations; array operations filter the sites and group them by
+        layer.  Site (L, e, b) is certified when, on every sample s,
         Δ = |flip_b(v) - v| < tol_L[e, s], v the clean output element; a
         NaN or inf Δ fails that comparison by itself.  tol_L is a float32
         table built the first time layer L is checked, one chunk at a time,
@@ -245,40 +261,48 @@ class PrefixCache:
         zero to float32.  The cap of 2^127, half of FLT_MAX, leaves far more
         room than the rounding of its own sum needs.
         """
-        if not self.stores_activations:
+        codes = site_codes(sites)
+        codes = codes[code_fields(codes)[1] == 0]  # kind 0: neuron_output
+        if not self.stores_activations or not codes.size:
             return
-        by_layer: dict[int, dict[FaultSite, None]] = {}
-        for site in sites:
-            if (site.target_kind != "neuron_weight" and site not in self.outcomes
-                    and site_error(model, site) is None):
-                by_layer.setdefault(site.layer_id, {})[site] = None
-        missing = [lid for lid in by_layer if lid not in self._tolerances]
+        codes = np.array(sorted(set(codes.tolist())), dtype=np.int64)  # grouped by layer
+        codes = codes[self.valid(codes) & ~self.known(codes)]
+        if not codes.size:
+            return
+        groups = np.split(codes, np.flatnonzero(np.diff(code_fields(codes)[0])) + 1)
+        lids = [int(code_fields(group[0])[0]) for group in groups]
+        missing = [lid for lid in lids if lid not in self._tolerances]
         if missing:
             self._tolerances.update(_tolerance_tables(model, self.chunks, missing))
         # sites per check, so that its float64 [samples, sites] arrays fit STACK_BYTES
         per_check = max(1, STACK_BYTES // (8 * len(self.dataset.labels)))
-        for lid, group in by_layer.items():
-            group = list(group)
+        for lid, group in zip(lids, groups):
             for lo in range(0, len(group), per_check):
                 batch = group[lo:lo + per_check]
-                elements = [s.element_index for s in batch]
-                masks = np.array([1 << s.bit_index for s in batch], dtype=np.uint32)
+                _, _, elements, bits = code_fields(batch)
                 clean = np.concatenate([c[lid + 1].reshape(len(c[0]), -1)[:, elements]
                                         for c in self.chunks])
                 with np.errstate(invalid="ignore", over="ignore"):
-                    delta = np.subtract(xor_bits(clean, masks), clean, dtype=np.float64)
+                    delta = np.subtract(xor_bits(clean, _bit_masks(bits)), clean,
+                                        dtype=np.float64)
                 np.abs(delta, out=delta)
                 harmless = (delta < self._tolerances[lid][elements].T).all(axis=0)
-                for site in compress(batch, harmless):
-                    self.outcomes[site] = self.baseline
+                self.outcomes.update(dict.fromkeys(batch[harmless].tolist(), self.baseline))
                 self.certified += int(harmless.sum())
 
+    def known(self, codes) -> np.ndarray:
+        """Which int64 site codes have an outcome, as a bool array."""
+        return np.fromiter(map(self.outcomes.__contains__, codes.tolist()), bool, len(codes))
 
-def _stack_masks(sites, size):
-    """[K, size] uint32 masks: row k holds site k's bit at its element."""
-    masks = np.zeros((len(sites), size), dtype=np.uint32)
-    for k, site in enumerate(sites):
-        masks[k, site.element_index] = 1 << site.bit_index
+
+def _bit_masks(bits):
+    return np.left_shift(np.uint32(1), bits.astype(np.uint32))
+
+
+def _stack_masks(elements, bits, size):
+    """[K, size] uint32 masks: row k holds bit k at element k."""
+    masks = np.zeros((len(elements), size), dtype=np.uint32)
+    masks[np.arange(len(elements)), elements] = _bit_masks(bits)
     return masks
 
 
@@ -355,10 +379,15 @@ def _tolerance_tables(model, chunks, lids):
             for lid in sorted(lids, reverse=True):
                 while step is not None and step[0] > lid:
                     l, hl, from_x, from_floor = step
-                    x_max = np.abs(chunk[l].reshape(rows, -1)).max(axis=1).astype(np.float64)
-                    y = chunk[l + 1].reshape(rows, -1).astype(np.float64)
-                    np.abs(y, out=y)
-                    carried += x_max[:, None] * from_x + from_floor + 2.0 ** -22 * (y @ hl)
+                    x, y = chunk[l].reshape(rows, -1), chunk[l + 1].reshape(rows, -1)
+                    # rows at a time, so that each float64 copy of x or y fits STACK_BYTES
+                    span = max(1, STACK_BYTES // (8 * max(x.shape[1], y.shape[1])))
+                    for a in range(0, rows, span):
+                        part = slice(a, a + span)
+                        x_max = np.abs(x[part]).max(axis=1).astype(np.float64)
+                        y64 = np.abs(y[part].astype(np.float64))
+                        carried[part] += (x_max[:, None] * from_x + from_floor
+                                          + 2.0 ** -22 * (y64 @ hl))
                     step = next(later, None)
                 gain, reach = gains[lid][:, :classes], gains[lid][:, classes:]
                 # each later |y| <= 2^22 ρ, so the cap's sum is at most (1 + 2^22) ρ (1 + U)
@@ -398,27 +427,31 @@ def evaluate_with_fault(model, dataset, site: FaultSite,
     fault's bit even when evaluation raises.  With a PrefixCache that
     passes check() for this model and dataset, the site is evaluated in a
     stack (PrefixCache.evaluate_stack) that it leads, filled up to
-    prefix.stack_size with the first sites of the iterable ahead, in
-    order, that share its layer and kind, name an element of the model and
-    are neither in prefix.outcomes nor already stacked; run_campaign passes
-    the rest of the drawn block.  A site that names no element raises
-    UsageError; one in ahead is left out.  Every outcome of the stack is
-    stored in prefix.outcomes once the pass succeeds, and the model is
-    never written.
+    prefix.stack_size with the first sites of ahead, FaultSites or their
+    int64 codes, in order, that share its layer and kind, name an element
+    of the model and are neither in prefix.outcomes nor already stacked.
+    run_campaign passes a stack it has already made, so the call costs
+    O(stack).  A site that names no element raises UsageError; one in
+    ahead is left out.  Every outcome of the stack is stored in
+    prefix.outcomes once the pass succeeds, and the model is never
+    written.
     """
     if prefix is None:
         return evaluate_with_fault_set(model, dataset, [site])
     prefix.check(model, dataset)
     check_site(model, site)
-    stack = {site: None}
-    for other in ahead:
+    lead = site_code(site)
+    if not isinstance(ahead, np.ndarray):
+        ahead = site_codes([s for s in ahead if site_error(model, s) is None])
+    layers, kinds, _, _ = code_fields(ahead)
+    layer, kind, _, _ = code_fields(lead)
+    stack = {lead: None}
+    for code in ahead[(layers == layer) & (kinds == kind) & prefix.valid(ahead)].tolist():
         if len(stack) >= prefix.stack_size:
             break
-        if (other.layer_id == site.layer_id and other.target_kind == site.target_kind
-                and other not in stack and other not in prefix.outcomes
-                and site_error(model, other) is None):
-            stack[other] = None
-    outcomes = prefix.evaluate_stack(model, list(stack))
+        if code not in stack and code not in prefix.outcomes:
+            stack[code] = None
+    outcomes = prefix.evaluate_stack(model, np.array(list(stack), dtype=np.int64))
     prefix.outcomes.update(zip(stack, outcomes))
     return outcomes[0]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sdcprobe.fault_model import sites_from_codes, site_codes
 from sdcprobe.injector import PrefixCache
 
 
@@ -13,7 +14,7 @@ def stacked_sites(monkeypatch):
     evaluate_stack = PrefixCache.evaluate_stack
 
     def counting(cache, model, stack):
-        sites.extend(stack)
+        sites.extend(sites_from_codes(site_codes(stack)))
         return evaluate_stack(cache, model, stack)
 
     monkeypatch.setattr(PrefixCache, "evaluate_stack", counting)

@@ -20,7 +20,8 @@ from sdcprobe.campaign import (CampaignConfig, DEFAULT_SEEDS, DEFAULT_THRESHOLDS
 from sdcprobe.data import Dataset, synth_blobs
 from sdcprobe.errors import ConfigError, DataFormatError, DataIntegrityError, UsageError
 from sdcprobe.fat import measure_latency_to_critical
-from sdcprobe.fault_model import FaultSite, SamplerConfig, build_sampler
+from sdcprobe.fault_model import (FaultSite, SamplerConfig, build_sampler, site_codes,
+                                  sites_from_codes)
 from sdcprobe.injector import PrefixCache, evaluate_with_fault
 from sdcprobe.nnet import Flatten, Linear, Model, build_cnn, model_checksum
 
@@ -54,7 +55,14 @@ def strip_clock(r: InjectionRecord):
             r.poisoned, r.sdc_flags)
 
 
-class _FixedSiteSampler:
+class _SiteSampler:
+    """A test sampler's sample_codes: the codes of the sites it samples."""
+
+    def sample_codes(self, n, start_ordinal=0):
+        return site_codes(self.sample(n, start_ordinal))
+
+
+class _FixedSiteSampler(_SiteSampler):
     def __init__(self, site):
         self.site = site
 
@@ -62,7 +70,7 @@ class _FixedSiteSampler:
         return [self.site] * n
 
 
-class _ThreadNotingSampler:
+class _ThreadNotingSampler(_SiteSampler):
     """Deterministic weight sites; notes the thread and the live thread
     count of every draw, and raises at ordinal fail_at."""
 
@@ -80,7 +88,7 @@ class _ThreadNotingSampler:
         return [self.sample_at(k) for k in range(start_ordinal, start_ordinal + n)]
 
 
-class _BadSiteSampler:
+class _BadSiteSampler(_SiteSampler):
     """Weight sites that differ per seed; ordinal bad_at names a weight the
     identity model does not have, and drawing it does not raise."""
 
@@ -345,6 +353,73 @@ class TestRunCampaign:
         assert result.baseline_accuracy == 1.0
         assert result.stats.precision == [1.0] * 5
 
+    @pytest.mark.parametrize("case", ["missing seed", "other kind"])
+    def test_refused_samplers_leave_nothing(self, tmp_path, case):
+        """samplers= lacking a seed of the config, or drawing weight sites
+        for an output campaign, raise UsageError; neither leaves a part file
+        or a records file, and the model is untouched."""
+        model = identity_model()
+        checksum = model_checksum(model)
+        if case == "missing seed":
+            cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=4,
+                                 seeds=(1, 2))
+            samplers, match = {1: _ThreadNotingSampler()}, r"no sampler for seeds \[2\]"
+        else:
+            cfg = CampaignConfig(code="RBRNo", thresholds=THRESH5, sample_budget=4,
+                                 seeds=(1,))
+            samplers, match = {1: _ThreadNotingSampler()}, "another target kind"
+        out = tmp_path / "run.csv"
+        with pytest.raises(UsageError, match=match):
+            run_campaign(model, class1_dataset(), cfg, out_csv=str(out), samplers=samplers)
+        assert not out.exists() and not (tmp_path / "run.csv.part").exists()
+        assert model_checksum(model) == checksum
+        if case == "missing seed":
+            assert samplers[1].calls == []  # refused before any draw
+            assert list(tmp_path.iterdir()) == []
+
+    def test_a_thousand_draws_build_no_per_draw_objects(self, tmp_path, monkeypatch):
+        """A 1000-draw campaign writing its CSV, whose records are not read,
+        builds no InjectionRecord and at most one FaultSite per stacked
+        pass; reading records afterwards gives what the file holds and what
+        a per-draw loop over FaultSites gives."""
+        counts = {"record": 0, "site": 0, "passes": 0}
+        record_init, site_check = InjectionRecord.__init__, FaultSite.__post_init__
+        evaluate_stack = PrefixCache.evaluate_stack
+
+        def counting_record(self, *args, **kwargs):
+            counts["record"] += 1
+            record_init(self, *args, **kwargs)
+
+        def counting_site(self):
+            counts["site"] += 1
+            site_check(self)
+
+        def counting_stack(cache, model, stack):
+            counts["passes"] += 1
+            return evaluate_stack(cache, model, stack)
+
+        model, data = TestWrites.cnn_and_data()
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=500, seeds=(5, 2))
+        out = tmp_path / "run.csv"
+        with monkeypatch.context() as m:
+            m.setattr(InjectionRecord, "__init__", counting_record)
+            m.setattr(FaultSite, "__post_init__", counting_site)
+            m.setattr(PrefixCache, "evaluate_stack", counting_stack)
+            result = run_campaign(model, data, cfg, out_csv=str(out))
+        assert counts["record"] == 0 and len(result.codes) == 1000
+        assert 0 < counts["site"] <= counts["passes"] < 1000
+        assert result.records == load_records(out)[0]
+        reference = []
+        for seed in sorted(cfg.seeds):
+            sampler = build_sampler(SamplerConfig(code=cfg.code, seed=seed), None, model)
+            for k, site in enumerate(sampler.sample(cfg.sample_budget)):
+                faulty, poisoned = evaluate_with_fault(model, data, site)
+                reference.append(make_record(str(cfg.code), seed, k, site,
+                                             result.baseline_accuracy, faulty, poisoned, 0,
+                                             THRESH5))
+        assert [strip_clock(r) for r in result.records] == [strip_clock(r) for r in reference]
+        assert result.stats == compute_stats(reference, THRESH5)
+
     def test_model_untouched_after_campaign(self):
         model = identity_model()
         checksum = model_checksum(model)
@@ -608,9 +683,12 @@ class TestPersistence:
         assert not (tmp_path / "resumed.csv.part.meta.json").exists()
 
     def test_wallclock_is_the_time_since_the_previous_record(self, tmp_path):
-        """Every wallclock_ns is >= 0 and the records' times sum to at most
-        the time around run_campaign; the rows a resumed run adds do too,
-        and the rows it resumes keep theirs."""
+        """A draw that leads a stack carries the stack's time, a block's
+        first draw also the block draw and its certification, and every
+        other draw 0.  So every wallclock_ns is >= 0, a memo hit past a
+        block's first draw carries 0, a stack leader more than 0, and the
+        records' times sum to at most the time around run_campaign; the rows
+        a resumed run adds do too, and the rows it resumes keep theirs."""
         cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=12,
                              seeds=(1, 2))
 
@@ -623,6 +701,16 @@ class TestPersistence:
         full, elapsed = timed_run("full.csv")
         clocks = [r.wallclock_ns for r in full]
         assert len(clocks) == 24 and min(clocks) >= 0 and sum(clocks) <= elapsed
+        seen, hits, leaders = set(), [], {}
+        for r in full:  # each seed's draws are one block, and its new sites one stack
+            if r.site in seen:
+                if r.sample_ordinal:
+                    hits.append(r.wallclock_ns)
+            else:
+                leaders.setdefault(r.seed, r.wallclock_ns)
+            seen.add(r.site)
+        assert hits and set(hits) == {0}
+        assert len(leaders) == 2 and min(leaders.values()) > 0
         lines = (tmp_path / "full.csv").read_text().splitlines()
         (tmp_path / "resumed.csv.part").write_text("\n".join(lines[:6]) + "\n")
         (tmp_path / "resumed.csv.part.meta.json").write_text(
@@ -748,7 +836,7 @@ class TestWrites:
         evaluate_stack, write = PrefixCache.evaluate_stack, _RecordSink.write
 
         def counting_stack(cache, model, sites):
-            stacks.append(list(sites))
+            stacks.append(sites_from_codes(site_codes(sites)))
             return evaluate_stack(cache, model, sites)
 
         def counting_write(sink):
@@ -777,7 +865,7 @@ class TestWrites:
         evaluate_stack = PrefixCache.evaluate_stack
 
         def recording(cache, model, sites):
-            stacks.append(list(sites))
+            stacks.append(sites_from_codes(site_codes(sites)))
             return evaluate_stack(cache, model, sites)
 
         monkeypatch.setattr(PrefixCache, "evaluate_stack", recording)
@@ -816,7 +904,7 @@ class TestWrites:
         evaluate_stack = PrefixCache.evaluate_stack
 
         def stack(cache, model, sites):
-            stacks.append(list(sites))
+            stacks.append(sites_from_codes(site_codes(sites)))
             if len(stacks) == fail_at and fail:
                 seen_at_failure.append(part_path.read_bytes() if part_path.exists() else b"")
                 raise RuntimeError(f"stack {fail_at} failed")

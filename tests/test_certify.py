@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdcprobe.campaign import CampaignConfig, run_campaign
 from sdcprobe.data import Dataset, synth_blobs, train_test_split
-from sdcprobe.fault_model import FaultSite, enumerate_sites
+from sdcprobe.fault_model import FaultSite, enumerate_sites, site_code
 from sdcprobe import injector
 from sdcprobe.injector import PrefixCache, evaluate_with_fault
 from sdcprobe.nnet import (Conv2d, Flatten, Linear, Model, Relu, build_cnn, build_mlp,
@@ -51,7 +51,7 @@ def _certified(model, dataset, sites):
     recompute, and the cache."""
     cache = PrefixCache(model, dataset)
     cache.certify(model, sites)
-    certified = [s for s in dict.fromkeys(sites) if s in cache.outcomes]
+    certified = [s for s in dict.fromkeys(sites) if site_code(s) in cache.outcomes]
     assert cache.certified == len(certified)
     for site in certified:
         assert evaluate_with_fault(model, dataset, site) == cache.baseline, site
@@ -151,10 +151,10 @@ class TestCertifiedIsTheBaseline:
         model, dataset = mlp_case
         cache = PrefixCache(model, dataset)
         known = FaultSite(5, "neuron_output", 0, 0)
-        cache.outcomes[known] = (0.5, False)
+        cache.outcomes[site_code(known)] = (0.5, False)
         cache.certify(model, [known, FaultSite(5, "neuron_output", 99, 0),
                               FaultSite(9, "neuron_output", 0, 0)])
-        assert cache.outcomes == {known: (0.5, False)} and cache.certified == 0
+        assert cache.outcomes == {site_code(known): (0.5, False)} and cache.certified == 0
 
 
 def _dataset(rows, labels):

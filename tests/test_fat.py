@@ -9,7 +9,7 @@ from sdcprobe import fat as fat_mod
 from sdcprobe.data import synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError, UsageError
 from sdcprobe.fat import FatConfig, fat_train, measure_latency_to_critical, save_fat_report
-from sdcprobe.fault_model import FaultSite, parse_code
+from sdcprobe.fault_model import FaultSite, parse_code, site_codes
 from sdcprobe.injector import faults_active
 from sdcprobe.nnet import (Flatten, Linear, Model, Sgd, build_mlp, evaluate_detailed,
                            model_checksum, train)
@@ -31,7 +31,14 @@ def class1_dataset(n=8):
     return Dataset(images, np.ones(n, dtype=np.int64), split="test")
 
 
-class _FixedSiteSampler:
+class _SiteSampler:
+    """A test sampler's sample_codes: the codes of the sites it samples."""
+
+    def sample_codes(self, n, start_ordinal=0):
+        return site_codes(self.sample(n, start_ordinal))
+
+
+class _FixedSiteSampler(_SiteSampler):
     def __init__(self, site):
         self.site = site
 
@@ -113,7 +120,7 @@ class TestLatencyMeasurement:
                     FaultSite(1, "neuron_weight", k % 4, (k // 4) % 23)
                     for k in range(200)]
 
-        class Sequence:
+        class Sequence(_SiteSampler):
             drawn = 0
 
             def sample(self, n, start_ordinal=0):

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from sdcprobe import bitfloat, fault_model
-from sdcprobe.attribution import AttributionMap
+from sdcprobe.attribution import TARGET_KINDS, AttributionMap
 from sdcprobe.errors import ConfigError, DataFormatError, UsageError
 from sdcprobe.fault_model import (FaultSite, SamplerConfig, all_codes, build_alias_table,
-                                  build_sampler, enumerate_sites, load_fault_csv,
-                                  parse_code, save_fault_csv)
-from sdcprobe.nnet import Conv2d, Flatten, Linear, Model, build_mlp, model_checksum
+                                  build_sampler, enumerate_codes, enumerate_sites,
+                                  load_fault_csv, parse_code, save_fault_csv, site_code,
+                                  site_codes, sites_from_codes)
+from sdcprobe.nnet import Conv2d, Flatten, Linear, Model, build_cnn, build_mlp, model_checksum
 
 
 def tiny_weight_model(values):
@@ -384,6 +385,61 @@ class TestSiteEnumeration:
         model = tiny_weight_model([[1.0, 2.0, 3.0]])
         sampler = build_sampler(SamplerConfig(code="RBRNw"), None, model)
         assert sampler.n_elements * 32 == len(enumerate_sites(model, "neuron_weight"))
+
+
+class TestSiteCodes:
+    """A site is one int64 code inside the engine; FaultSites are built from
+    codes only at the API."""
+
+    model = build_cnn((1, 6, 6), [3, 4], 3, 16, 3, seed=1)  # the acceptance CNN
+
+    @pytest.mark.parametrize("kind", TARGET_KINDS)
+    def test_codes_round_trip(self, kind):
+        sites = enumerate_sites(self.model, kind)
+        codes = site_codes(sites)
+        assert codes.dtype == np.int64 and len(set(codes.tolist())) == len(sites)
+        assert sites_from_codes(codes) == sites
+        assert np.array_equal(enumerate_codes(self.model, kind), codes)
+        assert [site_code(s) for s in sites[::97]] == codes[::97].tolist()
+
+    def test_codes_sort_as_layer_kind_element_bit(self):
+        sites = [s for kind in TARGET_KINDS for s in enumerate_sites(self.model, kind)]
+        sites += [FaultSite(2**25 - 1, "neuron_weight", 2**32 - 1, 31),
+                  FaultSite(0, "neuron_output", 0, 0)]
+        order = np.random.default_rng(0).permutation(len(sites))
+        shuffled = [sites[i] for i in order]
+        by_code = [shuffled[i] for i in np.argsort(site_codes(shuffled), kind="stable")]
+        assert by_code == sorted(shuffled, key=lambda s: (
+            s.layer_id, TARGET_KINDS.index(s.target_kind), s.element_index, s.bit_index))
+        assert sites_from_codes(site_codes(by_code)) == by_code
+
+    @pytest.mark.parametrize("site", [FaultSite(-1, "neuron_weight", 0, 0),
+                                      FaultSite(1, "neuron_weight", -1, 0),
+                                      FaultSite(1, "neuron_output", 2**32, 0),
+                                      FaultSite(2**25, "neuron_output", 0, 0),
+                                      FaultSite(1, "neuron_output", 2**70, 0)])
+    def test_a_site_outside_the_code_ranges_has_no_code(self, site):
+        with pytest.raises(UsageError, match="no site code"):
+            site_codes([FaultSite(1, "neuron_weight", 0, 0), site])
+
+    @pytest.mark.parametrize("code", [str(c) for c in all_codes()])
+    def test_sample_codes_are_the_codes_of_sample(self, code):
+        probe = np.random.default_rng(1).normal(size=(8, 1, 6, 6)).astype(np.float32)
+        attributions = None
+        if code[2] == "I":
+            kind = fault_model.TARGET_CODES[code[4]]
+            lids, counts = fault_model._element_pool(self.model, kind)
+            rng = np.random.default_rng(2)
+            attributions = attribution_for(self.model, kind,
+                                           {lid: rng.uniform(0.0, 1.0, count)
+                                            for lid, count in zip(lids, counts)})
+        built = build_sampler(SamplerConfig(code=code, uniform_mix=0.2, seed=5),
+                              attributions, self.model, probe_images=probe)
+        for sampler in (built, built.with_seed(2**40 + 3)):
+            for n, start in ((40, 0), (25, 1000), (1, 7)):
+                codes = sampler.sample_codes(n, start)
+                assert codes.dtype == np.int64
+                assert np.array_equal(codes, site_codes(sampler.sample(n, start)))
 
 
 class TestFaultCsv:

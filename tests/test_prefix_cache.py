@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from sdcprobe.campaign import CampaignConfig, run_campaign
 from sdcprobe.data import Dataset, synth_blobs, train_test_split
 from sdcprobe.errors import ConfigError, UsageError
-from sdcprobe.fault_model import FaultSite
+from sdcprobe.fault_model import FaultSite, site_code, sites_from_codes
 from sdcprobe import injector
 from sdcprobe.injector import PrefixCache, evaluate_with_fault, faults_active
 from sdcprobe.nnet import build_cnn, build_mlp, evaluate_detailed, model_checksum, train
@@ -271,9 +271,10 @@ class TestStackedEvaluation:
         cache.stack_size = data.draw(st.integers(1, full.stack_size))
         stacked = []
         evaluate_stack = cache.evaluate_stack
-        cache.evaluate_stack = lambda m, stack: stacked.extend(stack) or evaluate_stack(m, stack)
+        cache.evaluate_stack = lambda m, stack: (stacked.extend(sites_from_codes(stack))
+                                                 or evaluate_stack(m, stack))
         for i, site in enumerate(block):
-            outcome = cache.outcomes.get(site)
+            outcome = cache.outcomes.get(site_code(site))
             if outcome is None:
                 outcome = evaluate_with_fault(model, dataset, site, prefix=cache,
                                               ahead=block[i + 1:])
@@ -336,7 +337,7 @@ class TestStackedEvaluation:
                  FaultSite(1, "neuron_weight", 4, 3)]
         outcome = evaluate_with_fault(model, dataset, site, prefix=cache, ahead=ahead)
         assert outcome == evaluate_with_fault(model, dataset, site)
-        assert list(cache.outcomes) == [known, site] + ahead[5:7]
+        assert list(cache.outcomes) == [site_code(s) for s in [known, site] + ahead[5:7]]
         with pytest.raises(UsageError, match="out of range"):
             evaluate_with_fault(model, dataset, ahead[0], prefix=cache)
 
