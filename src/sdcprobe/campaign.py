@@ -523,40 +523,35 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     ran 460-590 evaluations/s against 730-1080 in the calling thread
     (2-core Xeon, one BLAS thread).  Evaluation never writes the model.
 
-    A site is one int64 code (fault_model.site_codes) from the draw to the
-    row.  samplers, if given, needs a sampler for every seed, or raises
+    samplers, if given, needs a sampler for every seed, or raises
     UsageError before any draw; by default the seeds' samplers share one
     build_sampler call (FaultSampler.with_seed).  Each seed's pending
-    ordinals are one block, drawn with one sample_codes call; a code of
-    another target kind than the experiment code's raises UsageError.  A
-    site drawn again, at any seed or in an earlier campaign or latency run
-    on the same unchanged model and dataset, reuses the (accuracy,
-    poisoned) of its first evaluation.  PrefixCache.certify first gives the
+    ordinals are one block of int64 site codes, drawn with one sample_codes
+    call; a code of another target kind than the experiment code's raises
+    UsageError.  PrefixCache.shared gives the baseline, the clean
+    activations and the outcome memo: a site drawn again, at any seed or in
+    an earlier campaign or latency run on the same unchanged model and
+    dataset, reuses its first (accuracy, poisoned).  PrefixCache.certify first gives the
     block's output-fault sites that provably change no prediction the
-    baseline outcome, with no pass.  The block's other distinct codes with
-    no outcome are grouped by layer, in order of first draw, and cut into
-    stacks of PrefixCache.stack_size, each one evaluate_with_fault call.
-    The stacks run in the order of their leading draws, so every draw
-    before a stack's leader has its outcome when the stack runs.  A code
-    that names no element of the model stays out of the stacks and raises
-    UsageError at its own draw.  If the block draw raises, each ordinal is
-    drawn again as a block of its own, so the draws before the failing one
-    still land.  A stack's leading draw carries its time as wallclock_ns, a
-    block's first draw also the block draw and its certification, and
-    every other draw 0, so the times sum to at most the call's duration.
+    baseline outcome.  The block's other distinct codes with no outcome are
+    grouped by layer, in order of first draw, and cut into stacks of
+    PrefixCache.stack_size, each one evaluate_with_fault call, run in the
+    order of their leading draws.  A code that names no element of the
+    model stays out of the stacks and raises UsageError at its own draw.
+    If the block draw raises, each ordinal is drawn again as a block of
+    its own, so the draws before the failing one still land.  A stack's
+    leading draw carries the stack's time as wallclock_ns, a block's first
+    draw also the block draw and its certification, every other draw 0.
 
-    PrefixCache.shared gives the baseline, the outcome memo and the clean
-    activations every evaluation resumes from.  With out_csv set, rows go
-    to `<out_csv>.part` in order, in one write before each stack and one at
-    the end of each block, and an error writes the finished rows first, so
-    the part file ends exactly before the failing draw; a hard kill leaves
-    a clean prefix.  An existing part file is resumed when its header
-    sidecar shows the same config (workers aside), model checksum, dataset
-    hash and baseline, and its rows carry this code and baseline.  The
-    finished part file is renamed onto out_csv.  Each row is one _row, with
-    its site and outcome cells memoized per site code.  The result keeps
-    the draws as columns, resumed rows with their loaded values; its
-    records are built only when read.
+    With out_csv set, rows go to `<out_csv>.part` in order, in one write
+    before each stack and one at the end of each block, and an error
+    writes the finished rows first, so the part file ends exactly before
+    the failing draw; a hard kill leaves a clean prefix.  An existing part
+    file is resumed when its header sidecar shows the same config (workers
+    aside), model checksum, dataset hash and baseline, and its rows carry
+    this code and baseline.  The finished part file is renamed onto
+    out_csv.  The result keeps the draws as columns, resumed rows with
+    their loaded values, and builds its records only when they are read.
     """
     prefix = PrefixCache.shared(model, dataset)
     baseline, _ = prefix.baseline
@@ -608,8 +603,9 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                 # failing ordinal are evaluated and written before it raises
                 blocks = ((k, sampler.sample_codes(1, k)) for k in range(start, budget))
             for first, codes in blocks:
-                keys, distinct, stacks, stop = _plan_block(model, prefix, codes,
-                                                           config.code.target_kind)
+                distinct, inverse, stacks, stop = _plan_block(model, prefix, codes,
+                                                              config.code.target_kind)
+                keys = codes.tolist()
                 ns = [0] * len(keys)
                 ns[0] = time.perf_counter_ns() - mark
                 site_cells = (_site_cells(distinct, config.code.target_kind)
@@ -631,9 +627,10 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                     sink.write()
                 if stop < len(keys):
                     check_site(model, sites_from_codes(codes[stop:stop + 1])[0])
-                faulty, poisoned = zip(*map(outcomes.__getitem__, keys))
-                columns.append((codes, np.array(faulty, dtype=np.float64),
-                                np.array(poisoned, dtype=bool), np.array(ns, dtype=np.int64)))
+                faulty, poisoned = map(np.array, zip(*map(outcomes.__getitem__,
+                                                          distinct.tolist())))
+                columns.append((codes, faulty[inverse], poisoned[inverse],
+                                np.array(ns, dtype=np.int64)))
                 mark = time.perf_counter_ns()
     except BaseException:
         if sink is not None:
@@ -654,34 +651,28 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
 def _plan_block(model, prefix, codes, target_kind):
     """Certify a block of drawn site codes and plan its stacks.
 
-    Returns (keys, distinct, stacks, stop): the block's codes as ints; its
-    distinct codes; the stacks, as (index of the draw that leads it, its
-    codes), in the order of their leaders; and the index of the first draw that names no element of the
-    model, or the block's length.  A stack holds codes of one layer with no
-    outcome yet, in order of first draw, at most prefix.stack_size of them;
-    only the stacks led before that first bad draw are planned.  A code of
+    Returns (distinct, inverse, stacks, stop): the block's distinct codes
+    and the index of each draw's code among them (np.unique); its stacks, each (index of its leading draw, its codes), in the order of
+    their leaders; and the index of the first draw that names no element
+    of the model, or the block's length.  A stack holds up to
+    prefix.stack_size codes of one layer with no outcome yet, in order of
+    first draw; only stacks led before stop are planned.  A code of
     another kind than target_kind raises UsageError.
     """
     check_kind(codes, target_kind)
     prefix.certify(model, codes)
-    keys = codes.tolist()
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # code -> first draw
-    distinct = np.fromiter(first, np.int64, len(first))
-    firsts = np.fromiter(first.values(), np.int64, len(first))
+    distinct, firsts, inverse = np.unique(codes, return_index=True, return_inverse=True)
     valid = prefix.valid(distinct)
-    stop = len(keys) if valid.all() else int(firsts[~valid].min())
+    stop = int(firsts[~valid].min(initial=len(codes)))
     todo = valid & ~prefix.known(distinct)
     todo, firsts = distinct[todo], firsts[todo]
-    layers = code_fields(todo)[0]
-    order = np.lexsort((firsts, layers))  # by layer, then by first draw
-    todo, firsts, layers = todo[order], firsts[order], layers[order]
-    size, firsts = prefix.stack_size, firsts.tolist()
-    bounds = (np.flatnonzero(np.diff(layers)) + 1).tolist()  # where a layer's codes begin
-    stacks = [(firsts[i], todo[i:min(i + size, end)])
-              for begin, end in zip([0] + bounds, bounds + [len(todo)])
-              for i in range(begin, end, size)]
-    stacks.sort(key=lambda stack: stack[0])
-    return keys, distinct, [stack for stack in stacks if stack[0] < stop], stop
+    order = np.lexsort((firsts, code_fields(todo)[0]))  # by layer, then by first draw
+    todo, firsts = todo[order], firsts[order]
+    begins = np.flatnonzero(np.diff(code_fields(todo)[0], prepend=-1))  # of each layer
+    rank = np.arange(len(todo)) - np.repeat(begins, np.diff(begins, append=len(todo)))
+    cuts = np.flatnonzero(rank % prefix.stack_size == 0)
+    stacks = sorted(zip(firsts[cuts].tolist(), np.split(todo, cuts[1:])), key=lambda s: s[0])
+    return distinct, inverse, [stack for stack in stacks if stack[0] < stop], stop
 
 
 def exhaustive_census(model, dataset, target_kind, thresholds, seed=0) -> dict:

@@ -70,6 +70,17 @@ class TestLatencyMeasurement:
         assert result.evaluations_needed == 3
         assert not result.censored
 
+    def test_a_sampler_of_another_kind_refused(self, stacked_sites):
+        """A weight-site sampler passed to an output code raises UsageError
+        before any evaluation, and the model is untouched."""
+        model = identity_model()
+        checksum = model_checksum(model)
+        with pytest.raises(UsageError, match="another target kind"):
+            measure_latency_to_critical(model, class1_dataset(), "RBRNo", 0.5, k=1,
+                                        sampler=_FixedSiteSampler(
+                                            FaultSite(1, "neuron_weight", 0, 30)))
+        assert model_checksum(model) == checksum and stacked_sites == []
+
     def test_latency_monotone_in_threshold(self):
         """For a fixed sampler and seed the same draw sequence must clear a
         harder bar, so evaluation counts never decrease with threshold."""
