@@ -88,6 +88,12 @@ def code_fields(codes):
     return codes >> 38, (codes >> 37) & 1, (codes >> 5) & 0xFFFFFFFF, codes & 31
 
 
+def code_range(layer_id, kind, count) -> tuple[int, int]:
+    """(lo, hi): the codes of layer_id and kind (an index in TARGET_KINDS)
+    whose element index is below count are the codes lo <= code < hi."""
+    return _encode(layer_id, kind, 0, 0), _encode(layer_id, kind, count, 0)
+
+
 def check_kind(codes, target_kind):
     """Raise UsageError unless every site code faults target_kind."""
     if (code_fields(codes)[1] != TARGET_KINDS.index(target_kind)).any():

@@ -55,7 +55,7 @@ import numpy as np
 
 from .bitfloat import xor_bits
 from .errors import UsageError
-from .fault_model import FaultSite, code_fields, site_code, site_codes
+from .fault_model import FaultSite, code_fields, code_range, site_code, site_codes
 from .nnet import check_site, evaluate_detailed, faults_active, model_checksum, site_error
 from .nnet.training import EVAL_BATCH, classify, score
 
@@ -265,7 +265,7 @@ class PrefixCache:
         codes = codes[code_fields(codes)[1] == 0]  # kind 0: neuron_output
         if not self.stores_activations or not codes.size:
             return
-        codes = np.array(sorted(set(codes.tolist())), dtype=np.int64)  # grouped by layer
+        codes = np.unique(codes)  # sorted, so grouped by layer
         codes = codes[self.valid(codes) & ~self.known(codes)]
         if not codes.size:
             return
@@ -441,15 +441,15 @@ def evaluate_with_fault(model, dataset, site: FaultSite,
     prefix.check(model, dataset)
     check_site(model, site)
     lead = site_code(site)
-    if not isinstance(ahead, np.ndarray):
-        ahead = site_codes([s for s in ahead if site_error(model, s) is None])
-    layers, kinds, _, _ = code_fields(ahead)
     layer, kind, _, _ = code_fields(lead)
+    # the codes of its layer and kind that name an element of the model
+    lo, hi = code_range(layer, kind, int(prefix._sizes[layer, kind]))
     stack = {lead: None}
-    for code in ahead[(layers == layer) & (kinds == kind) & prefix.valid(ahead)].tolist():
+    for code in (ahead.tolist() if isinstance(ahead, np.ndarray) else
+                 (site_code(s) for s in ahead if site_error(model, s) is None)):
         if len(stack) >= prefix.stack_size:
             break
-        if code not in stack and code not in prefix.outcomes:
+        if lo <= code < hi and code not in stack and code not in prefix.outcomes:
             stack[code] = None
     outcomes = prefix.evaluate_stack(model, np.array(list(stack), dtype=np.int64))
     prefix.outcomes.update(zip(stack, outcomes))

@@ -440,6 +440,8 @@ class TestSiteCodes:
                 codes = sampler.sample_codes(n, start)
                 assert codes.dtype == np.int64
                 assert np.array_equal(codes, site_codes(sampler.sample(n, start)))
+                assert codes.tolist() == [int(sampler.sample_codes(1, start + i)[0])
+                                          for i in range(n)]
 
 
 class TestFaultCsv:
