@@ -175,7 +175,7 @@ class PrefixCache:
         """Which int64 site codes name an element of the model, as a bool
         array: those whose sites nnet.site_error finds no fault with."""
         layers, kinds, elements, _ = code_fields(codes)
-        inside = layers < len(self._sizes)
+        inside = (layers >= 0) & (layers < len(self._sizes))
         return inside & (elements < self._sizes[np.where(inside, layers, 0), kinds])
 
     def evaluate_stack(self, model, sites) -> list[tuple[float, bool]]:
@@ -265,7 +265,10 @@ class PrefixCache:
         codes = codes[code_fields(codes)[1] == 0]  # kind 0: neuron_output
         if not self.stores_activations or not codes.size:
             return
-        codes = np.unique(codes)  # sorted, so grouped by layer
+        # distinct and sorted, so grouped by layer; a plain np.unique call
+        # would import numpy.ma, about 1 MB, to look for a mask
+        codes = np.sort(codes)
+        codes = codes[np.append(True, codes[1:] != codes[:-1])]
         codes = codes[self.valid(codes) & ~self.known(codes)]
         if not codes.size:
             return

@@ -281,6 +281,25 @@ class TestRunCampaign:
         assert _BadSiteSampler.bad not in stacked_sites
         assert set(seed2[:5] + seed2[6:]) <= set(stacked_sites)
 
+    def test_a_negative_layer_code_raises_at_its_draw(self, tmp_path, stacked_sites):
+        """A raw code from a sampler whose layer field is negative names no
+        element, even where its element would fit the last layer: it
+        raises UsageError at its own draw, after the earlier rows."""
+        class RawCodes(_BadSiteSampler):
+            def sample_codes(self, n, start_ordinal=0):
+                codes = super().sample_codes(n, start_ordinal)
+                ordinals = np.arange(start_ordinal, start_ordinal + n)
+                return np.where(ordinals == 2, (-1 << 37) | 3, codes)  # weight 0, bit 3
+
+        cfg = CampaignConfig(code="RBRNw", thresholds=THRESH5, sample_budget=4, seeds=(1,))
+        out = tmp_path / "run.csv"
+        with pytest.raises(UsageError, match="layer"):
+            run_campaign(identity_model(), class1_dataset(), cfg, out_csv=str(out),
+                         samplers={1: RawCodes(1)})
+        part, _ = load_records(str(out) + ".part")
+        assert [r.sort_key() for r in part] == [(1, 0), (1, 1)]
+        assert all(site.layer_id == 1 for site in stacked_sites)
+
     def test_each_distinct_site_is_evaluated_once(self, stacked_sites):
         """400 draws over 128 weight sites repeat many of them: each distinct
         site enters a stack once, at any seed, and the records equal a
