@@ -8,7 +8,8 @@ vs the fault-free baseline).  Records are deterministic for a given config
 because every draw ordinal owns its RNG stream.  Only wallclock_ns varies
 between runs.  Inside a campaign a block of draws is a few arrays: a site
 is one int64 code (fault_model.site_codes) from the draw to the records
-row, and FaultSite and InjectionRecord objects are built only when a
+row.  A stacked pass builds the FaultSite of its leading site; the other
+FaultSites and the InjectionRecords are built only when a
 CampaignResult's records are read.
 
 Records persist as append-friendly CSV plus a .meta.json sidecar carrying
