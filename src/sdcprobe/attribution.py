@@ -265,6 +265,8 @@ def load_attribution(path) -> AttributionMap:
     scores = {}
     for _ in range(layer_count):
         lid, count = r.unpack("<II", "layer header")
+        if lid in scores:
+            raise r.fail(f"layer {lid} listed twice, again at offset {r.offset - 8}")
         scores[lid] = r.f32_array(count, (count,), f"layer {lid} scores")
     r.finish()
     try:

@@ -62,15 +62,6 @@ class DecodeResult:
     sign: int  # +1 or -1, taken from the sign bit even for flagged patterns
 
 
-def float_to_pattern(value) -> int:
-    """IEEE-754 binary32 bit pattern of ``value`` as an unsigned int."""
-    return int(np.float32(value).view(np.uint32))
-
-
-def pattern_to_float(pattern: int) -> np.float32:
-    return np.uint32(pattern).view(np.float32)
-
-
 def flip_bit(value, bit_index: int) -> np.float32:
     """XOR one bit of the float32 pattern of ``value``.  Involutive."""
     return flip_bit_many(value, bit_index)[0]

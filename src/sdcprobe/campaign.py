@@ -233,13 +233,12 @@ def compute_recall(records, thresholds, census) -> list:
 class _RecordSink:
     """Serialized, in-order record writer with a resumable .part file.
 
-    The campaign appends finished rows (records lines) to `pending`, at
-    most one block of them; write() appends them to `<path>.part` in one
-    write and flushes it.  run_campaign writes before each stack
-    evaluation, at each block end, and on an error before close().  Rows
-    arrive strictly in (seed, ordinal) order, so the part file is always a
-    clean prefix of the campaign, even after a hard kill, which loses at
-    most the rows pending since the last write.  Before the first row, the
+    write(rows) appends finished rows (records lines) to `<path>.part` in
+    one write and flushes it.  run_campaign writes the rows finished before
+    each stack evaluation and at each block end.  Rows arrive strictly in
+    (seed, ordinal) order, so the part file is always a clean prefix of
+    the campaign, even after a hard kill, which loses at most the rows
+    finished since the last write.  Before the first row, the
     campaign's meta (config, model checksum, dataset hash, baseline) goes
     to the part's header sidecar `<path>.part.meta.json`; a part file is
     resumed only by a campaign with the same meta.  The finished part file
@@ -253,7 +252,6 @@ class _RecordSink:
         self.header = self.part + ".meta.json"
         self.thresholds = tuple(thresholds)
         self.meta = meta
-        self.pending = []
         self._fh = None
 
     def start(self, expected_order, code, baseline):
@@ -309,16 +307,15 @@ class _RecordSink:
                 self._fh.write(_records_text([], self.thresholds))
                 self._fh.flush()
 
-    def write(self):
-        """Write and flush the pending rows, if any."""
-        if self.pending:
+    def write(self, rows):
+        """Write and flush the rows, if any."""
+        text = "".join(rows)
+        if text:
             self._open()
-            self._fh.write("".join(self.pending))
+            self._fh.write(text)
             self._fh.flush()
-            self.pending.clear()
 
     def finalize(self):
-        self.write()
         self._open()  # a campaign that wrote no row still gets its header line
         self.close()
         os.replace(self.part, self.path)
@@ -343,7 +340,7 @@ def _format_row(r: InjectionRecord) -> str:
 def _row(code, seed, ordinal, site_cells, outcome_cells, wallclock_ns) -> str:
     """One records line, newline included, in the column order of
     _FIXED_COLUMNS and the threshold columns.  run_campaign memoizes
-    site_cells and outcome_cells per site code (_site_cells, _OutcomeCells)."""
+    outcome_cells per outcome (_OutcomeCells)."""
     head, flags = outcome_cells
     return f"{code},{seed},{ordinal},{site_cells},{head},{wallclock_ns}{flags}\n"
 
@@ -363,21 +360,16 @@ class _OutcomeCells(dict):
         return cells
 
 
-def _site_cells(codes, target_kind) -> dict:
-    """Site code -> the site cells of its rows, for distinct int64 codes of
-    one target kind."""
-    layers, _, elements, bits = code_fields(codes)
-    return dict(zip(codes.tolist(), map(f"{{}},{target_kind},{{}},{{}}".format,
-                                        layers.tolist(), elements.tolist(), bits.tolist())))
-
-
-def _rows(code, seed, first, keys, ns, lo, hi, site_cells, outcomes, outcome_cells):
+def _rows(code, seed, first, codes, ns, lo, hi, target_kind, outcomes, outcome_cells):
     """The records lines of draws lo..hi-1 of a block drawn from ordinal
-    `first` on, whose draw d has site code keys[d] and time ns[d]."""
-    codes = keys[lo:hi]
+    `first` on, whose draw d has int64 site code codes[d], of target_kind,
+    and time ns[d]."""
+    layers, _, elements, bits = code_fields(codes[lo:hi])
     return map(_row, repeat(code), repeat(seed), range(first + lo, first + hi),
-               map(site_cells.__getitem__, codes),
-               map(outcome_cells.__getitem__, map(outcomes.__getitem__, codes)), ns[lo:hi])
+               map(f"{{}},{target_kind},{{}},{{}}".format,
+                   layers.tolist(), elements.tolist(), bits.tolist()),
+               map(outcome_cells.__getitem__, map(outcomes.__getitem__, codes[lo:hi].tolist())),
+               ns[lo:hi])
 
 
 def _outcome_cells(baseline, faulty, drop, poisoned, flags) -> tuple[str, str]:
@@ -544,9 +536,9 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
     leading draw carries the stack's time as wallclock_ns, a block's first
     draw also the block draw and its certification, every other draw 0.
 
-    With out_csv set, rows go to `<out_csv>.part` in order, in one write
-    before each stack and one at the end of each block, and an error
-    writes the finished rows first, so the part file ends exactly before
+    With out_csv set, rows go to `<out_csv>.part` in order: the rows
+    finished before each stack in one write, and the rest of each block's
+    in one at its end, so after an error the part file ends exactly before
     the failing draw; a hard kill leaves a clean prefix.  An existing part
     file is resumed when its header sidecar shows the same config (workers
     aside), model checksum, dataset hash and baseline, and its rows carry
@@ -574,7 +566,7 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
             raise UsageError(f"samplers has no sampler for seeds {lacking}")
         plan = [(seed, samplers[seed], config.sample_budget) for seed in seeds]
 
-    code_str = str(config.code)
+    code_str, kind = str(config.code), config.code.target_kind
     order = [(seed, k) for seed, _, budget in plan for k in range(budget)]
     sink = None
     resumed = []
@@ -604,29 +596,23 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                 # failing ordinal are evaluated and written before it raises
                 blocks = ((k, sampler.sample_codes(1, k)) for k in range(start, budget))
             for first, codes in blocks:
-                distinct, inverse, stacks, stop = _plan_block(model, prefix, codes,
-                                                              config.code.target_kind)
-                keys = codes.tolist()
-                ns = [0] * len(keys)
+                distinct, inverse, stacks, stop = _plan_block(model, prefix, codes, kind)
+                ns = [0] * len(codes)
                 ns[0] = time.perf_counter_ns() - mark
-                site_cells = (_site_cells(distinct, config.code.target_kind)
-                              if sink is not None else None)
                 written = 0
                 for leader, stack in stacks:
                     if sink is not None:
-                        sink.pending += _rows(code_str, seed, first, keys, ns, written, leader,
-                                              site_cells, outcomes, outcome_cells)
-                        sink.write()
+                        sink.write(_rows(code_str, seed, first, codes, ns, written, leader,
+                                         kind, outcomes, outcome_cells))
                         written = leader
                     t0 = time.perf_counter_ns()
                     evaluate_with_fault(model, dataset, sites_from_codes(stack[:1])[0],
                                         prefix=prefix, ahead=stack[1:])
                     ns[leader] += time.perf_counter_ns() - t0
                 if sink is not None:
-                    sink.pending += _rows(code_str, seed, first, keys, ns, written, stop,
-                                          site_cells, outcomes, outcome_cells)
-                    sink.write()
-                if stop < len(keys):
+                    sink.write(_rows(code_str, seed, first, codes, ns, written, stop,
+                                     kind, outcomes, outcome_cells))
+                if stop < len(codes):
                     check_site(model, sites_from_codes(codes[stop:stop + 1])[0])
                 faulty, poisoned = map(np.array, zip(*map(outcomes.__getitem__,
                                                           distinct.tolist())))
@@ -635,10 +621,7 @@ def run_campaign(model, dataset, config: CampaignConfig, attributions=None,
                 mark = time.perf_counter_ns()
     except BaseException:
         if sink is not None:
-            try:
-                sink.write()  # the finished draws before the failing one
-            finally:
-                sink.close()  # the part file keeps a clean prefix for resume
+            sink.close()  # the part file keeps a clean prefix for resume
         raise
 
     if sink is not None:

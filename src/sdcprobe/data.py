@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, UsageError
-from .fileio import Reader, atomic_write
+from .fileio import Reader
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -73,18 +72,6 @@ def load_idx(images_path, labels_path, split="test") -> Dataset:
             f"{labels_path} has {labels.shape[0]} labels")
     scaled = (images.astype(np.float32) / 255.0)[:, None, :, :]
     return Dataset(scaled, labels.astype(np.int64), split)
-
-
-def save_idx(dataset: Dataset, images_path, labels_path):
-    """Write ubyte IDX files.  Pixels are scaled back by *255; exact for any
-    tensor previously loaded via load_idx."""
-    n, c, h, w = dataset.images.shape
-    if c != 1:
-        raise UsageError("IDX image files hold single-channel images")
-    pixels = np.rint(dataset.images[:, 0] * 255.0).astype(np.uint8)
-    atomic_write(images_path, struct.pack(">IIII", IDX_MAGIC_IMAGES, n, h, w) + pixels.tobytes())
-    atomic_write(labels_path, struct.pack(">II", IDX_MAGIC_LABELS, n)
-                 + dataset.labels.astype(np.uint8).tobytes())
 
 
 def synth_blobs(classes, samples_per_class, dims, spread, seed,

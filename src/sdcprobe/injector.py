@@ -121,7 +121,8 @@ class PrefixCache:
                                 for lid, layer in enumerate(model.layers)], dtype=np.int64)
         self.chunks, logits = [], []
         for lo in range(0, n, EVAL_BATCH):
-            x = dataset.images[lo:lo + EVAL_BATCH]
+            # float32, as Model.apply reads it: a weight stack of layer 0 runs on it
+            x = np.asarray(dataset.images[lo:lo + EVAL_BATCH], dtype=np.float32)
             out, acts = model.apply(x, return_activations=True)
             chunk = [x] + acts if self.stores_activations else [x]
             for a in chunk:
@@ -183,29 +184,33 @@ class PrefixCache:
         the layers from the sites' layer L onward, one variant per site.
 
         The sites, FaultSites or their int64 codes, share L and kind and
-        must name elements of the model.  A weight stack resumes from the
-        clean input of L, with variant k's weight XORed at site k; an
-        output stack from the clean output of L, with variant k's column
-        XORed.  Without stored activations the clean layers before that
-        start run first, once per chunk, as the cache build ran them.
+        must name elements of the model.  A weight stack runs layer L on
+        its clean input with K copies of L's weight, copy k XORed at site
+        k; an output stack XORs column k of variant k of L's clean output.
+        Both then resume at layer L + 1 with K variants.  Without stored
+        activations the clean layers before that run first, once per
+        chunk, as the cache build ran them.
         """
         layers, kinds, elements, bits = code_fields(site_codes(sites))
         lid, k = int(layers[0]), len(layers)
-        weights = masks = None
-        if kinds[0]:  # neuron_weight
-            start, w = lid, model.layers[lid].weight.data
+        layer, weighted = model.layers[lid], bool(kinds[0])  # kind 1: neuron_weight
+        if weighted:
+            w = layer.weight.data
             weights = xor_bits(w.reshape(1, -1),
                                _stack_masks(elements, bits, w.size)).reshape(k, *w.shape)
         else:
-            start = lid + 1
-            masks = _stack_masks(elements, bits, math.prod(model.in_shapes[start]))[:, None, :]
+            masks = _stack_masks(elements, bits, math.prod(model.in_shapes[lid + 1]))[:, None, :]
+        start = lid if weighted else lid + 1
         logits = []
         for chunk in self.chunks:
             x = chunk[start] if start < len(chunk) else model.apply(chunk[0], stop=start)
             rows = len(x)
-            if masks is not None:
+            if weighted:  # as Model.apply runs its layers: flips may overflow
+                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                    x = layer.apply(x, weights=weights)
+            else:
                 x = xor_bits(x.reshape(rows, -1), masks).reshape(k * rows, *x.shape[1:])
-            out = model.apply(x, start=start, variants=k, weights=weights)
+            out = model.apply(x, start=lid + 1, variants=k)
             logits.append(out.reshape(k, rows, -1))
         return list(zip(*score(*classify(logits), self.dataset.labels)))
 

@@ -23,15 +23,15 @@ apply() is resumable: with start=L its input is the input of layer L (the
 output of layer L-1), and only layers L.. run.  Since a layer's arithmetic
 depends only on its input batch, resuming from a stored clean activation
 gives the same bits as the full pass over the same batch.  It can stop
-early (stop=M) and run K variants of the model at once: K batches stacked
-along the rows, or K weights of layer start.  The same variant axis
-serves training: a model whose parameters have a leading [K, ...] axis
-runs K models' forward_graph and backward in one pass, each variant on
-its own rows once a layer with parameters or output faults has split the
-batch.  Weightless layers and Conv2d's per-sample gemm see the
-[K*N, ...] stack as one batch; Linear keeps a variant axis, and a
-stacked Conv2d a [K, N, ...] one, so that each variant makes its own BLAS
-calls.  A single pass is the K = 1 case of the same code.
+early (stop=M) and run K variants of the model at once, K batches stacked
+along the rows.  The same variant axis serves training: a model whose
+parameters have a leading [K, ...] axis runs K models' forward_graph and
+backward in one pass, each variant on its own rows once a layer with
+parameters or output faults has split the batch.  Weightless layers and
+Conv2d's per-sample gemm see the [K*N, ...] stack as one batch; Linear
+keeps a variant axis, and a stacked Conv2d a [K, N, ...] one, so that
+each variant makes its own BLAS calls.  A single pass is the K = 1 case
+of the same code.
 """
 
 from __future__ import annotations
@@ -345,6 +345,10 @@ class Model:
         shapes = [self.input_shape]
         for layer in self.layers:
             shapes.append(layer.out_shape(shapes[-1]))
+        for lid, shape in enumerate(shapes):
+            if min(shape, default=1) < 1:
+                where = "input" if lid == 0 else f"output of layer {lid - 1}"
+                raise ConfigError(f"every per-sample dim must be >= 1; the {where} is {shape}")
         self.in_shapes = tuple(shapes)
 
     def output_shapes(self):
@@ -383,7 +387,7 @@ class Model:
         return masks
 
     def apply(self, x, output_faults=(), return_activations=False, start=0, stop=None,
-              variants=1, weights=None):
+              variants=1):
         """Plain forward pass; returns logits [N, classes].
 
         With start=L, x is the input of layer L and only layers L.. run;
@@ -393,11 +397,9 @@ class Model:
         the input of layer M.
 
         One pass can run K variants of the model, each on the same rows:
-        with variants=K, x holds K batches stacked along its rows; with
-        weights, a [K, *shape] stack of weights for layer start, x is one
-        batch and variant k runs layer start with weights[k].  The result
-        stacks the variants' outputs, [K*N, ...], and each variant's rows
-        are bit-identical to a pass of that variant alone, since every
+        with variants=K, x holds K batches stacked along its rows.  The
+        result stacks the variants' outputs, [K*N, ...], and each variant's
+        rows are bit-identical to a pass of that variant alone, since every
         layer makes per-variant (Linear) or per-sample (Conv2d) BLAS calls.
 
         Runs with numpy float warnings suppressed: injected faults are meant
@@ -407,14 +409,7 @@ class Model:
         stop = len(self.layers) if stop is None else stop
         if not 0 <= start <= stop <= len(self.layers):
             raise UsageError(f"layer range {start}..{stop} out of range")
-        if weights is not None:
-            weight = getattr(self.layers[start], "weight", None) if start < stop else None
-            if weight is None or weights.shape[1:] != weight.data.shape:
-                raise UsageError(f"a weight stack of shape {weights.shape} does not fit "
-                                 f"layer {start}")
-            variants = 1  # the stack runs on one batch
-        x, acts = self._forward(x, self._masks([output_faults]), start, stop, None,
-                                variants, weights)
+        x, acts = self._forward(x, self._masks([output_faults]), start, stop, None, variants)
         return (x, acts) if return_activations else x
 
     def forward_graph(self, g: ComputationGraph, x, output_faults=()):
@@ -430,11 +425,10 @@ class Model:
         g.record(self.layers, caches, logits.shape, masks)
         return logits, acts
 
-    def _forward(self, x, masks, start, stop, caches, variants=1, weights=None):
+    def _forward(self, x, masks, start, stop, caches, variants=1):
         """Layers start..stop-1 over x, holding `variants` batches stacked
         along its rows; with a caches list, each layer runs its forward and
-        its cache is appended, otherwise its apply runs, with the weight
-        stack on layer start.
+        its cache is appended, otherwise its apply runs.
 
         A layer's output holds as many variants as its rows hold batches:
         one batch meets a stack of weights, or a [K, 1, E] mask stack of
@@ -448,8 +442,6 @@ class Model:
                 if caches is not None:
                     x, cache = layer.forward(x, variants)
                     caches.append(cache)
-                elif weights is not None and lid == start:
-                    x = layer.apply(x, weights=weights)
                 else:
                     x = layer.apply(x, variants)
                 variants = len(x) // rows if rows else 1
@@ -516,10 +508,18 @@ def _uniform_init(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def build_mlp(input_shape, hidden, classes, seed):
-    """flatten -> [linear -> relu]* -> linear, fan-in uniform init, zero bias."""
+def _check_build(input_shape, classes, seed):
+    """Raise UsageError, before any weight is drawn, on what no model fits."""
     if seed < 0:
         raise UsageError(f"model seed must be >= 0, got {seed}")
+    if min(input_shape, default=1) < 1 or classes < 1:
+        raise UsageError(f"every input dim and the class count must be >= 1; got "
+                         f"{list(input_shape)} and {classes}")
+
+
+def build_mlp(input_shape, hidden, classes, seed):
+    """flatten -> [linear -> relu]* -> linear, fan-in uniform init, zero bias."""
+    _check_build(input_shape, classes, seed)
     if any(width < 1 for width in hidden):
         raise UsageError(f"every hidden width must be >= 1, got {list(hidden)}")
     rng = np.random.default_rng(seed)
@@ -535,8 +535,7 @@ def build_mlp(input_shape, hidden, classes, seed):
 
 def build_cnn(input_shape, conv_channels, kernel, hidden, classes, seed):
     """conv-relu-conv-relu-flatten-linear-relu-linear."""
-    if seed < 0:
-        raise UsageError(f"model seed must be >= 0, got {seed}")
+    _check_build(input_shape, classes, seed)
     rng = np.random.default_rng(seed)
     c, h, w = input_shape
     c1, c2 = conv_channels
@@ -625,9 +624,11 @@ def load_checkpoint(path) -> Model:
             raise r.fail(f"layer {li} ({kind}) weight has {wndim} dims at offset {r.offset - 4}")
         wshape = tuple(r.u32(f"layer {li} weight dim {d}") for d in range(wndim))
         weight = r.f32_array(math.prod(wshape), wshape, f"layer {li} weight data")
-        bias = None
-        if r.u32(f"layer {li} has_bias"):
-            bias = r.f32_array(wshape[0], (wshape[0],), f"layer {li} bias data")
+        has_bias = r.u32(f"layer {li} has_bias")
+        if has_bias not in (0, 1):
+            raise r.fail(f"layer {li} has_bias is {has_bias}, not 0 or 1, at offset "
+                         f"{r.offset - 4}")
+        bias = r.f32_array(wshape[0], (wshape[0],), f"layer {li} bias data") if has_bias else None
         layers.append(Conv2d(weight, bias, stride=stride) if kind == "conv2d"
                       else Linear(weight, bias))
     r.finish()

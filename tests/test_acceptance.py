@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from test_autodiff import fd_grads
+from test_bitfloat import pattern_to_float
 from test_fault_model import chi2_pvalue
 
 from sdcprobe import bitfloat
@@ -138,14 +139,14 @@ class TestBitCodecGate:
                                                         dtype=np.uint32)
         for sign in (0, 1):
             inf_bits = np.uint32((sign << 31) | (0xFF << 23))
-            r = bitfloat.decode(bitfloat.encode(bitfloat.pattern_to_float(inf_bits)))
+            r = bitfloat.decode(bitfloat.encode(pattern_to_float(inf_bits)))
             assert r.flag_inf and not r.flag_nan
             assert np.isfinite(r.value)
             assert abs(float(r.value)) == surrogate
             assert (float(r.value) < 0) == bool(sign)
             for m in mantissas:
                 nan_bits = np.uint32((sign << 31) | (0xFF << 23) | int(m))
-                r = bitfloat.decode(bitfloat.encode(bitfloat.pattern_to_float(nan_bits)))
+                r = bitfloat.decode(bitfloat.encode(pattern_to_float(nan_bits)))
                 assert r.flag_nan and not r.flag_inf
                 assert np.isfinite(r.value)
 

@@ -6,6 +6,8 @@ on nonlinear ones.  Weight attribution is checked against finite differences
 and its defining signed-sum structure.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -371,6 +373,21 @@ class TestAttributionFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
         with pytest.raises(DataFormatError, match="truncated"):
+            load_attribution(path)
+
+    def test_a_layer_listed_twice_rejected(self, tmp_path):
+        """A file whose second layer entry names the first layer's id again
+        would load with the last entry's scores in place of the first's."""
+        amap = AttributionMap("neuron_weight", {1: np.ones(24), 3: np.full(8, 7.0)}, "ck")
+        path = tmp_path / "attr.isat"
+        save_attribution(amap, path)
+        blob = bytearray(path.read_bytes())
+        second = len(blob) - (8 + 8 * 4)          # the header of layer 3's 8 scores
+        assert struct.unpack_from("<II", blob, second) == (3, 8)
+        struct.pack_into("<I", blob, second, 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError,
+                           match=f"layer 1 listed twice, again at offset {second}"):
             load_attribution(path)
 
     def test_negative_scores_rejected(self):

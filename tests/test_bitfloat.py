@@ -28,12 +28,19 @@ from sdcprobe.bitfloat import (
     encode,
     encode_many,
     flip_bit,
-    float_to_pattern,
-    pattern_to_float,
 )
 
 _MANT_POW = 2.0 ** (np.arange(23, dtype=np.float64) - 23.0)
 _EXP_POW = 2.0 ** np.arange(8, dtype=np.float64)
+
+
+def float_to_pattern(value) -> int:
+    """IEEE-754 binary32 bit pattern of ``value`` as an unsigned int."""
+    return int(np.float32(value).view(np.uint32))
+
+
+def pattern_to_float(pattern: int) -> np.float32:
+    return np.uint32(pattern).view(np.float32)
 
 
 # One-value reference forms of the codec, written out per element; the

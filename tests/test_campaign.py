@@ -858,9 +858,10 @@ class TestWrites:
             stacks.append(sites_from_codes(site_codes(sites)))
             return evaluate_stack(cache, model, sites)
 
-        def counting_write(sink):
-            writes.append(len(sink.pending))
-            write(sink)
+        def counting_write(sink, rows):
+            rows = list(rows)
+            writes.append(len(rows))
+            write(sink, rows)
 
         monkeypatch.setattr(PrefixCache, "evaluate_stack", counting_stack)
         monkeypatch.setattr(_RecordSink, "write", counting_write)

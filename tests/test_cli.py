@@ -426,6 +426,10 @@ class TestExitCodes:
         ("train", {"train": {"lr": float("nan")}}, []),
         ("fat", {"fat": {"lr": float("inf")}}, []),
         ("train", {"model": {"kind": "cnn", "input_shape": [1, 6, 6], "kernel": 4}}, []),
+        ("train", {"model": {"input_shape": [1, 1, 0]}}, []),
+        ("train", {"model": {"input_shape": [1, 1, -6]}}, []),
+        ("train", {"model": {"kind": "cnn", "input_shape": [0, 6, 6]}}, []),
+        ("train", {"model": {"classes": 0}}, []),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys,
                                                           command, overrides, flags):

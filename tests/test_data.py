@@ -5,12 +5,13 @@ import struct
 import numpy as np
 import pytest
 
+from test_loaders_fuzz import save_idx
+
 from sdcprobe.data import (
     Dataset,
     IDX_MAGIC_IMAGES,
     IDX_MAGIC_LABELS,
     load_idx,
-    save_idx,
     synth_blobs,
     train_test_split,
 )

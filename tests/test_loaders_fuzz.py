@@ -6,6 +6,8 @@ either returns or raises DataFormatError or DataIntegrityError, which the
 command line reports as exit code 3; nothing else may escape.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from sdcprobe.attribution import (AttributionConfig, attribute_all, load_attribution,
                                   save_attribution)
 from sdcprobe.campaign import CampaignConfig, load_records, run_campaign
-from sdcprobe.data import load_idx, save_idx, synth_blobs
+from sdcprobe.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, load_idx, synth_blobs
 from sdcprobe.errors import DataFormatError, DataIntegrityError
+from sdcprobe.fileio import atomic_write
 from sdcprobe.nnet import build_cnn, load_checkpoint, save_checkpoint
 
 DAMAGE = st.one_of(
@@ -25,6 +28,16 @@ DAMAGE = st.one_of(
 )
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def save_idx(dataset, images_path, labels_path):
+    """Write a single-channel dataset as ubyte IDX files.  Pixels are
+    scaled back by *255; exact for any tensor load_idx loaded."""
+    n, _, h, w = dataset.images.shape
+    pixels = np.rint(dataset.images[:, 0] * 255.0).astype(np.uint8)
+    atomic_write(images_path, struct.pack(">IIII", IDX_MAGIC_IMAGES, n, h, w) + pixels.tobytes())
+    atomic_write(labels_path, struct.pack(">II", IDX_MAGIC_LABELS, n)
+                 + dataset.labels.astype(np.uint8).tobytes())
 
 
 def damaged(blob, damage):

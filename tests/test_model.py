@@ -118,6 +118,16 @@ class TestModelForward:
         with pytest.raises(ConfigError):
             Model([Flatten(), Linear(np.ones((2, 5), dtype=np.float32))], (1, 1, 3))
 
+    @pytest.mark.parametrize("weight_shape, input_shape, where", [
+        ((2, 0), (1, 1, 0), "the input is \\(1, 1, 0\\)"),
+        ((0, 3), (1, 1, 3), "the output of layer 1 is \\(0,\\)"),
+    ], ids=["empty-input", "no-logits"])
+    def test_per_sample_dims_below_one_refused(self, weight_shape, input_shape, where):
+        """A layer stack that composes over an empty input, or that ends in
+        no logits, is not a model."""
+        with pytest.raises(ConfigError, match=f"per-sample dim must be >= 1; {where}"):
+            Model([Flatten(), Linear(np.ones(weight_shape, dtype=np.float32))], input_shape)
+
     def test_output_shapes(self):
         model = build_cnn((1, 8, 8), (3, 4), kernel=3, hidden=10, classes=2, seed=0)
         kinds = [l.kind for l in model.layers]
@@ -290,7 +300,8 @@ class TestStackedVariants:
 
     def test_model_variants_equal_per_variant_passes(self):
         """Output variants stacked along the rows from layer 2, and weight
-        variants of layer 2, against one pass per variant."""
+        variants of layer 2 resumed at layer 3 (the calls a weight stack's
+        evaluation makes), against one pass per variant."""
         model = build_cnn((1, 6, 6), (3, 4), kernel=3, hidden=16, classes=3, seed=2)
         x = np.random.default_rng(1).normal(size=(45, 1, 6, 6)).astype(np.float32)
         h = model.apply(x, stop=2)
@@ -306,17 +317,8 @@ class TestStackedVariants:
             replica = model.copy()
             replica.layers[2].weight.data[...] = v
             want.append(replica.apply(h, start=2))
-        got = model.apply(h, start=2, weights=stack)
+        got = model.apply(model.layers[2].apply(h, weights=stack), start=3, variants=3)
         assert np.array_equal(got.view(np.uint32), np.concatenate(want).view(np.uint32))
-
-    def test_weight_stack_must_fit_the_start_layer(self):
-        model = build_mlp((1, 1, 4), [6], classes=2, seed=3)
-        x = np.ones((2, 4), dtype=np.float32)
-        with pytest.raises(UsageError, match="does not fit layer 1"):
-            model.apply(x, start=1, weights=np.ones((2, 6, 5), dtype=np.float32))
-        with pytest.raises(UsageError, match="does not fit layer 2"):
-            model.apply(np.ones((2, 6), dtype=np.float32), start=2,
-                        weights=np.ones((2, 6, 6), dtype=np.float32))
 
 
 class TestJvp:
@@ -434,6 +436,27 @@ class TestCheckpoint:
         path.write_bytes(ckpt(1, (2, 1, 3, 3)))
         assert load_checkpoint(path).output_shapes() == [(2, 4, 4)]
 
+    def test_has_bias_other_than_0_or_1_rejected(self, tmp_path):
+        model = build_mlp((1, 1, 3), [], classes=2, seed=0)
+        path = tmp_path / "model.isdl"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        flag = len(blob) - 4 - 2 * 4              # has_bias, then the 2 bias floats
+        assert struct.unpack_from("<I", blob, flag) == (1,)
+        struct.pack_into("<I", blob, flag, 7)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=f"has_bias is 7, not 0 or 1, at offset {flag}"):
+            load_checkpoint(path)
+
+    def test_zero_input_dim_rejected(self, tmp_path):
+        """flatten -> linear [2, 0] composes over a (1, 1, 0) input, but a
+        model with an empty input is a defect of the file."""
+        path = tmp_path / "empty.isdl"
+        path.write_bytes(b"".join([b"ISDL", struct.pack("<5I", 1, 3, 1, 1, 0),
+                                   struct.pack("<5I", 2, 3, 1, 2, 2), struct.pack("<2I", 0, 0)]))
+        with pytest.raises(DataFormatError, match="do not compose: every per-sample dim"):
+            load_checkpoint(path)
+
     def test_checksum_sensitive_to_single_bit(self):
         model = build_mlp((1, 1, 3), [2], classes=2, seed=0)
         before = model_checksum(model)
@@ -452,10 +475,12 @@ class TestCheckpoint:
 class TestBuilders:
     @pytest.mark.parametrize("kwargs", [dict(kernel=0), dict(kernel=-1),
                                         dict(conv_channels=[0, 4]), dict(conv_channels=[3, 0]),
-                                        dict(hidden=0)])
+                                        dict(hidden=0), dict(input_shape=(0, 6, 6)),
+                                        dict(classes=0)])
     def test_cnn_refuses_sizes_below_one(self, kwargs):
         """A zero kernel, channel count or width would divide by zero in
-        the init; it is refused before any weight is drawn."""
+        the init, and zero classes leave no logits; each is refused before
+        any weight is drawn."""
         with pytest.raises(UsageError, match="must be >= 1"):
             build_cnn(**{**dict(input_shape=(1, 6, 6), conv_channels=[3, 4], kernel=3,
                                 hidden=16, classes=3, seed=0), **kwargs})
@@ -464,3 +489,12 @@ class TestBuilders:
     def test_mlp_refuses_hidden_widths_below_one(self, hidden):
         with pytest.raises(UsageError, match="hidden width must be >= 1"):
             build_mlp((1, 1, 6), hidden, 3, seed=0)
+
+    @pytest.mark.parametrize("input_shape, classes", [((1, 1, 0), 3), ((1, 1, -6), 3),
+                                                      ((1, 1, 6), 0)])
+    def test_mlp_refuses_input_dims_and_classes_below_one(self, input_shape, classes):
+        """An empty or negative input size would divide by zero in the init
+        (and a negative one makes numpy's draw fail), and zero classes leave
+        no logits; each is refused before any weight is drawn."""
+        with pytest.raises(UsageError, match="input dim and the class count must be >= 1"):
+            build_mlp(input_shape, [4], classes, seed=0)

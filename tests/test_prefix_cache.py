@@ -10,6 +10,7 @@ import gc
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +24,8 @@ from sdcprobe.errors import ConfigError, UsageError
 from sdcprobe.fault_model import FaultSite, site_code, sites_from_codes
 from sdcprobe import injector
 from sdcprobe.injector import PrefixCache, evaluate_with_fault, faults_active
-from sdcprobe.nnet import build_cnn, build_mlp, evaluate_detailed, model_checksum, train
+from sdcprobe.nnet import (Flatten, Linear, Model, build_cnn, build_mlp, evaluate_detailed,
+                           model_checksum, train)
 from sdcprobe.nnet.training import EVAL_BATCH
 
 ROWS = 300  # more than one 256-row evaluation chunk
@@ -303,6 +305,21 @@ class TestStackedEvaluation:
                     for o in _assert_stack_same(model, dataset, cache, sites[lo:lo + k])]
         assert any(poisoned for _, poisoned in outcomes)
         assert not all(poisoned for _, poisoned in outcomes)
+
+    def test_an_overflowing_weight_stack_raises_no_warning(self):
+        """Flips that push a weight stack's float64 products past float32's
+        range (0.75 with bit 30 set is 0.75 * 2^128, times inputs of 2)
+        evaluate as quietly as Model.apply runs: the cast to float32
+        overflows to inf, the flipped row's class wins every sample, and no
+        RuntimeWarning escapes."""
+        model = Model([Flatten(), Linear(np.full((2, 2), 0.75, dtype=np.float32))], (1, 1, 2))
+        dataset = Dataset(np.full((4, 1, 1, 2), 2.0), np.ones(4))
+        sites = [FaultSite(1, "neuron_weight", e, 30) for e in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = PrefixCache(model, dataset).evaluate_stack(model, sites)
+        assert outcomes == [(0.0, False), (0.0, False), (1.0, False), (1.0, False)]
+        assert outcomes == [evaluate_with_fault(model, dataset, s) for s in sites]
 
     @pytest.mark.parametrize("over", [False, True])
     @settings(max_examples=20, deadline=None)
